@@ -108,6 +108,8 @@ def _load(path_or_name: str, lenient: bool):
 
 def _default_radius(args) -> int:
     if getattr(args, "radius", None) is not None:
+        if args.radius < 1:
+            raise UsageError(f"--radius must be at least 1, got {args.radius}")
         return args.radius
     env = os.environ.get(RADIUS_ENV)
     if env:
@@ -327,6 +329,8 @@ def cmd_witten(args) -> int:
     manifold, code = _prevalidate(manifest, "witten")
     if code is not None:
         return code
+    if args.order < 0:
+        raise UsageError(f"--order must be nonnegative, got {args.order}")
     rank = manifold.form.rank
     w = _resolve_w(args, manifest, manifold)
     direction = _parse_direction(args.direction, rank)

@@ -1,13 +1,16 @@
 """Exact integer lattice arithmetic for intersection forms.
 
 Everything here runs over plain Python integers (arbitrary precision) or
-exact rationals; no floating point.  Lattices are described by symmetric
-Gram matrices assembled from standard blocks: the rank-two hyperbolic
-block, the E8 form with a sign, and diagonal blocks.
+exact rationals; no floating point.  A lattice is a list of standard
+blocks: the rank-two hyperbolic block, the E8 form with a sign, and
+diagonal blocks.  The block list is the source of truth: apply() computes
+G.v block by block, and every pairing goes through it.  The dense Gram
+matrix is only a derived view.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -27,32 +30,40 @@ E8_GRAM = (
 )
 
 
+# The nonzero off-diagonal entries of E8_GRAM, one per edge of the diagram.
+_E8_EDGES = [(i, j, E8_GRAM[i][j]) for i in range(8) for j in range(i) if E8_GRAM[i][j]]
+
+
 @dataclass(frozen=True)
 class HyperbolicBlock:
     """The rank-two block [[0,1],[1,0]]."""
 
-    @property
-    def rank(self) -> int:
-        return 2
+    rank = 2
+    diagonal = (0, 0)
 
-    def gram_rows(self):
-        return ((0, 1), (1, 0))
+    def apply(self, v):
+        return [v[1], v[0]]
 
 
 @dataclass(frozen=True)
 class E8Block:
     sign: int = -1
+    rank = 8
 
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError(f"E8 sign must be +1 or -1, got {self.sign}")
 
     @property
-    def rank(self) -> int:
-        return 8
+    def diagonal(self):
+        return (2 * self.sign,) * 8
 
-    def gram_rows(self):
-        return tuple(tuple(self.sign * x for x in row) for row in E8_GRAM)
+    def apply(self, v):
+        out = [2 * x for x in v]
+        for i, j, g in _E8_EDGES:
+            out[i] += g * v[j]
+            out[j] += g * v[i]
+        return out if self.sign == 1 else [-x for x in out]
 
 
 @dataclass(frozen=True)
@@ -66,11 +77,12 @@ class DiagonalBlock:
     def rank(self) -> int:
         return len(self.entries)
 
-    def gram_rows(self):
-        n = len(self.entries)
-        return tuple(
-            tuple(self.entries[i] if i == j else 0 for j in range(n)) for i in range(n)
-        )
+    @property
+    def diagonal(self):
+        return self.entries
+
+    def apply(self, v):
+        return [e * x for e, x in zip(self.entries, v)]
 
 
 Block = HyperbolicBlock | E8Block | DiagonalBlock
@@ -122,76 +134,63 @@ class CohClass:
 
 @dataclass(frozen=True)
 class IntegralLattice:
-    """A lattice with a fixed basis, Gram matrix and block provenance."""
+    """A lattice with a fixed basis; its block list is the source of truth."""
 
     blocks: tuple[Block, ...]
-    gram: tuple[tuple[int, ...], ...]
-    rank: int
 
     @staticmethod
     def from_blocks(blocks) -> "IntegralLattice":
-        blocks = tuple(blocks)
-        rank = sum(b.rank for b in blocks)
-        gram = [[0] * rank for _ in range(rank)]
-        offset = 0
-        for b in blocks:
-            rows = b.gram_rows()
-            for i in range(b.rank):
-                for j in range(b.rank):
-                    gram[offset + i][offset + j] = rows[i][j]
-            offset += b.rank
-        return IntegralLattice(blocks, tuple(tuple(r) for r in gram), rank)
+        return IntegralLattice(tuple(blocks))
 
-    def __post_init__(self):
+    @cached_property
+    def rank(self) -> int:
+        return sum(b.rank for b in self.blocks)
+
+    @cached_property
+    def diagonal(self) -> tuple[int, ...]:
+        """The squares x.x of the basis vectors."""
+        return tuple(d for b in self.blocks for d in b.diagonal)
+
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
         n = self.rank
-        if len(self.gram) != n or any(len(r) != n for r in self.gram):
-            raise ValueError("gram matrix shape does not match rank")
-        if sum(b.rank for b in self.blocks) != n:
-            raise ValueError("block ranks do not sum to the lattice rank")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("gram matrix is not symmetric")
-        offset = 0
-        for b in self.blocks:
-            rows = b.gram_rows()
-            for i in range(n):
-                for j in range(offset, offset + b.rank):
-                    expected = (
-                        rows[i - offset][j - offset]
-                        if offset <= i < offset + b.rank
-                        else 0
-                    )
-                    if self.gram[i][j] != expected:
-                        raise ValueError("gram matrix does not match the block list")
-            offset += b.rank
+        return tuple(tuple(apply(self, CohClass.unit(n, i).coords)) for i in range(n))
+
+
+def apply(lattice: IntegralLattice, coords) -> list:
+    """The Gram matrix times a coordinate vector, walked block by block.
+
+    Coordinates may be ints or Fractions.  This is the one place where the
+    form acts on a vector; every pairing goes through it.
+    """
+    if len(coords) != lattice.rank:
+        raise DimensionMismatch(
+            f"vector length {len(coords)} does not match lattice rank {lattice.rank}"
+        )
+    out = []
+    offset = 0
+    for b in lattice.blocks:
+        chunk = coords[offset:offset + b.rank]
+        out += b.apply(chunk) if any(chunk) else chunk
+        offset += b.rank
+    return out
 
 
 def block_signature(lattice: IntegralLattice) -> int:
-    """Signature of the form, computed blockwise (hyperbolic blocks are 0)."""
-    total = 0
-    for b in lattice.blocks:
-        if isinstance(b, E8Block):
-            total += 8 * b.sign
-        elif isinstance(b, DiagonalBlock):
-            total += sum((e > 0) - (e < 0) for e in b.entries)
-    return total
+    """Signature of the form: for every block type it is the signed count
+    of the diagonal entries (H has (0, 0), sign*E8 has eight 2*sign)."""
+    return sum((d > 0) - (d < 0) for d in lattice.diagonal)
+
+
+def _pair(lattice: IntegralLattice, a, b):
+    if len(a) != len(b):
+        raise DimensionMismatch(f"cannot pair vectors of lengths {len(a)} and {len(b)}")
+    return sum(x * y for x, y in zip(apply(lattice, a), b) if x)
 
 
 def pairing(lattice: IntegralLattice, a: CohClass, b: CohClass) -> int:
     """Evaluate the intersection pairing a.b exactly."""
-    n = lattice.rank
-    if len(a.coords) != n or len(b.coords) != n:
-        raise DimensionMismatch(
-            f"class length does not match lattice rank {n}"
-        )
-    g = lattice.gram
-    total = 0
-    for i, ai in enumerate(a.coords):
-        if ai:
-            row = g[i]
-            total += ai * sum(row[j] * bj for j, bj in enumerate(b.coords) if bj)
-    return total
+    return _pair(lattice, a.coords, b.coords)
 
 
 def square(lattice: IntegralLattice, a: CohClass) -> int:
@@ -200,15 +199,7 @@ def square(lattice: IntegralLattice, a: CohClass) -> int:
 
 def pairing_rational(lattice: IntegralLattice, a, b) -> Fraction:
     """Pairing for rational coordinate vectors (plain sequences)."""
-    n = lattice.rank
-    if len(a) != n or len(b) != n:
-        raise DimensionMismatch(f"vector length does not match lattice rank {n}")
-    g = lattice.gram
-    total = Fraction(0)
-    for i in range(n):
-        if a[i]:
-            total += a[i] * sum(g[i][j] * b[j] for j in range(n) if b[j])
-    return total
+    return Fraction(_pair(lattice, a, b))
 
 
 def _solve_gf2(rows, rhs):
@@ -248,10 +239,7 @@ def characteristic_vector(lattice: IntegralLattice) -> CohClass:
     Solved over GF(2); free variables are zero, so even lattices get the
     zero class.
     """
-    n = lattice.rank
-    rows = [list(lattice.gram[i]) for i in range(n)]
-    rhs = [lattice.gram[i][i] for i in range(n)]
-    sol = _solve_gf2(rows, rhs)
+    sol = _solve_gf2(lattice.gram, lattice.diagonal)
     if sol is None:
         raise NoCharacteristicVector(
             "mod-2 characteristic system is unsolvable; the form is degenerate"
@@ -261,14 +249,8 @@ def characteristic_vector(lattice: IntegralLattice) -> CohClass:
 
 def is_characteristic(lattice: IntegralLattice, c: CohClass) -> bool:
     """True iff c.x = x.x (mod 2) for every basis vector x."""
-    n = lattice.rank
-    if len(c.coords) != n:
-        raise DimensionMismatch(f"class length does not match lattice rank {n}")
-    for i in range(n):
-        dot = sum(lattice.gram[i][j] * c.coords[j] for j in range(n))
-        if (dot - lattice.gram[i][i]) % 2:
-            return False
-    return True
+    image = apply(lattice, c.coords)
+    return all((x - d) % 2 == 0 for x, d in zip(image, lattice.diagonal))
 
 
 def _xgcd(a: int, b: int):
@@ -337,10 +319,7 @@ def integer_kernel(mat, n: int):
     mat is a list of rows of length n; the result is a list of length-n
     integer vectors.  Saturation is automatic for kernels of integer maps.
     """
-    m = len(mat)
-    if m == 0:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    transposed = [[mat[i][j] for i in range(m)] for j in range(n)]
+    transposed = [[row[j] for row in mat] for j in range(n)]
     h, u, rank = _hermite_with_transform(transposed)
     return [u[i] for i in range(rank, n)]
 
@@ -356,17 +335,14 @@ class Sublattice:
 
 def orthogonal_complement(lattice: IntegralLattice, classes) -> Sublattice:
     """The saturated sublattice {x : x.s == 0 for all s in classes}."""
-    n = lattice.rank
-    rows = []
-    for s in classes:
-        if len(s.coords) != n:
-            raise DimensionMismatch(f"class length does not match lattice rank {n}")
-        rows.append([sum(lattice.gram[i][j] * s.coords[j] for j in range(n)) for i in range(n)])
-    kernel = integer_kernel(rows, n)
+    kernel = integer_kernel([apply(lattice, s.coords) for s in classes], lattice.rank)
     basis = tuple(CohClass(tuple(v)) for v in kernel)
-    restricted = tuple(
-        tuple(pairing(lattice, a, b) for b in basis) for a in basis
-    )
+    # Row j dots one ambient image G b_j with the nonzeros of each b_i; the
+    # form is symmetric, so it is also column j.  The images are generated
+    # one row at a time, so only one is alive at once.
+    supports = [[(t, x) for t, x in enumerate(v) if x] for v in kernel]
+    images = (apply(lattice, b.coords) for b in basis)
+    restricted = tuple(tuple(sum(x * g[t] for t, x in s) for s in supports) for g in images)
     return Sublattice(lattice, basis, restricted)
 
 

@@ -43,7 +43,7 @@ from .manifold import (
     holomorphic_euler,
     orthogonality_defect,
 )
-from .series import Jet, _span_reduce, sw_series, vanishing_order
+from .series import Jet, _span_reduce, sw_series, twist, vanishing_order
 
 VERDICT_PASS = "pass"
 VERDICT_PASS_VACUOUS = "pass-vacuous"
@@ -226,21 +226,7 @@ def dswrel_value(m: FourManifold, q: RelationQuery) -> Jet:
     if sign_exp % 2:
         prefactor = -prefactor
 
-    shifted = []
-    for entry in m.basic_classes:
-        e = wsq + pairing(m.form, entry.k, q.w)
-        if e % 2:
-            raise InadmissibleParity(f"w.w + k.w = {e} is odd")
-        sign = -1 if (e // 2) % 2 else 1
-        shifted.append((Fraction(sign * entry.sw), entry.k - q.lam))
-
-    # merge and sort exactly as the series engine does, so that both
-    # routes agree on the variable basis
-    merged: dict[tuple[int, ...], Fraction] = {}
-    for coeff, k in shifted:
-        merged[k.coords] = merged.get(k.coords, Fraction(0)) + coeff
-    ordered = [(merged[cs], CohClass(cs)) for cs in sorted(merged) if merged[cs] != 0]
-
+    ordered = twist(sw_series(m, q.w), q.lam, -1).terms
     classes = [k for _, k in ordered]
     pivots, rows = _span_reduce(m.form, classes, classes)
     width = len(pivots)

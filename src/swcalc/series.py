@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NonIntegralC, OddExponent
-from .lattice import CohClass, IntegralLattice, pairing, pairing_rational, square
+from .lattice import CohClass, IntegralLattice, apply, pairing, pairing_rational, square
 from .manifold import FourManifold, characteristic_number
 
 
@@ -184,19 +184,13 @@ def _span_reduce(lattice: IntegralLattice, span_classes, expand_classes):
     covectors.
     """
     n = lattice.rank
-
-    def covector(k):
-        return [
-            Fraction(sum(lattice.gram[r][c] * k.coords[c] for c in range(n)))
-            for r in range(n)
-        ]
-
     echelon = []  # (normalized row, pivot col, expression over pivots)
     pivots = []
 
-    def reduce(vec):
+    def reduce(k):
+        """Reduce the pairing covector of k against the echelon rows."""
         used = [Fraction(0)] * len(echelon)
-        v = list(vec)
+        v = [Fraction(x) for x in apply(lattice, k.coords)]
         for t, (row, pc, _) in enumerate(echelon):
             f = v[pc]
             if f:
@@ -207,7 +201,7 @@ def _span_reduce(lattice: IntegralLattice, span_classes, expand_classes):
         return v, used
 
     for k in span_classes:
-        v, used = reduce(covector(k))
+        v, used = reduce(k)
         pc = next((j for j in range(n) if v[j] != 0), None)
         if pc is None:
             continue
@@ -224,7 +218,7 @@ def _span_reduce(lattice: IntegralLattice, span_classes, expand_classes):
 
     rows = []
     for k in expand_classes:
-        v, used = reduce(covector(k))
+        v, used = reduce(k)
         if any(x != 0 for x in v):
             raise ValueError("class lies outside the provided span")
         coords = [Fraction(0)] * len(pivots)

@@ -19,6 +19,7 @@ from swcalc.lattice import (
     IntegralLattice,
     Sublattice,
     _solve_gf2,
+    apply,
     characteristic_vector,
     construct_abundance_classes,
     find_hyperbolic_pair,
@@ -26,6 +27,7 @@ from swcalc.lattice import (
     is_characteristic,
     orthogonal_complement,
     pairing,
+    pairing_rational,
     square,
 )
 
@@ -206,6 +208,82 @@ def test_orthogonal_complement_properties():
         for i, bi in enumerate(sub.basis):
             for j, bj in enumerate(sub.basis):
                 assert sub.restricted_gram[i][j] == pairing(K3FORM, bi, bj)
+
+
+def dense_block_gram(blocks):
+    """Block-diagonal Gram matrix from E8_GRAM and the block entries."""
+    pieces = []
+    for b in blocks:
+        if isinstance(b, HyperbolicBlock):
+            pieces.append([[0, 1], [1, 0]])
+        elif isinstance(b, E8Block):
+            pieces.append([[b.sign * x for x in row] for row in E8_GRAM])
+        else:
+            pieces.append([[e if i == j else 0 for j in range(len(b.entries))]
+                           for i, e in enumerate(b.entries)])
+    n = sum(len(p) for p in pieces)
+    gram = [[0] * n for _ in range(n)]
+    offset = 0
+    for p in pieces:
+        for i, row in enumerate(p):
+            gram[offset + i][offset:offset + len(row)] = row
+        offset += len(p)
+    return gram
+
+
+block_lists = st.lists(
+    st.one_of(
+        st.just(HyperbolicBlock()),
+        st.sampled_from([E8Block(1), E8Block(-1)]),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(
+            lambda e: DiagonalBlock(tuple(e))),
+    ),
+    min_size=1, max_size=4,
+)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_lists, st.data())
+def test_apply_matches_dense_block_gram(blocks, data):
+    lat = IntegralLattice.from_blocks(blocks)
+    g = dense_block_gram(blocks)
+    n = len(g)
+    assert lat.rank == n
+
+    def dense(v):
+        return [sum(g[i][j] * v[j] for j in range(n)) for i in range(n)]
+
+    def form(u, v):
+        return sum(x * y for x, y in zip(u, dense(v)))
+
+    ints = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    fracs = st.lists(rationals, min_size=n, max_size=n)
+    a, b = data.draw(ints), data.draw(ints)
+    p, q = data.draw(fracs), data.draw(fracs)
+    assert apply(lat, a) == dense(a)
+    assert apply(lat, p) == dense(p)
+    assert pairing(lat, CohClass(tuple(a)), CohClass(tuple(b))) == form(a, b)
+    assert pairing_rational(lat, p, q) == form(p, q)
+    assert pairing_rational(lat, a, q) == form(a, q)
+    assert [list(row) for row in lat.gram] == g
+    sub = orthogonal_complement(lat, [CohClass(tuple(a))])
+    for i, bi in enumerate(sub.basis):
+        assert form(bi.coords, a) == 0
+        for j, bj in enumerate(sub.basis):
+            assert sub.restricted_gram[i][j] == form(bi.coords, bj.coords)
+
+
+def test_restricted_gram_on_non_unit_basis():
+    lat = IntegralLattice.from_blocks(
+        [HyperbolicBlock(), DiagonalBlock((1, -1, 3)), E8Block(-1)])
+    classes = [CohClass((1, 2, 1, -1, 1) + (1, 0, 0, 2, 0, 0, -1, 0)),
+               CohClass((0, 1, 3, 0, -2) + (0,) * 7 + (1,))]
+    sub = orthogonal_complement(lat, classes)
+    assert sum(1 for b in sub.basis if sum(map(bool, b.coords)) > 1) >= 3
+    for i, bi in enumerate(sub.basis):
+        for j, bj in enumerate(sub.basis):
+            assert sub.restricted_gram[i][j] == pairing(lat, bi, bj)
 
 
 def test_integer_kernel_empty_constraints():

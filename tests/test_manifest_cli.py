@@ -254,6 +254,14 @@ def test_cli_usage_errors(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "region", "K3", "--window", "bogus")
     assert code == 1
+    for argv in (("abundance", "E4", "--radius", "0"),
+                 ("sst", "E4", "--radius", "0"),
+                 ("dvanish", "E4", "--radius", "0"),
+                 ("witten", "E3", "--direction", "0", "--order=-1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1, argv
 
 
 def test_cli_parse_error_exit_code(capsys, tmp_path):
