@@ -50,6 +50,10 @@ class ValidationReport:
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.ok)
 
+    def to_list(self) -> list:
+        """The checks as report entries, in the order they ran."""
+        return [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks]
+
 
 def validate(m: FourManifold) -> ValidationReport:
     """Run every internal-consistency check; failures are reported, not raised."""

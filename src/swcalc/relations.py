@@ -43,6 +43,7 @@ from .manifold import (
     holomorphic_euler,
     orthogonality_defect,
 )
+from .report import coords, frac, vanishing_order_to_dict
 from .series import Jet, _span_reduce, sw_series, twist, vanishing_order
 
 VERDICT_PASS = "pass"
@@ -305,6 +306,37 @@ class SstReport:
     entries: tuple[SstEntry, ...] = ()
     notes: tuple[str, ...] = ()
 
+    def to_dict(self) -> dict:
+        """Report fields from the verdict on; the trace only when not vacuous."""
+        out = {
+            "verdict": self.verdict,
+            "w": coords(self.w),
+            "c": frac(self.c),
+            "notes": list(self.notes),
+        }
+        if self.order is not None:
+            out["required_order"] = self.required_order
+            out["vanishing_order"] = vanishing_order_to_dict(self.order)
+            out["trace"] = {
+                "lambda0": coords(self.lambda0),
+                "lambda1": coords(self.lambda1),
+                "r_lambda0": frac(self.r0),
+                "i_lambda0": frac(self.i0),
+                "r_lambda1": frac(self.r1),
+                "i_lambda1": frac(self.i1),
+                "entries": [
+                    {
+                        "d": e.d,
+                        "m": e.m,
+                        "delta": e.delta,
+                        "vanishing_applies": e.vanishing_applies,
+                        "relation_sum_is_zero": e.relation_is_zero,
+                    }
+                    for e in self.entries
+                ],
+            }
+        return out
+
 
 def sst_check(
     m: FourManifold,
@@ -430,6 +462,10 @@ class DvanishReport:
             "verdict": self.verdict,
         }
 
+    def to_dict(self) -> dict:
+        """Report fields from the verdict on."""
+        return {"verdict": self.verdict, "trace": self.trace_dict(), "notes": list(self.notes)}
+
 
 def dvanish_theorem_check(m: FourManifold, w: CohClass, radius: int = 3) -> DvanishReport:
     """Replay the degree-sweep vanishing argument for all d <= c - 1.
@@ -504,6 +540,27 @@ class BoundReport:
     slope_holds: bool | None
     verdict: str
     notes: tuple[str, ...]
+    strict: bool  # which count bound decides the verdict
+
+    def to_dict(self) -> dict:
+        """Report fields from the verdict on."""
+        return {
+            "verdict": self.verdict,
+            "applicable": self.applicable,
+            "b": self.b,
+            "c": frac(self.c),
+            "count_bound": {
+                "strict": self.strict_holds,
+                "non_strict": self.nonstrict_holds,
+                "mode": "strict" if self.strict else "non-strict",
+            },
+            "slope_bound": None if not self.applicable else {
+                "c1_squared": self.slope_lhs,
+                "chi_h_minus_2b_minus_1": frac(self.slope_rhs),
+                "holds": self.slope_holds,
+            },
+            "notes": list(self.notes),
+        }
 
 
 def basic_class_bound(m: FourManifold, strict: bool = True) -> BoundReport:
@@ -519,7 +576,7 @@ def basic_class_bound(m: FourManifold, strict: bool = True) -> BoundReport:
     if b == 0:
         return BoundReport(
             False, 0, c, None, None, None, None, None,
-            VERDICT_PASS_VACUOUS, notes + ("no basic classes: hypothesis b > 0 fails",),
+            VERDICT_PASS_VACUOUS, notes + ("no basic classes: hypothesis b > 0 fails",), strict,
         )
     strict_holds = b > c / 2
     nonstrict_holds = b >= c / 2
@@ -529,7 +586,7 @@ def basic_class_bound(m: FourManifold, strict: bool = True) -> BoundReport:
     chosen = strict_holds if strict else nonstrict_holds
     return BoundReport(
         True, b, c, strict_holds, nonstrict_holds, lhs, rhs, slope_holds,
-        VERDICT_PASS if chosen else VERDICT_FAIL, notes,
+        VERDICT_PASS if chosen else VERDICT_FAIL, notes, strict,
     )
 
 

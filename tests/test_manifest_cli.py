@@ -247,7 +247,7 @@ def test_cli_validate_failure_exit_code(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "fail"
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sst", "NOPE")
     assert code == 1
     code, _, err = run_cli(capsys, "sst", "E4", "--w", "1,2")
@@ -262,6 +262,13 @@ def test_cli_usage_errors(capsys):
         assert code == 1, argv
         assert out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1, argv
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"name": "caf\xe9"}')
+    for path in (tmp_path, not_utf8):
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 1, path
+        assert out == ""
+        assert err.startswith("error: cannot read") and err.count("\n") == 1, err
 
 
 def test_cli_parse_error_exit_code(capsys, tmp_path):
@@ -276,6 +283,13 @@ def test_cli_radius_env(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "abundance", "K3")
     assert code == 0
     assert json.loads(out)["radius"] == 1
+    for value in ("0", "-4", "two"):
+        monkeypatch.setenv("SWCALC_RADIUS", value)
+        for argv in (("abundance", "K3"), ("sst", "E4"), ("dvanish", "E4")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1, (value, argv)
+            assert out == ""
+            assert err.startswith("usage error: SWCALC_RADIUS must be") and err.count("\n") == 1
 
 
 def test_cli_exit_codes_match_verdicts_on_catalog_sweep(capsys):
