@@ -99,7 +99,8 @@ def _load(path_or_name: str, lenient: bool):
     try:
         text = path.read_text(encoding="utf-8") if path.exists() else None
     except (OSError, UnicodeDecodeError) as e:
-        raise SWCalcError(f"cannot read {path_or_name!r}: {getattr(e, 'strerror', None) or e}") from None
+        reason = getattr(e, "strerror", None) or e
+        raise SWCalcError(f"cannot read {path_or_name!r}: {reason}") from None
     if text is not None:
         return parse_manifest(text, strict=not lenient)
     try:
@@ -109,15 +110,14 @@ def _load(path_or_name: str, lenient: bool):
 
 
 def _default_radius(args) -> int:
+    env = os.environ.get(RADIUS_ENV)
     if args.radius is not None:
         radius, source = args.radius, "--radius"
-    elif os.environ.get(RADIUS_ENV):
+    elif env:
         try:
-            radius, source = int(os.environ[RADIUS_ENV]), RADIUS_ENV
+            radius, source = int(env), RADIUS_ENV
         except ValueError:
-            raise UsageError(
-                f"{RADIUS_ENV} must be an integer, got {os.environ[RADIUS_ENV]!r}"
-            ) from None
+            raise UsageError(f"{RADIUS_ENV} must be an integer, got {env!r}") from None
     else:
         return 3
     if radius < 1:

@@ -540,7 +540,7 @@ class BoundReport:
     slope_holds: bool | None
     verdict: str
     notes: tuple[str, ...]
-    strict: bool  # which count bound decides the verdict
+    strict: bool = True  # which count bound decides the verdict
 
     def to_dict(self) -> dict:
         """Report fields from the verdict on."""

@@ -100,7 +100,7 @@ GOLDEN_ARGV = [
 
 
 def _choices_unquoted(err):
-    """Python 3.12.8+ lists argparse choices without quotes; compare both forms alike."""
+    """Newer Pythons print argparse choices without quotes; compare both forms alike."""
     return re.sub(r"\(choose from ([^)]*)\)",
                   lambda m: "(choose from " + m.group(1).replace("'", "") + ")", err)
 
