@@ -74,8 +74,8 @@ GOLDEN_ARGV = [
     # optional arguments not covered above
     ["invariants", "E4", "--w", "0"],
     ["sst", "E4", "--w", "0"],
-    ["relate", "E4", "--lambda", _vector(46, {2: "2", 3: "-3"}),
-     "--w", _vector(46, {2: "2", 3: "-1"}), "--delta", "0", "-m", "0"],
+    ["relate", "E4", "--delta", "0", "-m", "0", "--lambda", _vector(46, {2: "2", 3: "-3"}),
+     "--w", _vector(46, {2: "2", 3: "-1"})],
     ["region", "E4", "--window=-24:-8:0:8"],
     ["region", "K3", "--w", "0", "--window=-14:-2:0:6", "--format", "ascii"],
     # usage and precondition errors (exit 1, one line on standard error)
@@ -88,8 +88,8 @@ GOLDEN_ARGV = [
     ["witten", "E3", "--direction", "1,2", "--order", "1"],
     ["witten", "E3", "--direction", "0", "--order=-1"],
     ["relate", "E4"],
-    ["relate", "E4", "--lambda", _vector(46, {2: "2", 3: "-3"}),
-     "--w", _vector(46, {2: "2", 3: "-3"}), "--delta", "5", "-m", "0"],
+    ["relate", "E4", "--delta", "5", "-m", "0", "--lambda", _vector(46, {2: "2", 3: "-3"}),
+     "--w", _vector(46, {2: "2", 3: "-3"})],
     ["region", "K3", "--window", "bogus"],
     ["region", "K3", "--window=1:0:0:1"],
     ["validate", "NOPE"],
