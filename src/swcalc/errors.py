@@ -53,6 +53,10 @@ class AbundanceUndetermined(SWCalcError):
     """No hyperbolic pair was found at the given radius and none was supplied."""
 
 
+class AbundanceInconsistent(SWCalcError):
+    """A class built on the hyperbolic pair fails an identity its verdict rests on."""
+
+
 class NotCharacteristic(SWCalcError):
     """The supplied class is not an integral lift of w2."""
 

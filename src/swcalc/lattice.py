@@ -11,7 +11,6 @@ matrix is only a derived view.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import gcd
 
 from .errors import DimensionMismatch, NoCharacteristicVector, ParityError
@@ -383,13 +382,34 @@ def _definiteness(gram):
     return None
 
 
-def _quad(gram, v) -> int:
-    total = 0
-    n = len(v)
-    for i in range(n):
-        if v[i]:
-            total += v[i] * sum(gram[i][j] * v[j] for j in range(n) if v[j])
-    return total
+def _isotropic_vectors(gram, radius: int):
+    """Nonzero v in [-radius, radius]^k with v.G.v == 0, lexicographically.
+
+    An odometer over the box, last coordinate fastest: moving coordinate t
+    by d updates q = v.G.v by 2d(G.v)_t + d^2 G_tt and G.v by d times
+    column t, so each step costs O(k) rather than a fresh O(k^2) form.
+    G must be symmetric.
+    """
+    k = len(gram)
+    v = [-radius] * k
+    gv = [-radius * sum(row) for row in gram]
+    q = -radius * sum(gv)
+    while True:
+        if q == 0 and any(v):
+            yield tuple(v)
+        # Coordinates at +radius wrap to -radius and carry to the left;
+        # the first one below +radius steps up by one.
+        t = k
+        while True:
+            t -= 1
+            if t < 0:
+                return
+            d = 1 if v[t] < radius else -2 * radius
+            q += d * (2 * gv[t] + d * gram[t][t])
+            v[t] += d
+            gv = [x + d * c for x, c in zip(gv, gram[t])]
+            if d == 1:
+                break
 
 
 def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | None:
@@ -401,6 +421,12 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     [-radius, radius] (lexicographic order, most negative first) and for
     each look for an isotropic f with e.f = 1 in the same order; the
     first hit wins.  Definite forms are rejected without enumeration.
+
+    The enumeration is lazy: isotropic vectors are generated in that order
+    only as far as some scan has reached, and kept for the scans that
+    follow.  The cost grows with the number of candidates scanned before
+    the first hit; when no pair exists it is still the whole box,
+    (2*radius+1)^k candidates.
 
     Returning None never proves that no pair exists; it only means the
     bounded search was exhausted.
@@ -422,8 +448,21 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     if _definiteness(g) is not None:
         return None
 
-    box = range(-radius, radius + 1)
-    isotropic = [v for v in product(box, repeat=k) if any(v) and _quad(g, v) == 0]
+    stream = _isotropic_vectors(g, radius)
+    seen = []
+
+    def scan():
+        """The isotropic vectors from the first on; each scan keeps its own
+        index into seen and pulls from the shared stream past its end."""
+        i = 0
+        while True:
+            if i == len(seen):
+                v = next(stream, None)
+                if v is None:
+                    return
+                seen.append(v)
+            yield seen[i]
+            i += 1
 
     def to_ambient(v):
         out = CohClass.zero(sub.ambient.rank)
@@ -432,13 +471,13 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
                 out = out + c * b
         return out
 
-    for e in isotropic:
+    for e in scan():
         if gcd(*e) != 1:
             continue
         cov = [sum(g[i][j] * e[j] for j in range(k)) for i in range(k)]
         if not any(cov):
             continue
-        for f in isotropic:
+        for f in scan():
             if sum(c * x for c, x in zip(cov, f)) == 1:
                 return HyperbolicPair(to_ambient(e), to_ambient(f))
     return None

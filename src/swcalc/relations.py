@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    AbundanceInconsistent,
     AbundanceUndetermined,
     ConjectureNotAssumed,
     HypothesisViolation,
@@ -383,8 +384,11 @@ def sst_check(
 
     r0, i0 = r_lambda(m, lambda0), i_lambda(m, lambda0)
     r1, i1 = r_lambda(m, lambda1), i_lambda(m, lambda1)
-    assert r0 == c == i0
-    assert r1 == c - 4 and i1 == c + 4
+    if not (r0 == c == i0 and r1 == c - 4 and i1 == c + 4):
+        raise AbundanceInconsistent(
+            f"(r, i) of lambda0 and lambda1 are ({r0}, {i0}) and ({r1}, {i1});"
+            f" need ({c}, {c}) and ({c - 4}, {c + 4})"
+        )
 
     entries = []
     all_zero = True
@@ -493,7 +497,11 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass, radius: int = 3) -> Dvan
     lam = classes.lambda_even
     lam_sq = square(m.form, lam)
     expected_sq = -(m.chi + m.sigma) if case == 0 else -(m.chi + m.sigma) + 4
-    assert lam_sq == expected_sq and lam.is_even()
+    if lam_sq != expected_sq or not lam.is_even():
+        raise AbundanceInconsistent(
+            f"lambda_even = {list(lam.coords)} has square {lam_sq};"
+            f" need an all-even class of square {expected_sq}"
+        )
     r = r_lambda(m, lam)
     i = i_lambda(m, lam)
     w_shift_sign = -1 if (lam_sq // 4) % 2 else 1

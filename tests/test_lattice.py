@@ -3,12 +3,15 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from swcalc.errors import DimensionMismatch, ParityError
+from swcalc.manifest import parse_manifest
+from swcalc.manifold import basic_class_set, validate
 from swcalc.lattice import (
     E8_GRAM,
     CohClass,
@@ -354,6 +357,85 @@ def test_pair_invariants_whenever_found():
             assert square(lat, pair.e1) == 0
             assert square(lat, pair.e2) == 0
             assert pairing(lat, pair.e1, pair.e2) == 1
+
+
+def test_find_pair_rank10_without_walking_the_box(fixtures_dir):
+    # diag(1^5, (-1)^5) with basic classes +-(3,3,3,1,...,1): the complement
+    # has rank 9 and no literal H block, and the box at radius 3 holds 7^9
+    # candidates; the first hit comes long before the end of it.
+    text = (fixtures_dir / "search_rank10.json").read_text()
+    m = parse_manifest(text).to_manifold()
+    assert validate(m).passed
+    classes = basic_class_set(m)
+    pair = find_hyperbolic_pair(orthogonal_complement(m.form, classes), 3)
+    assert pair is not None
+    assert square(m.form, pair.e1) == square(m.form, pair.e2) == 0
+    assert pairing(m.form, pair.e1, pair.e2) == 1
+    for k in classes:
+        assert pairing(m.form, pair.e1, k) == pairing(m.form, pair.e2, k) == 0
+
+
+def reference_pair_search(sub, radius):
+    """The box search written out in full: every isotropic vector of the box
+    in product order, v.G.v from the dense restricted Gram, then the first
+    (e, f) hit.  The literal-block shortcut is left to the caller; definite
+    forms need no special case, having no isotropic vector."""
+    g = sub.restricted_gram
+    k = len(g)
+    isotropic = [
+        v for v in product(range(-radius, radius + 1), repeat=k)
+        if any(v) and sum(v[i] * g[i][j] * v[j] for i in range(k) for j in range(k)) == 0
+    ]
+    for e in isotropic:
+        cov = [sum(g[i][j] * e[j] for j in range(k)) for i in range(k)]
+        if gcd(*e) != 1 or not any(cov):
+            continue
+        for f in isotropic:
+            if sum(c * x for c, x in zip(cov, f)) == 1:
+                return e, f
+    return None
+
+
+def is_indefinite(blocks):
+    signs = {(d > 0) - (d < 0) for b in blocks for d in b.diagonal}
+    return any(isinstance(b, HyperbolicBlock) for b in blocks) or signs == {1, -1}
+
+
+# Entries +-1 weigh double so that more of the complements hold a pair.
+small_indefinite_blocks = st.lists(
+    st.one_of(
+        st.just(HyperbolicBlock()),
+        st.lists(st.sampled_from([1, -1, 1, -1, 2, -2]), min_size=1, max_size=3).map(
+            lambda e: DiagonalBlock(tuple(e))),
+    ),
+    min_size=2, max_size=4,
+).filter(lambda bs: sum(b.rank for b in bs) <= 6 and is_indefinite(bs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_indefinite_blocks, st.integers(0, 2), st.integers(1, 2), st.data())
+def test_find_pair_matches_the_full_box_reference(blocks, n_classes, radius, data):
+    lat = IntegralLattice.from_blocks(blocks)
+    coords = st.lists(st.integers(-2, 2), min_size=lat.rank, max_size=lat.rank)
+    classes = [CohClass(tuple(data.draw(coords))) for _ in range(n_classes)]
+    sub = orthogonal_complement(lat, classes)
+    pair = find_hyperbolic_pair(sub, radius)
+    g = sub.restricted_gram
+    literal = any(g[i][i] == 0 and g[j][j] == 0 and abs(g[i][j]) == 1
+                  for i in range(len(g)) for j in range(i + 1, len(g)))
+    if literal:
+        event("literal hyperbolic block")
+        return
+    hit = reference_pair_search(sub, radius)
+    event("box search: " + ("exhausted" if hit is None else "found"))
+    if hit is None:
+        assert pair is None
+        return
+
+    def to_ambient(v):
+        return sum((c * b for c, b in zip(v, sub.basis)), CohClass.zero(lat.rank))
+
+    assert pair == HyperbolicPair(*map(to_ambient, hit))
 
 
 K3_PAIR = HyperbolicPair(CohClass((1, 0)), CohClass((0, 1)))

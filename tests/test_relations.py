@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+import swcalc.relations as relations
 from swcalc.errors import (
+    AbundanceInconsistent,
     AbundanceUndetermined,
     ConjectureNotAssumed,
     HypothesisViolation,
@@ -17,6 +19,7 @@ from swcalc.errors import (
     NotCharacteristic,
 )
 from swcalc.lattice import (
+    AbundanceClasses,
     CohClass,
     DiagonalBlock,
     HyperbolicBlock,
@@ -402,6 +405,15 @@ def test_sst_rejects_bad_user_pair(catalog):
         sst_check(e4, CohClass.zero(46), lambda0=2 * u - 4 * v, lambda1=2 * u - 3 * v)
 
 
+def test_sst_checks_r_and_i_of_the_pair_explicitly(catalog, monkeypatch):
+    # With the supplied-pair check bypassed, a lambda0 of the wrong square
+    # reaches the (r, i) identities, which must raise rather than assert.
+    monkeypatch.setattr(relations, "_verify_supplied_pair", lambda *args: None)
+    u, v = unit(46, 2), unit(46, 3)
+    with pytest.raises(AbundanceInconsistent):
+        sst_check(catalog["E4"], CohClass.zero(46), lambda0=u - 7 * v, lambda1=u - 6 * v)
+
+
 def test_sst_not_characteristic(catalog):
     with pytest.raises(NotCharacteristic):
         sst_check(catalog["E4"], unit(46, 0))
@@ -483,6 +495,16 @@ def test_dvanish_e5_relation_route(catalog):
     assert report.case_mod_8 == 4
     assert report.admissible_d == (1,)
     assert [(e.d, e.m, e.route) for e in report.entries] == [(1, 0, "relation")]
+
+
+def test_dvanish_checks_lambda_even_explicitly(catalog, monkeypatch):
+    u, v = unit(46, 2), unit(46, 3)
+    for bad in (u - 2 * v, 2 * u - 2 * v):  # odd; even but of square -8, not -16
+        classes = AbundanceClasses(u - 8 * v, u - 6 * v, bad)
+        monkeypatch.setattr(relations, "construct_abundance_classes",
+                            lambda pair, chi, sigma: classes)
+        with pytest.raises(AbundanceInconsistent):
+            dvanish_theorem_check(catalog["E4"], CohClass.zero(46))
 
 
 def test_dvanish_k3_trivial(catalog):
