@@ -11,7 +11,7 @@ matrix is only a derived view.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from .errors import DimensionMismatch, NoCharacteristicVector, ParityError
 
@@ -39,6 +39,7 @@ class HyperbolicBlock:
 
     rank = 2
     diagonal = (0, 0)
+    determinant = -1
 
     def apply(self, v):
         return [v[1], v[0]]
@@ -48,6 +49,7 @@ class HyperbolicBlock:
 class E8Block:
     sign: int = -1
     rank = 8
+    determinant = 1  # the E8 Cartan matrix has determinant 1, and (-1)^8 = 1
 
     def __post_init__(self):
         if self.sign not in (1, -1):
@@ -79,6 +81,10 @@ class DiagonalBlock:
     @property
     def diagonal(self):
         return self.entries
+
+    @property
+    def determinant(self) -> int:
+        return prod(self.entries)
 
     def apply(self, v):
         return [e * x for e, x in zip(self.entries, v)]
@@ -179,6 +185,11 @@ def block_signature(lattice: IntegralLattice) -> int:
     """Signature of the form: for every block type it is the signed count
     of the diagonal entries (H has (0, 0), sign*E8 has eight 2*sign)."""
     return sum((d > 0) - (d < 0) for d in lattice.diagonal)
+
+
+def block_determinant(lattice: IntegralLattice) -> int:
+    """Determinant of the form: the product of the block determinants."""
+    return prod(b.determinant for b in lattice.blocks)
 
 
 def _pair(lattice: IntegralLattice, a, b):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from .lattice import (
     CohClass,
     IntegralLattice,
+    block_determinant,
     block_signature,
     is_characteristic,
     pairing,
@@ -73,7 +74,10 @@ def validate(m: FourManifold) -> ValidationReport:
           f"sigma = {m.sigma}, expected {2 * m.b_plus - rank} from b_plus and rank")
     form_sig = block_signature(m.form)
     check("form_signature", m.sigma == form_sig,
-          f"sigma = {m.sigma}, but the block form has signature {form_sig}")
+          f"sigma = {m.sigma}, block form signature {form_sig}")
+    det = block_determinant(m.form)
+    check("unimodular", abs(det) == 1,
+          f"block form determinant {det}, must be 1 or -1")
 
     st = 2 * m.chi + 3 * m.sigma
     seen = {}

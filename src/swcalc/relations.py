@@ -45,7 +45,7 @@ from .manifold import (
     orthogonality_defect,
 )
 from .report import coords, frac, vanishing_order_to_dict
-from .series import Jet, _span_reduce, sw_series, twist, vanishing_order
+from .series import Jet, _integer_scaled, _span_reduce, sw_series, twist, vanishing_order
 
 VERDICT_PASS = "pass"
 VERDICT_PASS_VACUOUS = "pass-vacuous"
@@ -154,32 +154,98 @@ class RelationQuery:
         return self.delta - 2 * self.m
 
 
-def _linear_form_power(row, d: int, width: int):
-    """(sum_j row[j] * x_j)^d as a dict of exponent multi-indices.
+def _linear_form_powers(row, degrees, width: int) -> dict:
+    """{d: (sum_j row[j] * x_j)^d} for each d in degrees, as exponent dicts.
 
-    Computed by repeated polynomial multiplication, not by multinomial
-    coefficients; the jet expander provides an independent route.
+    One chain of repeated polynomial multiplication up to the largest degree,
+    not multinomial coefficients; the jet expander provides an independent
+    route.
     """
-    poly = {(0,) * width: Fraction(1)}
-    base = {}
-    for j, c in enumerate(row):
-        if c:
-            key = tuple(1 if t == j else 0 for t in range(width))
-            base[key] = c
-    for _ in range(d):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for a, ca in poly.items():
-            for b, cb in base.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                v = nxt.get(key, Fraction(0)) + ca * cb
-                if v:
-                    nxt[key] = v
-                else:
-                    nxt.pop(key, None)
-        poly = nxt
-        if not poly:
-            break
-    return poly
+    support = [(j, c) for j, c in enumerate(row) if c]
+    poly = {(0,) * width: 1}
+    out = {}
+    for e in range(max(degrees) + 1):
+        if e:
+            nxt = {}
+            for a, ca in poly.items():
+                for j, c in support:
+                    key = a[:j] + (a[j] + 1,) + a[j + 1:]
+                    nxt[key] = nxt.get(key, 0) + ca * c
+            poly = nxt
+        if e in degrees:
+            out[e] = poly
+    return out
+
+
+def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms) -> list[Jet]:
+    """dswrel_value for each point count in ms, sharing one preparation.
+
+    The hypotheses, the sign base, the twist and the span reduction depend
+    only on (w, lam, delta), so they run once.  Each class's integer-scaled
+    row is raised to every degree delta - 2m in one multiplication chain,
+    and each degree's sums are divided by A * D^d once, A and D being the
+    common denominators of the coefficients and of the rows.
+    """
+    if not m.assume_conjecture:
+        raise ConjectureNotAssumed(
+            "the relation formula is conditional on the multiplicity conjecture"
+        )
+    defect = orthogonality_defect(m, lam)
+    if defect is not None:
+        raise HypothesisViolation(
+            "lambda_in_basic_class_complement",
+            f"lam pairs with basic class {list(defect.coords)}",
+        )
+    if not is_characteristic(m.form, w - lam):
+        raise HypothesisViolation(
+            "w_minus_lambda_characteristic", "w - lam is not an integral lift of w2"
+        )
+    r = r_lambda(m, lam)
+    i = i_lambda(m, lam)
+    if delta != r:
+        raise HypothesisViolation("delta_equals_r_lambda", f"delta = {delta}, r = {r}")
+    if not delta < i:
+        raise HypothesisViolation("delta_below_i_lambda", f"delta = {delta}, i = {i}")
+
+    c = characteristic_number(m)
+    if (c + delta) % 2 != 0:
+        raise InadmissibleParity(f"(c + delta)/2 = {(c + delta) / 2} is not an integer")
+    lam_sq = square(m.form, lam)
+    lam_dot_w = pairing(m.form, lam, w)
+    if lam_sq % 2:
+        raise InadmissibleParity(f"lam.lam = {lam_sq} is odd")
+    sign_base = lam_sq // 2 - lam_dot_w  # the sign exponent is m - 1 + sign_base
+
+    wsq = square(m.form, w)
+    assert (m.sigma - wsq) % 2 == 0
+    assert (lam_sq // 2 - lam_dot_w - (m.sigma - wsq) // 2) % 2 == 0
+    assert (lam_sq - 2 * lam_dot_w - (m.sigma - wsq)) % 8 == 0
+
+    power_of_two = Fraction(2) ** int(1 - (c + delta) / 2)
+
+    ordered = twist(sw_series(m, w), lam, -1).terms
+    classes = [k for _, k in ordered]
+    pivots, rows = _span_reduce(m.form, classes, classes)
+    width = len(pivots)
+    den_a, coeffs = _integer_scaled([a for a, _ in ordered])
+    den_r, flat = _integer_scaled([x for row in rows for x in row])
+    degrees = {delta - 2 * mm for mm in ms}
+    sums = {d: {} for d in degrees}
+    for t, a in enumerate(coeffs):
+        powers = _linear_form_powers(flat[t * width:(t + 1) * width], degrees, width)
+        for d, poly in powers.items():
+            acc = sums[d]
+            for alpha, v in poly.items():
+                acc[alpha] = acc.get(alpha, 0) + a * v
+
+    values = []
+    for mm in ms:
+        d = delta - 2 * mm
+        prefactor = -power_of_two if (mm - 1 + sign_base) % 2 else power_of_two
+        scale = prefactor / (den_a * den_r**d)
+        coefficients = {alpha: scale * v for alpha, v in sums[d].items() if v}
+        values.append(Jet(m.form, pivots, coefficients, d))
+    return values
 
 
 def dswrel_value(m: FourManifold, q: RelationQuery) -> Jet:
@@ -189,59 +255,7 @@ def dswrel_value(m: FourManifold, q: RelationQuery) -> Jet:
     sum over basic classes of the signed invariant times <k-lam, h>^(delta-2m).
     The sign prefactor is cross-checked against (-1)^((sigma-w.w)/2).
     """
-    if not m.assume_conjecture:
-        raise ConjectureNotAssumed(
-            "the relation formula is conditional on the multiplicity conjecture"
-        )
-    defect = orthogonality_defect(m, q.lam)
-    if defect is not None:
-        raise HypothesisViolation(
-            "lambda_in_basic_class_complement",
-            f"lam pairs with basic class {list(defect.coords)}",
-        )
-    if not is_characteristic(m.form, q.w - q.lam):
-        raise HypothesisViolation(
-            "w_minus_lambda_characteristic", "w - lam is not an integral lift of w2"
-        )
-    r = r_lambda(m, q.lam)
-    i = i_lambda(m, q.lam)
-    if q.delta != r:
-        raise HypothesisViolation("delta_equals_r_lambda", f"delta = {q.delta}, r = {r}")
-    if not q.delta < i:
-        raise HypothesisViolation("delta_below_i_lambda", f"delta = {q.delta}, i = {i}")
-
-    c = characteristic_number(m)
-    if (c + q.delta) % 2 != 0:
-        raise InadmissibleParity(f"(c + delta)/2 = {(c + q.delta) / 2} is not an integer")
-    lam_sq = square(m.form, q.lam)
-    lam_dot_w = pairing(m.form, q.lam, q.w)
-    if lam_sq % 2:
-        raise InadmissibleParity(f"lam.lam = {lam_sq} is odd")
-    sign_exp = q.m - 1 + lam_sq // 2 - lam_dot_w
-
-    wsq = square(m.form, q.w)
-    assert (m.sigma - wsq) % 2 == 0
-    assert (lam_sq // 2 - lam_dot_w - (m.sigma - wsq) // 2) % 2 == 0
-    assert (lam_sq - 2 * lam_dot_w - (m.sigma - wsq)) % 8 == 0
-
-    prefactor = Fraction(2) ** int(1 - (c + q.delta) / 2)
-    if sign_exp % 2:
-        prefactor = -prefactor
-
-    ordered = twist(sw_series(m, q.w), q.lam, -1).terms
-    classes = [k for _, k in ordered]
-    pivots, rows = _span_reduce(m.form, classes, classes)
-    width = len(pivots)
-    d = q.d
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for (coeff, _), row in zip(ordered, rows):
-        for alpha, v in _linear_form_power(row, d, width).items():
-            total = coeffs.get(alpha, Fraction(0)) + coeff * v * prefactor
-            if total:
-                coeffs[alpha] = total
-            else:
-                coeffs.pop(alpha, None)
-    return Jet(m.form, pivots, coeffs, d)
+    return _relation_values(m, q.w, q.lam, q.delta, (q.m,))[0]
 
 
 def _resolve_pair(m: FourManifold, radius: int) -> HyperbolicPair:
@@ -393,18 +407,16 @@ def sst_check(
     entries = []
     all_zero = True
     delta = c_int - 4
-    mm = 0
-    while c_int - 4 - 2 * mm >= 0:
-        d = c_int - 4 - 2 * mm
+    ms = range(delta // 2 + 1)  # every m >= 0 with d = delta - 2m >= 0
+    values = _relation_values(m, w + lambda1, lambda1, delta, ms) if ms else []
+    for mm, value in zip(ms, values):
+        d = delta - 2 * mm
         applies = dvanish_applies(m, lambda0, delta)
-        query = RelationQuery(w + lambda1, lambda1, delta, mm)
-        value = dswrel_value(m, query)
         # prefactor consistency: 2^(1-(c+delta)/2) == 2^(1-(c+d)/2-m)
         assert 1 - (c_int + delta) // 2 == 1 - (c_int + d) // 2 - mm
         is_zero = value.is_zero()
         all_zero = all_zero and is_zero and applies
         entries.append(SstEntry(d, mm, delta, applies, value, is_zero))
-        mm += 1
 
     ok = order.satisfies(required) and all_zero
     if not order.satisfies(required):
@@ -512,14 +524,15 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass, radius: int = 3) -> Dvan
     notes = []
     all_ok = True
     for d in admissible:
-        for mm in range(0, d // 2 + 1):
+        ms = range(d // 2 + 1)
+        values = _relation_values(m, w + lam, lam, d, ms) if d == r else None
+        for mm in ms:
             if d < r and d < i:
                 applies = dvanish_applies(m, lam, d)
                 entries.append(DvanishEntry(d, mm, "vanishing", applies))
                 all_ok = all_ok and applies
             elif d == r:
-                query = RelationQuery(w + lam, lam, d, mm)
-                value = dswrel_value(m, query)
+                value = values[mm]
                 # prefactor rewrite with the monomial degree d - 2m
                 assert 1 - (c_int + d) // 2 == 1 - (c_int + (d - 2 * mm)) // 2 - mm
                 is_zero = value.is_zero()

@@ -15,6 +15,7 @@ identically zero as a function exactly when all its coefficients vanish.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch, NonIntegralC, OddExponent
 from .lattice import CohClass, IntegralLattice, apply, pairing, pairing_rational, square
@@ -230,6 +231,12 @@ def _span_reduce(lattice: IntegralLattice, span_classes, expand_classes):
     return tuple(pivots), rows
 
 
+def _integer_scaled(values) -> tuple[int, list[int]]:
+    """(D, [D * x for x in values]) with D the least common denominator."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 def jet_expand(s: ExpSum, order: int, span=None) -> Jet:
     """Expand the sum through total degree <= order, exactly.
 
@@ -283,15 +290,42 @@ def twist(s: ExpSum, lam: CohClass, sign: int) -> ExpSum:
 
 
 def vanishing_order(s: ExpSum, cap: int) -> VanishingOrder:
-    """Smallest total degree with a nonzero Taylor coefficient, up to cap."""
+    """Smallest total degree with a nonzero Taylor coefficient, up to cap.
+
+    No jet is built: the degrees are walked upward and the walk stops at the
+    first nonzero coefficient.  Over the span pivots the coefficient of
+    x^alpha is sum_i a_i R_i^alpha / alpha!, with R_i the row of term i.
+    Scaling the a_i by their common denominator A and the rows by theirs, D,
+    turns it into the integer sum_i a'_i R'_i^alpha divided by the positive
+    A * D^n * alpha!, so the zero test is exact on that integer sum.
+    """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if s.is_zero():
         return VanishingOrder.zero_series()
-    d = jet_expand(s, cap).min_total_degree()
-    if d is None:
-        return VanishingOrder.at_least(cap + 1)
-    return VanishingOrder.exact(d)
+    classes = [k for _, k in s.terms]
+    pivots, rows = _span_reduce(s.ambient, classes, classes)
+    width = len(pivots)
+    _, coeffs = _integer_scaled([a for a, _ in s.terms])
+    _, flat = _integer_scaled([x for row in rows for x in row])
+    columns = [flat[j::width] for j in range(width)]  # columns[j][i] = R'_ij
+    if not width:  # every class pairs trivially: only the constant term
+        return VanishingOrder.exact(0) if sum(coeffs) else VanishingOrder.at_least(cap + 1)
+
+    def nonzero(j, n, products):
+        """Some degree-n monomial in the variables j.. has a nonzero sum."""
+        if j == width - 1:
+            return sum(p * c**n for p, c in zip(products, columns[j])) != 0
+        for e in range(n + 1):
+            if nonzero(j + 1, n - e, products):
+                return True
+            products = [p * c for p, c in zip(products, columns[j])]
+        return False
+
+    for n in range(cap + 1):
+        if nonzero(0, n, coeffs):
+            return VanishingOrder.exact(n)
+    return VanishingOrder.at_least(cap + 1)
 
 
 def parity(s: ExpSum) -> Parity:

@@ -71,6 +71,9 @@ GOLDEN_ARGV = [
     ["dvanish", "definite_complement.json"],
     ["sst", "e4_corrupted.json"],
     ["dvanish", "e4_corrupted.json"],
+    # the widest relation jet in the tree: four independent class directions
+    ["sst", "wide_e10_2222.json"],
+    ["dvanish", "wide_e10_2222.json"],
     # optional arguments not covered above
     ["invariants", "E4", "--w", "0"],
     ["sst", "E4", "--w", "0"],

@@ -3,7 +3,14 @@
 import dataclasses
 import random
 
-from swcalc.lattice import CohClass, HyperbolicBlock, E8Block, IntegralLattice
+from swcalc.lattice import (
+    CohClass,
+    DiagonalBlock,
+    E8Block,
+    HyperbolicBlock,
+    IntegralLattice,
+    block_determinant,
+)
 from swcalc.manifold import (
     BasicClassEntry,
     FourManifold,
@@ -71,6 +78,31 @@ def test_form_signature_mismatch_flagged():
     form = IntegralLattice.from_blocks([HyperbolicBlock()] * 7 + [E8Block(-1)] * 2)
     m = FourManifold("skew", 32, -8, 12, form, ())
     assert "form_signature" in failed_names(m)
+
+
+def _diagonal_topology(entries):
+    """chi 8, sigma 0, b+ 3 and no basic classes over diag(entries)."""
+    form = IntegralLattice.from_blocks([DiagonalBlock(entries)])
+    return FourManifold("diag", 8, 0, 3, form, ())
+
+
+def test_degenerate_form_flagged():
+    # determinant 0: every other check passes, so only unimodularity rejects it
+    assert failed_names(_diagonal_topology((1, 1, 0, 0, -1, -1))) == {"unimodular"}
+
+
+def test_non_unimodular_form_flagged():
+    # nondegenerate, determinant 3*5*7*(-2)^3 = -840
+    m = _diagonal_topology((3, 5, 7, -2, -2, -2))
+    assert failed_names(m) == {"unimodular"}
+    assert block_determinant(m.form) == -840
+
+
+def test_block_determinant_is_the_product_over_blocks():
+    blocks = [HyperbolicBlock(), E8Block(1), E8Block(-1), DiagonalBlock((1, -1, -1))]
+    assert block_determinant(IntegralLattice.from_blocks(blocks)) == -1
+    assert block_determinant(IntegralLattice.from_blocks([HyperbolicBlock()] * 2)) == 1
+    assert block_determinant(IntegralLattice.from_blocks([E8Block(-1)])) == 1
 
 
 def test_non_simple_type_flagged():

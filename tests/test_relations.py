@@ -1,6 +1,7 @@
 """Depth/index parameters, relation formula, vanishing pipelines, region."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -247,6 +248,35 @@ def jet_oracle(m, w, lam, delta, mm):
     return jet.scale(scale)
 
 
+def wide_e10_manifest():
+    """E(10) with width-4 basic-class data: fixtures/wide_e10_2222.json.
+
+    The basic classes are the terms of prod_i (e^{x_i} - e^{-x_i})^2 over
+    isotropic generators x_i of four distinct H blocks, so the series
+    vanishes to exactly order c - 2 = 8 and the relation sums of sst run
+    over four independent directions.
+    """
+    n, rank = 10, 118
+    generators = ((2, 1), (5, -1), (10, 1), (19, -1))  # (coordinate, sign)
+    classes = []
+    for js in itertools.product((-2, 0, 2), repeat=len(generators)):
+        coords = [0] * rank
+        sw = 1
+        for j, (i, sign) in zip(js, generators):
+            coords[i] = j * sign
+            sw *= (-1) ** ((2 - j) // 2) * math.comb(2, (2 + j) // 2)
+        classes.append({"coords": coords, "sw": sw})
+    w = [0] * rank
+    for i, v in ((0, 2), (3, 2), (30, -2), (40, -2)):  # w = 2x, x.x = -2
+        w[i] = v
+    return {
+        "schema_version": 1, "name": "E10-wide-2-2-2-2", "chi": 12 * n,
+        "sigma": -8 * n, "b_plus": 2 * n - 1,
+        "form": [{"type": "H"}] * (2 * n - 1) + [{"type": "E8", "sign": -1}] * n,
+        "basic_classes": classes, "assume_conjecture": True, "w": w,
+    }
+
+
 def relation_grid(m, block_units, squares_by_delta, fiber):
     """Valid (w, lam, delta, mm) queries built inside one hyperbolic block."""
     u, v = block_units
@@ -307,6 +337,65 @@ def test_dswrel_oracle_on_synthetic_manifolds():
             oracle = jet_oracle(m, w, lam, 2, mm)
             assert value.variables == oracle.variables
             assert value.coefficients == oracle.coefficients
+
+
+def test_wide_fixture_is_the_built_manifest(fixtures_dir):
+    text = (fixtures_dir / "wide_e10_2222.json").read_text()
+    assert json.loads(text) == wide_e10_manifest()
+
+
+def test_sst_relation_values_match_jet_oracle_at_width_four(fixtures_dir):
+    # every relation polynomial of sst on the width-4 fixture, and on a copy
+    # whose +-(2,2,2,2) classes carry sw 3 so that the sums no longer vanish,
+    # equals the twisted-jet route coefficient for coefficient
+    from swcalc.manifold import validate
+
+    manifest = parse_manifest((fixtures_dir / "wide_e10_2222.json").read_text())
+    m = manifest.to_manifold()
+    w = CohClass(manifest.w)
+    heavy = {(2, -2, 2, -2), (-2, 2, -2, 2)}  # the signed generator coordinates
+    corrupted = dataclasses.replace(m, basic_classes=tuple(
+        BasicClassEntry(e.k, 3) if tuple(e.k.coords[i] for i in (2, 5, 10, 19)) in heavy else e
+        for e in m.basic_classes
+    ))
+    assert validate(corrupted).passed
+    for manifold, verdict in ((m, VERDICT_PASS), (corrupted, VERDICT_FAIL)):
+        report = sst_check(manifold, w)
+        assert report.verdict == verdict
+        assert [e.m for e in report.entries] == [0, 1, 2, 3]
+        for e in report.entries:
+            oracle = jet_oracle(manifold, w + report.lambda1, report.lambda1, e.delta, e.m)
+            assert len(e.relation_value.variables) == 5  # four generators and lambda1
+            assert e.relation_value.variables == oracle.variables
+            assert e.relation_value.coefficients == oracle.coefficients
+            assert e.relation_is_zero == (verdict == VERDICT_PASS)
+
+
+def test_dswrel_oracle_with_fractional_span_rows():
+    # multiples c*u of one isotropic class, twisted by lam, are spanned by the
+    # first two twisted classes; with c in {0, +-2, +-6} a row has
+    # denominator 2, with c in {+-2, +-8} denominator 3, so the integer route
+    # must scale the rows and divide by the right power at the end
+    from swcalc.manifold import validate
+    from swcalc.series import _span_reduce
+
+    form = IntegralLattice.from_blocks([HyperbolicBlock()] * 7 + [E8Block(-1)] * 4)
+    u = unit(46, 2)
+    lam = unit(46, 4) - 7 * unit(46, 5)  # square -14: r = 2, i = 6
+    for multiples, denominator in (((0, 2, 6), 2), ((2, 8), 3)):
+        cs = sorted({c for x in multiples for c in (x, -x)})
+        entries = tuple(BasicClassEntry(c * u, abs(c) // 2 + 1) for c in cs)
+        m = FourManifold("synthetic", 48, -32, 7, form, entries)
+        assert validate(m).passed
+        classes = [k for _, k in twist(sw_series(m, lam), lam, -1).terms]
+        _, rows = _span_reduce(form, classes, classes)
+        assert max(x.denominator for row in rows for x in row) == denominator
+        for mm in (0, 1):
+            value = dswrel_value(m, RelationQuery(lam, lam, 2, mm))
+            oracle = jet_oracle(m, lam, lam, 2, mm)
+            assert value.variables == oracle.variables
+            assert value.coefficients == oracle.coefficients
+            assert not value.is_zero()
 
 
 def test_dswrel_cross_lambda_consistency_e6(catalog):

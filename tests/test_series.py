@@ -294,6 +294,63 @@ def test_vanishing_order_twist_invariance_hypothesis(raw_terms, la, lb):
     assert vanishing_order(twist(s, lam, 1), 6) == vanishing_order(s, 6)
 
 
+H4 = IntegralLattice.from_blocks([HyperbolicBlock()] * 4)
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def exp_sums_over_h4(draw):
+    """Sums over up to four independent isotropic classes g_j of H4.
+
+    Three shapes: free terms; conjugate-symmetric pairs (a, k), (+-a, -k);
+    and products of differences (e^v - e^-v), whose orders run high.  Small
+    multiplier vectors make some classes multiples of one another, so the
+    span rows get denominators above 1.
+    """
+    width = draw(st.integers(1, 4))
+    vectors = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    shape = draw(st.sampled_from(("free", "conjugate", "product", "product")))
+    if shape == "free":
+        terms = draw(st.lists(st.tuples(SMALL_FRACTIONS, vectors), min_size=1, max_size=6))
+    elif shape == "conjugate":
+        half = draw(st.lists(st.tuples(SMALL_FRACTIONS, vectors), min_size=1, max_size=4))
+        eps = draw(st.sampled_from((1, -1)))
+        terms = half + [(eps * a, [-x for x in v]) for a, v in half]
+    else:
+        terms = [(draw(SMALL_FRACTIONS), [0] * width)]
+        for v in draw(st.lists(vectors, min_size=2, max_size=6)):
+            terms = [(sign * a, [x + sign * y for x, y in zip(u, v)])
+                     for a, u in terms for sign in (1, -1)]
+    return ExpSum.build(H4, [
+        (a, CohClass(tuple(x for c in v for x in (c, 0)) + (0,) * (8 - 2 * width)))
+        for a, v in terms
+    ])
+
+
+@settings(max_examples=100, deadline=None)
+@given(exp_sums_over_h4(), st.integers(0, 8))
+def test_vanishing_order_matches_the_jet_route(s, cap):
+    degree = jet_expand(s, cap).min_total_degree()
+    if s.is_zero():
+        expected = VanishingOrder.zero_series()
+    elif degree is None:
+        expected = VanishingOrder.at_least(cap + 1)
+    else:
+        expected = VanishingOrder.exact(degree)
+    assert vanishing_order(s, cap) == expected
+
+
+def test_vanishing_order_rows_with_coprime_denominators():
+    # pivots -3h and 2g (terms are sorted by coordinates) give rows 1/3 for
+    # -h and 3/2 for 3g: the common row denominator is 6, and the degree-1
+    # terms 1 - 3*(1/3) and 3 - 2*(3/2) cancel, so x^2 has the first nonzero
+    # coefficient
+    g, h = CohClass.unit(8, 0), CohClass.unit(8, 2)
+    s = ExpSum.build(H4, [(1, CohClass.zero(8)), (3, 2 * g), (-2, 3 * g), (1, -3 * h), (-3, -h)])
+    assert vanishing_order(s, 4) == VanishingOrder.exact(2)
+    assert jet_expand(s, 4).min_total_degree() == 2
+
+
 def test_parity_examples(catalog):
     assert parity(ExpSum.constant(H, 1)) == Parity.EVEN
     assert parity(ExpSum.build(H, [])) == Parity.ZERO
