@@ -2,7 +2,7 @@
 smooth four-manifolds: lattice arithmetic, exponential-sum jets, the
 vanishing and relation pipelines, and a manifest-driven CLI."""
 
-from .errors import SWCalcError
+from .errors import PreconditionError, SWCalcError
 from .lattice import (
     AbundanceClasses,
     CohClass,

@@ -5,6 +5,10 @@ class SWCalcError(Exception):
     """Base class for every error raised by swcalc."""
 
 
+class PreconditionError(SWCalcError, ValueError):
+    """A library call got an argument outside its documented domain."""
+
+
 class DimensionMismatch(SWCalcError):
     """A coordinate vector does not match the lattice rank."""
 

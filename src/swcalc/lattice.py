@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
 
-from .errors import DimensionMismatch, NoCharacteristicVector, ParityError
+from .errors import DimensionMismatch, NoCharacteristicVector, ParityError, PreconditionError
 
 # E8 Cartan matrix: chain 0-1-2-3-4-5-6 with node 7 attached to node 4
 # (arm lengths 4, 2, 1 from the trivalent node).  Even, determinant 1.
@@ -443,7 +443,7 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     bounded search was exhausted.
     """
     if radius < 1:
-        raise ValueError("radius must be at least 1")
+        raise PreconditionError("radius must be at least 1")
     g = sub.restricted_gram
     k = len(g)
     if k == 0:

@@ -181,10 +181,10 @@ def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms
     """dswrel_value for each point count in ms, sharing one preparation.
 
     The hypotheses, the sign base, the twist and the span reduction depend
-    only on (w, lam, delta), so they run once.  Each class's integer-scaled
+    only on (w, lam, delta), so they run once.  Each class's integer span
     row is raised to every degree delta - 2m in one multiplication chain,
-    and each degree's sums are divided by A * D^d once, A and D being the
-    common denominators of the coefficients and of the rows.
+    and each degree's sums are divided by A * D^d once, A being the common
+    denominator of the coefficients and D the one the span rows come with.
     """
     if not m.assume_conjecture:
         raise ConjectureNotAssumed(
@@ -225,14 +225,13 @@ def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms
 
     ordered = twist(sw_series(m, w), lam, -1).terms
     classes = [k for _, k in ordered]
-    pivots, rows = _span_reduce(m.form, classes, classes)
+    pivots, den, rows = _span_reduce(m.form, classes, classes)
     width = len(pivots)
     den_a, coeffs = _integer_scaled([a for a, _ in ordered])
-    den_r, flat = _integer_scaled([x for row in rows for x in row])
     degrees = {delta - 2 * mm for mm in ms}
     sums = {d: {} for d in degrees}
-    for t, a in enumerate(coeffs):
-        powers = _linear_form_powers(flat[t * width:(t + 1) * width], degrees, width)
+    for a, row in zip(coeffs, rows):
+        powers = _linear_form_powers(row, degrees, width)
         for d, poly in powers.items():
             acc = sums[d]
             for alpha, v in poly.items():
@@ -242,7 +241,7 @@ def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms
     for mm in ms:
         d = delta - 2 * mm
         prefactor = -power_of_two if (mm - 1 + sign_base) % 2 else power_of_two
-        scale = prefactor / (den_a * den_r**d)
+        scale = prefactor / (den_a * den**d)
         coefficients = {alpha: scale * v for alpha, v in sums[d].items() if v}
         values.append(Jet(m.form, pivots, coefficients, d))
     return values

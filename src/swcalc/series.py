@@ -10,14 +10,17 @@ a basis of the span of the pairing covectors of the K_i, so a sum over a
 rank-46 lattice with three terms expands in one or two variables.  The
 chosen covectors are linearly independent as forms, hence a jet is
 identically zero as a function exactly when all its coefficients vanish.
+
+The span reduction is fraction-free: every class gets an integer row over
+the pivots, with one common denominator that only jet_expand divides out.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .errors import DimensionMismatch, NonIntegralC, OddExponent
+from .errors import DimensionMismatch, NonIntegralC, OddExponent, PreconditionError
 from .lattice import CohClass, IntegralLattice, apply, pairing, pairing_rational, square
 from .manifold import FourManifold, characteristic_number
 
@@ -132,21 +135,9 @@ class Jet:
             self.order,
         )
 
-    def add(self, other: "Jet") -> "Jet":
-        if self.variables != other.variables:
-            raise ValueError("jets expanded over different variable bases")
-        out = dict(self.coefficients)
-        for a, c in other.coefficients.items():
-            v = out.get(a, Fraction(0)) + c
-            if v:
-                out[a] = v
-            else:
-                out.pop(a, None)
-        return Jet(self.ambient, self.variables, out, min(self.order, other.order))
-
     def mul(self, other: "Jet", order: int | None = None) -> "Jet":
         if self.variables != other.variables:
-            raise ValueError("jets expanded over different variable bases")
+            raise PreconditionError("jets expanded over different variable bases")
         cap = min(self.order, other.order) if order is None else order
         out: dict[tuple[int, ...], Fraction] = {}
         for a, ca in self.coefficients.items():
@@ -179,56 +170,50 @@ class Jet:
 def _span_reduce(lattice: IntegralLattice, span_classes, expand_classes):
     """Pick pivot classes with independent pairing covectors; express the rest.
 
-    Returns (pivots, rows) where pivots is a tuple of classes drawn from
-    span_classes in order of first appearance and rows[i] expresses the
-    covector of expand_classes[i] as a rational combination of the pivot
-    covectors.
+    Returns (pivots, den, rows): pivots are drawn from span_classes in order
+    of first appearance, and den > 0 is the least integer with
+    den * covector(expand_classes[i]) = sum_j rows[i][j] * covector(pivots[j])
+    for integer rows.  The elimination is fraction-free over sparse
+    covectors {col: x}; tag column n + s counts pivot s, so every row also
+    records which integer combination of pivot covectors it is.
     """
     n = lattice.rank
-    echelon = []  # (normalized row, pivot col, expression over pivots)
+    echelon = []  # (row, pivot col); later rows are zero in earlier pivot cols
     pivots = []
 
     def reduce(k):
-        """Reduce the pairing covector of k against the echelon rows."""
-        used = [Fraction(0)] * len(echelon)
-        v = [Fraction(x) for x in apply(lattice, k.coords)]
-        for t, (row, pc, _) in enumerate(echelon):
-            f = v[pc]
+        """The tagged covector of k with every echelon pivot column cancelled."""
+        v = {j: x for j, x in enumerate(apply(lattice, k.coords)) if x}
+        v[n + len(pivots)] = 1
+        for row, pc in echelon:
+            f = v.get(pc)
             if f:
-                used[t] = f
-                for j in range(n):
-                    if row[j]:
-                        v[j] -= f * row[j]
-        return v, used
+                g = gcd(row[pc], f)
+                a, b = row[pc] // g, f // g
+                v = {j: y for j in v.keys() | row.keys()
+                     if (y := a * v.get(j, 0) - b * row.get(j, 0))}
+        return v
 
     for k in span_classes:
-        v, used = reduce(k)
-        pc = next((j for j in range(n) if v[j] != 0), None)
-        if pc is None:
-            continue
-        lead = v[pc]
-        row = [x / lead for x in v]
-        expr = [Fraction(0)] * (len(pivots) + 1)
-        expr[len(pivots)] = Fraction(1) / lead
-        for t, u in enumerate(used):
-            if u:
-                for s, c in enumerate(echelon[t][2]):
-                    expr[s] -= u * c / lead
-        echelon.append((row, pc, expr))
-        pivots.append(k)
+        v = reduce(k)
+        pc = min(v)
+        if pc < n:
+            g = gcd(*v.values())
+            echelon.append(({j: x // g for j, x in v.items()}, pc))
+            pivots.append(k)
 
-    rows = []
+    width = len(pivots)
+    scaled = []  # (mu, e) with mu * covector(k) = sum_s e[s] * covector(pivots[s])
     for k in expand_classes:
-        v, used = reduce(k)
-        if any(x != 0 for x in v):
-            raise ValueError("class lies outside the provided span")
-        coords = [Fraction(0)] * len(pivots)
-        for t, u in enumerate(used):
-            if u:
-                for s, c in enumerate(echelon[t][2]):
-                    coords[s] += u * c
-        rows.append(tuple(coords))
-    return tuple(pivots), rows
+        v = reduce(k)
+        if min(v) < n:
+            raise PreconditionError("class lies outside the provided span")
+        mu = v.pop(n + width)
+        g = gcd(mu, *v.values())
+        scaled.append((mu // g, [-v.get(n + s, 0) // g for s in range(width)]))
+    den = lcm(*(mu for mu, _ in scaled))
+    rows = [tuple(x * (den // mu) for x in e) for mu, e in scaled]
+    return tuple(pivots), den, rows
 
 
 def _integer_scaled(values) -> tuple[int, list[int]]:
@@ -245,16 +230,16 @@ def jet_expand(s: ExpSum, order: int, span=None) -> Jet:
     coordinate system and be combined.
     """
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise PreconditionError("order must be nonnegative")
     classes = [k for _, k in s.terms]
     span_classes = list(span) if span is not None else classes
-    pivots, rows = _span_reduce(s.ambient, span_classes, classes)
+    pivots, den, rows = _span_reduce(s.ambient, span_classes, classes)
     width = len(pivots)
     coeffs: dict[tuple[int, ...], Fraction] = {}
 
     alpha = [0] * width
     for (a, _), row in zip(s.terms, rows):
-        support = [(j, c) for j, c in enumerate(row) if c]
+        support = [(j, Fraction(c, den)) for j, c in enumerate(row) if c]
 
         def rec(idx, remaining, weight):
             if idx == len(support):
@@ -283,7 +268,7 @@ def jet_expand(s: ExpSum, order: int, span=None) -> Jet:
 def twist(s: ExpSum, lam: CohClass, sign: int) -> ExpSum:
     """Multiply by exp(sign * <lam, h>): every term class shifts by sign*lam."""
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise PreconditionError("sign must be +1 or -1")
     return ExpSum.build(
         s.ambient, [(a, k + sign * lam) for a, k in s.terms]
     )
@@ -294,21 +279,21 @@ def vanishing_order(s: ExpSum, cap: int) -> VanishingOrder:
 
     No jet is built: the degrees are walked upward and the walk stops at the
     first nonzero coefficient.  Over the span pivots the coefficient of
-    x^alpha is sum_i a_i R_i^alpha / alpha!, with R_i the row of term i.
-    Scaling the a_i by their common denominator A and the rows by theirs, D,
-    turns it into the integer sum_i a'_i R'_i^alpha divided by the positive
-    A * D^n * alpha!, so the zero test is exact on that integer sum.
+    x^alpha is sum_i a_i R_i^alpha / alpha!, with R_i the rational row of
+    term i.  The span reduction gives R_i = R'_i / D with integer rows R'_i
+    and one positive D; scaling the a_i by their common denominator A turns
+    the coefficient into the integer sum_i a'_i R'_i^alpha divided by the
+    positive A * D^n * alpha!, so the zero test is exact on that integer sum.
     """
     if cap < 0:
-        raise ValueError("cap must be nonnegative")
+        raise PreconditionError("cap must be nonnegative")
     if s.is_zero():
         return VanishingOrder.zero_series()
     classes = [k for _, k in s.terms]
-    pivots, rows = _span_reduce(s.ambient, classes, classes)
+    pivots, _, rows = _span_reduce(s.ambient, classes, classes)
     width = len(pivots)
     _, coeffs = _integer_scaled([a for a, _ in s.terms])
-    _, flat = _integer_scaled([x for row in rows for x in row])
-    columns = [flat[j::width] for j in range(width)]  # columns[j][i] = R'_ij
+    columns = list(zip(*rows))  # columns[j][i] = R'_ij
     if not width:  # every class pairs trivially: only the constant term
         return VanishingOrder.exact(0) if sum(coeffs) else VanishingOrder.at_least(cap + 1)
 
@@ -389,7 +374,7 @@ def witten_series(m: FourManifold, w: CohClass) -> GaussianSeries:
 def evaluate_along(g: GaussianSeries, direction: Direction, order: int) -> list[Fraction]:
     """Substitute h = t * direction; exact univariate jet in t through order."""
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise PreconditionError("order must be nonnegative")
     ambient = g.core.ambient
     q = g.quad_coeff * pairing_rational(ambient, direction.coords, direction.coords)
 

@@ -373,9 +373,9 @@ def test_sst_relation_values_match_jet_oracle_at_width_four(fixtures_dir):
 
 def test_dswrel_oracle_with_fractional_span_rows():
     # multiples c*u of one isotropic class, twisted by lam, are spanned by the
-    # first two twisted classes; with c in {0, +-2, +-6} a row has
-    # denominator 2, with c in {+-2, +-8} denominator 3, so the integer route
-    # must scale the rows and divide by the right power at the end
+    # first two twisted classes; with c in {0, +-2, +-6} the rows rows/den
+    # have denominator 2, with c in {+-2, +-8} denominator 3, so the integer
+    # route must divide by the right power of den at the end
     from swcalc.manifold import validate
     from swcalc.series import _span_reduce
 
@@ -388,8 +388,9 @@ def test_dswrel_oracle_with_fractional_span_rows():
         m = FourManifold("synthetic", 48, -32, 7, form, entries)
         assert validate(m).passed
         classes = [k for _, k in twist(sw_series(m, lam), lam, -1).terms]
-        _, rows = _span_reduce(form, classes, classes)
-        assert max(x.denominator for row in rows for x in row) == denominator
+        _, den, rows = _span_reduce(form, classes, classes)
+        assert den == denominator
+        assert max(Fraction(x, den).denominator for row in rows for x in row) == denominator
         for mm in (0, 1):
             value = dswrel_value(m, RelationQuery(lam, lam, 2, mm))
             oracle = jet_oracle(m, lam, lam, 2, mm)

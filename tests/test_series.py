@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swcalc.errors import NonIntegralC, OddExponent
+from swcalc.errors import NonIntegralC, OddExponent, SWCalcError
 from swcalc.lattice import (
     CohClass,
     DiagonalBlock,
+    E8Block,
     HyperbolicBlock,
     IntegralLattice,
+    find_hyperbolic_pair,
+    orthogonal_complement,
     pairing_rational,
 )
 from swcalc.manifold import BasicClassEntry, FourManifold
@@ -23,6 +26,7 @@ from swcalc.series import (
     ExpSum,
     Parity,
     VanishingOrder,
+    _span_reduce,
     evaluate_along,
     jet_expand,
     parity,
@@ -349,6 +353,136 @@ def test_vanishing_order_rows_with_coprime_denominators():
     s = ExpSum.build(H4, [(1, CohClass.zero(8)), (3, 2 * g), (-2, 3 * g), (1, -3 * h), (-3, -h)])
     assert vanishing_order(s, 4) == VanishingOrder.exact(2)
     assert jet_expand(s, 4).min_total_degree() == 2
+
+
+def rational_solve(columns, target):
+    """The coefficients c with sum_j c_j * columns[j] == target, or None.
+
+    Plain Gauss-Jordan elimination over Fractions; the columns must be
+    linearly independent.
+    """
+    w = len(columns)
+    eqs = [[Fraction(col[i]) for col in columns] + [Fraction(target[i])]
+           for i in range(len(target))]
+    for j in range(w):
+        p = next(i for i in range(j, len(eqs)) if eqs[i][j])
+        eqs[j], eqs[p] = eqs[p], eqs[j]
+        eqs[j] = [x / eqs[j][j] for x in eqs[j]]
+        for i in range(len(eqs)):
+            if i != j and eqs[i][j]:
+                f = eqs[i][j]
+                eqs[i] = [x - f * y for x, y in zip(eqs[i], eqs[j])]
+    if any(row[w] for row in eqs[w:]):
+        return None
+    return tuple(eqs[j][w] for j in range(w))
+
+
+def rational_span_reference(form, span_classes, expand_classes):
+    """Pivots and rational rows of the span reduction, by rational solves
+    against the dense Gram matrix; None for a row outside the span."""
+    def covector(k):
+        return [sum(g * x for g, x in zip(row, k.coords)) for row in form.gram]
+
+    pivots = []
+    for k in span_classes:
+        if rational_solve([covector(p) for p in pivots], covector(k)) is None:
+            pivots.append(k)
+    columns = [covector(p) for p in pivots]
+    return pivots, [rational_solve(columns, covector(k)) for k in expand_classes]
+
+
+@st.composite
+def span_reduction_cases(draw):
+    """A lattice of H, +-E8 and diagonal blocks with span and expand classes.
+
+    The span classes are zero classes, repeats, integer multiples of earlier
+    classes and multiples scale * c of fresh combinations c of at most
+    rank - 1 generators.  The expand classes are the span classes, the
+    combinations c (a c scaled by 2 or 3 gets a row with that denominator)
+    and integer combinations of the span classes.
+    """
+    block = st.one_of(
+        st.just(HyperbolicBlock()),
+        st.builds(E8Block, st.sampled_from((1, -1))),
+        st.builds(DiagonalBlock, st.lists(
+            st.integers(-3, 3).filter(bool), min_size=1, max_size=3).map(tuple)),
+    )
+    form = draw(st.lists(block, min_size=1, max_size=3)
+                .map(IntegralLattice.from_blocks).filter(lambda f: f.rank > 1))
+    n = form.rank
+    small = st.integers(-2, 2)
+    count = min(draw(st.sampled_from((1, 2, 3, 3))), n - 1)
+    generators = draw(st.lists(
+        st.lists(st.sampled_from((0, 0, 1, -1, 2)), min_size=n, max_size=n),
+        min_size=count, max_size=count,
+    ))
+    span, parts = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("zero", "repeat", "multiple", "fresh", "fresh", "fresh")))
+        if kind == "zero" or (kind in ("repeat", "multiple") and not span):
+            span.append(CohClass.zero(n))
+        elif kind == "repeat":
+            span.append(draw(st.sampled_from(span)))
+        elif kind == "multiple":
+            span.append(draw(st.sampled_from(span)) * draw(st.sampled_from((2, 3, -2))))
+        else:
+            cs = draw(st.lists(small, min_size=len(generators), max_size=len(generators)))
+            c = CohClass(tuple(sum(x * g[i] for x, g in zip(cs, generators)) for i in range(n)))
+            span.append(c * draw(st.sampled_from((1, -1, 2, -2, 3, -3))))
+            parts.append(c)
+    expand = span + parts
+    for _ in range(draw(st.integers(0, 3))):
+        cs = draw(st.lists(small, min_size=len(span), max_size=len(span)))
+        expand.append(CohClass(tuple(
+            sum(c * k.coords[i] for c, k in zip(cs, span)) for i in range(n)
+        )))
+    return form, span, draw(st.permutations(expand))
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_reduction_cases())
+def test_span_reduce_matches_rational_elimination(case):
+    form, span, expand = case
+    pivots, den, rows = _span_reduce(form, span, expand)
+    ref_pivots, ref_rows = rational_span_reference(form, span, expand)
+    assert list(pivots) == ref_pivots
+    assert den > 0
+    assert den == math.lcm(*(x.denominator for row in ref_rows for x in row))
+    assert all(isinstance(x, int) for row in rows for x in row)
+    assert [tuple(Fraction(x, den) for x in row) for row in rows] == ref_rows
+
+    # the span classes lie in the span of at most rank - 1 generators and the
+    # form is nondegenerate, so the covector of some unit class is outside
+    outside = next(
+        u for u in (CohClass.unit(form.rank, i) for i in range(form.rank))
+        if rational_span_reference(form, span, [u])[1][0] is None
+    )
+    with pytest.raises(SWCalcError):
+        _span_reduce(form, span, expand + [outside])
+
+
+def _mismatched_jet_product():
+    x = jet_expand(ExpSum.exponential(H, F_H), 2)
+    y = jet_expand(ExpSum.exponential(H, CohClass((0, 1))), 2)
+    return x.mul(y)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: find_hyperbolic_pair(orthogonal_complement(H, []), 0),
+    lambda: jet_expand(ExpSum.exponential(H, F_H), -1),
+    lambda: evaluate_along(
+        witten_series(FourManifold("empty", 4, 0, 2, H, ()), CohClass.zero(2)),
+        Direction.of([1, 1]), -1),
+    lambda: vanishing_order(ExpSum.exponential(H, F_H), -1),
+    lambda: twist(ExpSum.exponential(H, F_H), F_H, 2),
+    _mismatched_jet_product,
+    lambda: jet_expand(ExpSum.exponential(H, F_H), 2, span=[CohClass((0, 1))]),
+], ids=["pair-radius", "jet-order", "evaluate-order", "vanishing-cap", "twist-sign",
+        "jet-basis-mismatch", "outside-span"])
+def test_library_preconditions_raise_swcalc_errors(call):
+    with pytest.raises(SWCalcError) as caught:
+        call()
+    assert isinstance(caught.value, ValueError)
 
 
 def test_parity_examples(catalog):
