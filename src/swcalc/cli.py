@@ -15,11 +15,10 @@ from pathlib import Path
 from . import report as rp
 from .catalog import catalog_names
 from .errors import AbundanceUndetermined, ParseError, SWCalcError
-from .lattice import CohClass, characteristic_vector, find_hyperbolic_pair, orthogonal_complement
+from .lattice import CohClass, characteristic_vector, find_hyperbolic_pair
 from .manifest import load_catalog, parse_manifest, serialize_manifest
 from .manifold import (
     basic_class_count,
-    basic_class_set,
     c1_squared,
     characteristic_number,
     holomorphic_euler,
@@ -156,7 +155,7 @@ def cmd_invariants(args, manifest, manifold) -> dict:
 
 def cmd_abundance(args, manifest, manifold) -> dict:
     radius = _default_radius(args)
-    complement = orthogonal_complement(manifold.form, basic_class_set(manifold))
+    complement = manifold.complement
     pair = find_hyperbolic_pair(complement, radius)
     fields = {
         "verdict": VERDICT_UNDETERMINED if pair is None else VERDICT_PASS,

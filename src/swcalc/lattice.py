@@ -161,6 +161,19 @@ class IntegralLattice:
         n = self.rank
         return tuple(tuple(apply(self, CohClass.unit(n, i).coords)) for i in range(n))
 
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Column t of the Gram as its nonzero (s, G_st): each block is applied
+        to its own unit vectors, O(rank) when the blocks are H and E8."""
+        out = []
+        offset = 0
+        for b in self.blocks:
+            for i in range(b.rank):
+                image = b.apply([int(i == j) for j in range(b.rank)])
+                out.append(tuple((offset + s, g) for s, g in enumerate(image) if g))
+            offset += b.rank
+        return tuple(out)
+
 
 def apply(lattice: IntegralLattice, coords) -> list:
     """The Gram matrix times a coordinate vector, walked block by block.
@@ -246,14 +259,18 @@ def _solve_gf2(rows, rhs):
 def characteristic_vector(lattice: IntegralLattice) -> CohClass:
     """A class c with c.x = x.x (mod 2) for every basis vector x.
 
-    Solved over GF(2); free variables are zero, so even lattices get the
-    zero class.
+    Solved over GF(2) one block at a time, since the form is block
+    diagonal; free variables are zero, so even lattices get the zero class
+    and the result is that of the dense solve.
     """
-    sol = _solve_gf2(lattice.gram, lattice.diagonal)
-    if sol is None:
-        raise NoCharacteristicVector(
-            "mod-2 characteristic system is unsolvable; the form is degenerate"
-        )
+    sol = []
+    for b in lattice.blocks:
+        part = _solve_gf2(IntegralLattice((b,)).gram, b.diagonal)
+        if part is None:
+            raise NoCharacteristicVector(
+                "mod-2 characteristic system is unsolvable; the form is degenerate"
+            )
+        sol += part
     return CohClass(tuple(sol))
 
 
@@ -336,24 +353,31 @@ def integer_kernel(mat, n: int):
 
 @dataclass(frozen=True)
 class Sublattice:
-    """A saturated sublattice with its restricted pairing."""
+    """A saturated sublattice, its basis in ambient coordinates.  Pairings
+    are read lazily by entry(i, j); restricted_gram is the dense view."""
 
     ambient: IntegralLattice
     basis: tuple[CohClass, ...]
-    restricted_gram: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def _supports(self):
+        return tuple(tuple((t, x) for t, x in enumerate(b.coords) if x) for b in self.basis)
+
+    def entry(self, i: int, j: int) -> int:
+        """The pairing b_i . b_j."""
+        columns, bj = self.ambient.columns, self.basis[j].coords
+        return sum(x * g * bj[s] for t, x in self._supports[i] for s, g in columns[t])
+
+    @cached_property
+    def restricted_gram(self) -> tuple[tuple[int, ...], ...]:
+        k = len(self.basis)
+        return tuple(tuple(self.entry(i, j) for j in range(k)) for i in range(k))
 
 
 def orthogonal_complement(lattice: IntegralLattice, classes) -> Sublattice:
     """The saturated sublattice {x : x.s == 0 for all s in classes}."""
     kernel = integer_kernel([apply(lattice, s.coords) for s in classes], lattice.rank)
-    basis = tuple(CohClass(tuple(v)) for v in kernel)
-    # Row j dots one ambient image G b_j with the nonzeros of each b_i; the
-    # form is symmetric, so it is also column j.  The images are generated
-    # one row at a time, so only one is alive at once.
-    supports = [[(t, x) for t, x in enumerate(v) if x] for v in kernel]
-    images = (apply(lattice, b.coords) for b in basis)
-    restricted = tuple(tuple(sum(x * g[t] for t, x in s) for s in supports) for g in images)
-    return Sublattice(lattice, basis, restricted)
+    return Sublattice(lattice, tuple(CohClass(tuple(v)) for v in kernel))
 
 
 @dataclass(frozen=True)
@@ -426,36 +450,39 @@ def _isotropic_vectors(gram, radius: int):
 def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | None:
     """Search the sublattice for a hyperbolic pair, ambient coordinates.
 
-    Strategy: if the restricted Gram matrix exhibits a literal hyperbolic
+    Strategy: if the restricted pairing exhibits a literal hyperbolic
     block between two basis vectors, return that pair at once.  Otherwise
     enumerate primitive isotropic vectors e with basis coordinates in
     [-radius, radius] (lexicographic order, most negative first) and for
     each look for an isotropic f with e.f = 1 in the same order; the
     first hit wins.  Definite forms are rejected without enumeration.
 
+    The block scan reads only the diagonal and the entries between
+    zero-diagonal basis vectors; the dense restricted Gram is built only
+    for the definiteness test and the box.
+
     The enumeration is lazy: isotropic vectors are generated in that order
     only as far as some scan has reached, and kept for the scans that
-    follow.  The cost grows with the number of candidates scanned before
-    the first hit; when no pair exists it is still the whole box,
-    (2*radius+1)^k candidates.
+    follow.  An e whose covector G.e has gcd != 1 is skipped without an
+    f-scan, since no f can reach e.f = 1.  The cost grows with the number
+    of candidates scanned before the first hit; when no pair exists it is
+    still the whole box, (2*radius+1)^k candidates.
 
     Returning None never proves that no pair exists; it only means the
     bounded search was exhausted.
     """
     if radius < 1:
         raise PreconditionError("radius must be at least 1")
-    g = sub.restricted_gram
-    k = len(g)
+    k = len(sub.basis)
     if k == 0:
         return None
-    for i in range(k):
-        if g[i][i] != 0:
-            continue
-        for j in range(i + 1, k):
-            if g[j][j] == 0 and abs(g[i][j]) == 1:
-                e = sub.basis[i]
-                f = sub.basis[j] if g[i][j] == 1 else -sub.basis[j]
-                return HyperbolicPair(e, f)
+    isotropic = [i for i in range(k) if sub.entry(i, i) == 0]
+    for a, i in enumerate(isotropic):
+        for j in isotropic[a + 1:]:
+            x = sub.entry(i, j)
+            if abs(x) == 1:
+                return HyperbolicPair(sub.basis[i], x * sub.basis[j])
+    g = sub.restricted_gram
     if _definiteness(g) is not None:
         return None
 
@@ -486,7 +513,7 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
         if gcd(*e) != 1:
             continue
         cov = [sum(g[i][j] * e[j] for j in range(k)) for i in range(k)]
-        if not any(cov):
+        if gcd(*cov) != 1:
             continue
         for f in scan():
             if sum(c * x for c, x in zip(cov, f)) == 1:

@@ -2,13 +2,16 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .lattice import (
     CohClass,
     IntegralLattice,
+    Sublattice,
     block_determinant,
     block_signature,
     is_characteristic,
+    orthogonal_complement,
     pairing,
     square,
 )
@@ -31,6 +34,12 @@ class FourManifold:
     form: IntegralLattice
     basic_classes: tuple[BasicClassEntry, ...]
     assume_conjecture: bool = True
+
+    @cached_property
+    def complement(self) -> Sublattice:
+        """The orthogonal complement of the basic classes, built once per
+        manifold object and shared by every pipeline run on it."""
+        return orthogonal_complement(self.form, basic_class_set(self))
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,12 @@ from .lattice import (
     construct_abundance_classes,
     find_hyperbolic_pair,
     is_characteristic,
-    orthogonal_complement,
     pairing,
     square,
 )
 from .manifold import (
     FourManifold,
     basic_class_count,
-    basic_class_set,
     characteristic_number,
     c1_squared,
     holomorphic_euler,
@@ -258,8 +256,7 @@ def dswrel_value(m: FourManifold, q: RelationQuery) -> Jet:
 
 
 def _resolve_pair(m: FourManifold, radius: int) -> HyperbolicPair:
-    complement = orthogonal_complement(m.form, basic_class_set(m))
-    pair = find_hyperbolic_pair(complement, radius)
+    pair = find_hyperbolic_pair(m.complement, radius)
     if pair is None:
         raise AbundanceUndetermined(
             f"no hyperbolic pair found in the basic-class complement at radius {radius}"

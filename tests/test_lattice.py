@@ -163,6 +163,27 @@ def test_characteristic_vector_satisfies_definition():
             assert (pairing(lat, c, basis_vec) - square(lat, basis_vec)) % 2 == 0
 
 
+# Diagonal entries in [-4, 4]: odd only, even only (zero included) and mixed.
+gf2_block_lists = st.lists(
+    st.one_of(
+        st.just(HyperbolicBlock()),
+        st.sampled_from([E8Block(1), E8Block(-1)]),
+        *(st.lists(entries, min_size=1, max_size=4).map(lambda e: DiagonalBlock(tuple(e)))
+          for entries in (st.sampled_from([-3, -1, 1, 3]), st.sampled_from([-4, -2, 0, 2, 4]),
+                          st.integers(-4, 4))),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gf2_block_lists)
+def test_characteristic_vector_matches_the_dense_solve(blocks):
+    lat = IntegralLattice.from_blocks(blocks)
+    oracle = _solve_gf2(lat.gram, lat.diagonal)
+    assert characteristic_vector(lat).coords == tuple(oracle)
+
+
 def test_gf2_solver_detects_inconsistency():
     assert _solve_gf2([[0]], [1]) is None
     assert _solve_gf2([[1, 1], [1, 1]], [1, 0]) is None
@@ -324,7 +345,8 @@ def test_find_pair_k3_first_block():
 def test_find_pair_search_without_literal_block():
     # basis (1,1),(0,1) of H hides the hyperbolic block: restricted gram
     # [[2,1],[1,0]] has no zero-diagonal pair, so the search must run
-    sub = Sublattice(H, (CohClass((1, 1)), CohClass((0, 1))), ((2, 1), (1, 0)))
+    sub = Sublattice(H, (CohClass((1, 1)), CohClass((0, 1))))
+    assert sub.restricted_gram == ((2, 1), (1, 0))
     pair = find_hyperbolic_pair(sub, 2)
     # lexicographically first witness, computed by hand
     assert pair.e1.coords == (-1, 0)
@@ -332,6 +354,21 @@ def test_find_pair_search_without_literal_block():
     assert square(H, pair.e1) == 0
     assert square(H, pair.e2) == 0
     assert pairing(H, pair.e1, pair.e2) == 1
+
+
+def test_find_pair_skips_e_with_non_primitive_covector():
+    # every pairing of diag(2,-2,2,-2,2,-2) is even, so no e.f is 1; the
+    # e-loop skips each e at once, instead of scanning the box for an f
+    lat = IntegralLattice.from_blocks([DiagonalBlock((2, -2) * 3)])
+    assert find_hyperbolic_pair(orthogonal_complement(lat, []), 2) is None
+
+
+def test_literal_block_hit_leaves_the_dense_gram_unbuilt(catalog):
+    m = catalog["E4"]
+    sub = orthogonal_complement(m.form, basic_class_set(m))
+    pair = find_hyperbolic_pair(sub, 3)
+    assert pair == HyperbolicPair(CohClass.unit(46, 2), CohClass.unit(46, 3))
+    assert "restricted_gram" not in sub.__dict__
 
 
 def test_find_pair_rejects_definite_forms_fast():

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import swcalc.manifold as manifold_module
 import swcalc.relations as relations
 from swcalc.errors import (
     AbundanceInconsistent,
@@ -30,7 +31,7 @@ from swcalc.lattice import (
     pairing,
     square,
 )
-from swcalc.manifest import parse_manifest
+from swcalc.manifest import load_catalog, parse_manifest
 from swcalc.manifold import BasicClassEntry, FourManifold, characteristic_number
 from swcalc.relations import (
     RelationQuery,
@@ -502,6 +503,19 @@ def test_sst_checks_r_and_i_of_the_pair_explicitly(catalog, monkeypatch):
     u, v = unit(46, 2), unit(46, 3)
     with pytest.raises(AbundanceInconsistent):
         sst_check(catalog["E4"], CohClass.zero(46), lambda0=u - 7 * v, lambda1=u - 6 * v)
+
+
+def test_sst_and_dvanish_share_one_complement(monkeypatch):
+    # The complement is cached on the manifold object, so the second
+    # pipeline run on the same object does not build it again.
+    calls = []
+    build = manifold_module.orthogonal_complement
+    monkeypatch.setattr(manifold_module, "orthogonal_complement",
+                        lambda *args: calls.append(args) or build(*args))
+    e4 = load_catalog("E4").to_manifold()
+    sst_check(e4, CohClass.zero(46))
+    dvanish_theorem_check(e4, CohClass.zero(46))
+    assert len(calls) == 1
 
 
 def test_sst_not_characteristic(catalog):
