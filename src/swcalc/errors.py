@@ -13,10 +13,6 @@ class DimensionMismatch(SWCalcError):
     """A coordinate vector does not match the lattice rank."""
 
 
-class NoCharacteristicVector(SWCalcError):
-    """The mod-2 characteristic system is unsolvable (degenerate form)."""
-
-
 class ParityError(SWCalcError):
     """chi + sigma is not divisible by 4."""
 

@@ -5,7 +5,8 @@ exact rationals; no floating point.  A lattice is a list of standard
 blocks: the rank-two hyperbolic block, the E8 form with a sign, and
 diagonal blocks.  The block list is the source of truth: apply() computes
 G.v block by block, and every pairing goes through it.  The dense Gram
-matrix is only a derived view.
+matrix is only a derived view.  The characteristic vector is the diagonal
+mod 2, and orthogonal complements come from an xgcd transform kernel.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
 
-from .errors import DimensionMismatch, NoCharacteristicVector, ParityError, PreconditionError
+from .errors import DimensionMismatch, ParityError, PreconditionError
 
 # E8 Cartan matrix: chain 0-1-2-3-4-5-6 with node 7 attached to node 4
 # (arm lengths 4, 2, 1 from the trivalent node).  Even, determinant 1.
@@ -69,10 +70,9 @@ class E8Block:
 
 @dataclass(frozen=True)
 class DiagonalBlock:
-    entries: tuple[int, ...]
+    """The diagonal form with the given entries, a tuple of ints."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+    entries: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -95,12 +95,10 @@ Block = HyperbolicBlock | E8Block | DiagonalBlock
 
 @dataclass(frozen=True)
 class CohClass:
-    """An integral cohomology class as a coordinate vector in the fixed basis."""
+    """An integral cohomology class: its coordinates in the fixed basis, a
+    tuple of ints."""
 
     coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(x) for x in self.coords))
 
     @property
     def rank(self) -> int:
@@ -225,53 +223,16 @@ def pairing_rational(lattice: IntegralLattice, a, b) -> Fraction:
     return Fraction(_pair(lattice, a, b))
 
 
-def _solve_gf2(rows, rhs):
-    """Solve M x = rhs over GF(2); returns a 0/1 list or None if unsolvable.
-
-    Free variables are set to zero, so the solution is deterministic.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[x & 1 for x in row] + [r & 1] for row, r in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = next((i for i in range(row, m) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        for i in range(m):
-            if i != row and a[i][col]:
-                a[i] = [(x + y) & 1 for x, y in zip(a[i], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if a[i][n]:
-            return None
-    x = [0] * n
-    for i, col in enumerate(pivots):
-        x[col] = a[i][n]
-    return x
-
-
 def characteristic_vector(lattice: IntegralLattice) -> CohClass:
-    """A class c with c.x = x.x (mod 2) for every basis vector x.
+    """A class c with c.x = x.x (mod 2) for every basis vector x: the
+    diagonal mod 2.
 
-    Solved over GF(2) one block at a time, since the form is block
-    diagonal; free variables are zero, so even lattices get the zero class
-    and the result is that of the dense solve.
+    H and +-E8 have even diagonals and contribute zero; a diagonal block
+    gives c_i = d_i mod 2.  This is the solution of the mod-2 system with
+    free variables set to zero, and the system is always solvable, since
+    x -> x.x is linear mod 2 and vanishes on the radical.
     """
-    sol = []
-    for b in lattice.blocks:
-        part = _solve_gf2(IntegralLattice((b,)).gram, b.diagonal)
-        if part is None:
-            raise NoCharacteristicVector(
-                "mod-2 characteristic system is unsolvable; the form is degenerate"
-            )
-        sol += part
-    return CohClass(tuple(sol))
+    return CohClass(tuple(d & 1 for d in lattice.diagonal))
 
 
 def is_characteristic(lattice: IntegralLattice, c: CohClass) -> bool:
@@ -293,62 +254,37 @@ def _xgcd(a: int, b: int):
     return x, y, g
 
 
-def _hermite_with_transform(mat):
-    """Row Hermite form with transform: returns (h, u, rank), u @ mat == h.
+def integer_kernel(mat, n: int):
+    """A saturated basis for {x in Z^n : mat @ x == 0}.
 
-    u is unimodular; pivots are positive and entries above each pivot are
-    reduced into [0, pivot).  Deterministic.
+    mat is a list of rows of length n; the result is a list of length-n
+    integer vectors.  The columns of mat are row-echelonised by xgcd
+    steps, tracking only the unimodular transform u; the rows of u past
+    the rank map every column to zero and span the kernel.  Saturation is
+    automatic for kernels of integer maps.
     """
-    a = [list(row) for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    a = [[row[j] for row in mat] for j in range(n)]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        pivot = next((i for i in range(row, m) if a[i][col]), None)
+    for col in range(len(mat)):
+        pivot = next((i for i in range(row, n) if a[i][col]), None)
         if pivot is None:
             continue
-        if pivot != row:
-            a[row], a[pivot] = a[pivot], a[row]
-            u[row], u[pivot] = u[pivot], u[row]
-        for i in range(row + 1, m):
+        for t in (a, u):
+            t[row], t[pivot] = t[pivot], t[row]
+        for i in range(row + 1, n):
             if not a[i][col]:
                 continue
             p, q = a[row][col], a[i][col]
             x, y, g = _xgcd(p, q)
             pg, qg = p // g, q // g
-            a[row], a[i] = (
-                [x * r + y * s for r, s in zip(a[row], a[i])],
-                [-qg * r + pg * s for r, s in zip(a[row], a[i])],
-            )
-            u[row], u[i] = (
-                [x * r + y * s for r, s in zip(u[row], u[i])],
-                [-qg * r + pg * s for r, s in zip(u[row], u[i])],
-            )
-        if a[row][col] < 0:
-            a[row] = [-x for x in a[row]]
-            u[row] = [-x for x in u[row]]
-        p = a[row][col]
-        for i in range(row):
-            q = a[i][col] // p
-            if q:
-                a[i] = [r - q * s for r, s in zip(a[i], a[row])]
-                u[i] = [r - q * s for r, s in zip(u[i], u[row])]
+            for t in (a, u):
+                t[row], t[i] = (
+                    [x * r + y * s for r, s in zip(t[row], t[i])],
+                    [-qg * r + pg * s for r, s in zip(t[row], t[i])],
+                )
         row += 1
-    return a, u, row
-
-
-def integer_kernel(mat, n: int):
-    """A saturated basis for {x in Z^n : mat @ x == 0}.
-
-    mat is a list of rows of length n; the result is a list of length-n
-    integer vectors.  Saturation is automatic for kernels of integer maps.
-    """
-    transposed = [[row[j] for row in mat] for j in range(n)]
-    h, u, rank = _hermite_with_transform(transposed)
-    return [u[i] for i in range(rank, n)]
+    return u[row:]
 
 
 @dataclass(frozen=True)

@@ -355,7 +355,6 @@ def sst_check(
     lambda0: CohClass | None = None,
     lambda1: CohClass | None = None,
     radius: int = 3,
-    cap: int | None = None,
 ) -> SstReport:
     """Test the superconformal vanishing bound and replay its derivation.
 
@@ -380,9 +379,8 @@ def sst_check(
         )
     c_int = int(c)
     required = c_int - 2
-    cap = c_int + 4 if cap is None else cap
     series = sw_series(m, w)
-    order = vanishing_order(series, cap)
+    order = vanishing_order(series, c_int + 4)
 
     if (lambda0 is None) != (lambda1 is None):
         raise HypothesisViolation("lambda_pair_supplied_together", "")
@@ -405,9 +403,9 @@ def sst_check(
     delta = c_int - 4
     ms = range(delta // 2 + 1)  # every m >= 0 with d = delta - 2m >= 0
     values = _relation_values(m, w + lambda1, lambda1, delta, ms) if ms else []
+    applies = dvanish_applies(m, lambda0, delta)
     for mm, value in zip(ms, values):
         d = delta - 2 * mm
-        applies = dvanish_applies(m, lambda0, delta)
         # prefactor consistency: 2^(1-(c+delta)/2) == 2^(1-(c+d)/2-m)
         assert 1 - (c_int + delta) // 2 == 1 - (c_int + d) // 2 - mm
         is_zero = value.is_zero()

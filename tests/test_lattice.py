@@ -21,7 +21,7 @@ from swcalc.lattice import (
     HyperbolicPair,
     IntegralLattice,
     Sublattice,
-    _solve_gf2,
+    _xgcd,
     apply,
     characteristic_vector,
     construct_abundance_classes,
@@ -107,6 +107,53 @@ def smith_diagonal(mat):
     return out
 
 
+def rational_rank(rows):
+    """Rank over Q by Gaussian elimination on Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        p = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if p is None:
+            continue
+        a[rank], a[p] = a[p], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def _solve_gf2(rows, rhs):
+    """Solve M x = rhs over GF(2) densely; a 0/1 list, or None if unsolvable.
+
+    Free variables are set to zero, so the solution is deterministic.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[x & 1 for x in row] + [r & 1] for row, r in zip(rows, rhs)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        pivot = next((i for i in range(row, m) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        for i in range(m):
+            if i != row and a[i][col]:
+                a[i] = [(x + y) & 1 for x, y in zip(a[i], a[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    for i in range(row, m):
+        if a[i][n]:
+            return None
+    x = [0] * n
+    for i, col in enumerate(pivots):
+        x[col] = a[i][n]
+    return x
+
+
 def test_e8_gram_is_even_unimodular():
     assert exact_det(E8_GRAM) == 1
     for i, row in enumerate(E8_GRAM):
@@ -151,6 +198,9 @@ def test_characteristic_vector_examples():
     assert characteristic_vector(H).coords == (0, 0)
     assert characteristic_vector(DIAG11).coords == (1, 1)
     assert characteristic_vector(K3FORM).coords == (0,) * 22
+    # degenerate: the radical direction and the even entry get 0
+    assert characteristic_vector(
+        IntegralLattice.from_blocks([DiagonalBlock((0, 2, -3))])).coords == (0, 0, 1)
 
 
 def test_characteristic_vector_satisfies_definition():
@@ -221,6 +271,8 @@ def test_orthogonal_complement_properties():
             for _ in range(rng.randint(1, 3))
         ]
         sub = orthogonal_complement(K3FORM, classes)
+        rank = rational_rank([apply(K3FORM, s.coords) for s in classes])
+        assert len(sub.basis) == 22 - rank
         for b in sub.basis:
             for s in classes:
                 assert pairing(K3FORM, b, s) == 0
@@ -312,6 +364,71 @@ def test_restricted_gram_on_non_unit_basis():
 
 def test_integer_kernel_empty_constraints():
     assert integer_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def reference_kernel(mat, n):
+    """The kernel through a full row Hermite normal form of mat transposed,
+    written out in full: positive pivots and entries above each pivot
+    reduced into [0, pivot), with the unimodular transform u alongside.
+    The rows of u past the rank span the kernel."""
+    a = [[row[j] for row in mat] for j in range(n)]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    row = 0
+    for col in range(len(mat)):
+        if row >= n:
+            break
+        pivot = next((i for i in range(row, n) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        u[row], u[pivot] = u[pivot], u[row]
+        for i in range(row + 1, n):
+            if not a[i][col]:
+                continue
+            p, q = a[row][col], a[i][col]
+            x, y, g = _xgcd(p, q)
+            for t in (a, u):
+                t[row], t[i] = ([x * r + y * s for r, s in zip(t[row], t[i])],
+                                [-(q // g) * r + (p // g) * s for r, s in zip(t[row], t[i])])
+        if a[row][col] < 0:
+            a[row], u[row] = [-x for x in a[row]], [-x for x in u[row]]
+        for i in range(row):
+            q = a[i][col] // a[row][col]
+            a[i] = [r - q * s for r, s in zip(a[i], a[row])]
+            u[i] = [r - q * s for r, s in zip(u[i], u[row])]
+        row += 1
+    return u[row:]
+
+
+@st.composite
+def constraint_matrices(draw):
+    """0-4 constraint rows over n <= 8: fresh, zero, repeated and parallel rows."""
+    n = draw(st.integers(0, 8))
+    fresh = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "parallel"][:4 if rows else 2]))
+        if kind == "fresh":
+            rows.append(draw(fresh))
+        elif kind == "zero":
+            rows.append([0] * n)
+        else:
+            base = draw(st.sampled_from(rows))
+            scale = 1 if kind == "repeat" else draw(st.sampled_from([-3, -2, -1, 2, 3]))
+            rows.append([scale * x for x in base])
+    event("dependent rows" if rational_rank(rows) < len(rows) else "independent rows")
+    return rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_matrices())
+def test_integer_kernel_matches_the_full_hermite_reference(case):
+    mat, n = case
+    kernel = integer_kernel(mat, n)
+    assert kernel == reference_kernel(mat, n)
+    assert len(kernel) == n - rational_rank(mat)
+    for v in kernel:
+        assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in mat)
 
 
 def test_find_pair_on_hyperbolic_block():
