@@ -3,15 +3,17 @@
 Everything here runs over plain Python integers (arbitrary precision) or
 exact rationals; no floating point.  A lattice is a list of standard
 blocks: the rank-two hyperbolic block, the E8 form with a sign, and
-diagonal blocks.  The block list is the source of truth: apply() computes
-G.v block by block, and every pairing goes through it.  The dense Gram
-matrix is only a derived view.  The characteristic vector is the diagonal
-mod 2, and orthogonal complements come from an xgcd transform kernel.
+diagonal blocks.  The block list is the source of truth: the form acts
+only through the block Gram columns, walked over the support (nonzero
+coordinates) of a class.  The dense Gram is a derived view.  The
+characteristic vector is the diagonal mod 2, and orthogonal complements
+come from a sparse xgcd transform kernel.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, prod
 
 from .errors import DimensionMismatch, ParityError, PreconditionError
@@ -29,9 +31,9 @@ E8_GRAM = (
     (0, 0, 0, 0, -1, 0, 0, 2),
 )
 
-
-# The nonzero off-diagonal entries of E8_GRAM, one per edge of the diagram.
-_E8_EDGES = [(i, j, E8_GRAM[i][j]) for i in range(8) for j in range(i) if E8_GRAM[i][j]]
+# The columns of E8_GRAM and of its negative as nonzero (s, g) pairs.
+_E8_COLUMNS = tuple(tuple((s, g) for s, g in enumerate(row) if g) for row in E8_GRAM)
+_NEG_E8_COLUMNS = tuple(tuple((s, -g) for s, g in col) for col in _E8_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -39,11 +41,8 @@ class HyperbolicBlock:
     """The rank-two block [[0,1],[1,0]]."""
 
     rank = 2
-    diagonal = (0, 0)
     determinant = -1
-
-    def apply(self, v):
-        return [v[1], v[0]]
+    columns = (((1, 1),), ((0, 1),))
 
 
 @dataclass(frozen=True)
@@ -57,15 +56,8 @@ class E8Block:
             raise ValueError(f"E8 sign must be +1 or -1, got {self.sign}")
 
     @property
-    def diagonal(self):
-        return (2 * self.sign,) * 8
-
-    def apply(self, v):
-        out = [2 * x for x in v]
-        for i, j, g in _E8_EDGES:
-            out[i] += g * v[j]
-            out[j] += g * v[i]
-        return out if self.sign == 1 else [-x for x in out]
+    def columns(self):
+        return _E8_COLUMNS if self.sign == 1 else _NEG_E8_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -79,15 +71,12 @@ class DiagonalBlock:
         return len(self.entries)
 
     @property
-    def diagonal(self):
-        return self.entries
-
-    @property
     def determinant(self) -> int:
         return prod(self.entries)
 
-    def apply(self, v):
-        return [e * x for e, x in zip(self.entries, v)]
+    @property
+    def columns(self):
+        return tuple(((i, e),) if e else () for i, e in enumerate(self.entries))
 
 
 Block = HyperbolicBlock | E8Block | DiagonalBlock
@@ -103,6 +92,11 @@ class CohClass:
     @property
     def rank(self) -> int:
         return len(self.coords)
+
+    @cached_property
+    def support(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero coordinates as (t, x) pairs."""
+        return _support(self.coords)
 
     def __add__(self, other: "CohClass") -> "CohClass":
         if len(self.coords) != len(other.coords):
@@ -151,8 +145,12 @@ class IntegralLattice:
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
-        """The squares x.x of the basis vectors."""
-        return tuple(d for b in self.blocks for d in b.diagonal)
+        """The squares x.x of the basis vectors, read off the columns."""
+        return tuple(dict(col).get(t, 0) for t, col in enumerate(self.columns))
+
+    @cached_property
+    def odd_diagonal(self) -> frozenset[int]:
+        return frozenset(i for i, d in enumerate(self.diagonal) if d & 1)
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -161,34 +159,43 @@ class IntegralLattice:
 
     @cached_property
     def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Column t of the Gram as its nonzero (s, G_st): each block is applied
-        to its own unit vectors, O(rank) when the blocks are H and E8."""
+        """Column t of the Gram as its nonzero (s, G_st): the block columns,
+        shifted by the block offsets.  This is how the form acts."""
         out = []
         offset = 0
         for b in self.blocks:
-            for i in range(b.rank):
-                image = b.apply([int(i == j) for j in range(b.rank)])
-                out.append(tuple((offset + s, g) for s, g in enumerate(image) if g))
+            out += (tuple((offset + s, g) for s, g in col) for col in b.columns)
             offset += b.rank
         return tuple(out)
 
 
-def apply(lattice: IntegralLattice, coords) -> list:
-    """The Gram matrix times a coordinate vector, walked block by block.
+def _support(coords) -> tuple:
+    return tuple(zip(compress(range(len(coords)), coords), compress(coords, coords)))
 
-    Coordinates may be ints or Fractions.  This is the one place where the
-    form acts on a vector; every pairing goes through it.
-    """
+
+def check_length(lattice: IntegralLattice, coords) -> None:
     if len(coords) != lattice.rank:
         raise DimensionMismatch(
             f"vector length {len(coords)} does not match lattice rank {lattice.rank}"
         )
-    out = []
-    offset = 0
-    for b in lattice.blocks:
-        chunk = coords[offset:offset + b.rank]
-        out += b.apply(chunk) if any(chunk) else chunk
-        offset += b.rank
+
+
+def covector(lattice: IntegralLattice, support) -> dict:
+    """{s: (G.v)_s} over the nonzero entries, for v given by its support."""
+    out: dict = {}
+    columns = lattice.columns
+    for t, x in support:
+        for s, g in columns[t]:
+            out[s] = out.get(s, 0) + g * x
+    return {s: y for s, y in out.items() if y}
+
+
+def apply(lattice: IntegralLattice, coords) -> list:
+    """G.v as a dense list, for int or Fraction coordinates."""
+    check_length(lattice, coords)
+    out = [0] * len(coords)
+    for s, y in covector(lattice, _support(coords)).items():
+        out[s] = y
     return out
 
 
@@ -203,15 +210,17 @@ def block_determinant(lattice: IntegralLattice) -> int:
     return prod(b.determinant for b in lattice.blocks)
 
 
-def _pair(lattice: IntegralLattice, a, b):
+def _pair(lattice: IntegralLattice, support, a, b):
     if len(a) != len(b):
         raise DimensionMismatch(f"cannot pair vectors of lengths {len(a)} and {len(b)}")
-    return sum(x * y for x, y in zip(apply(lattice, a), b) if x)
+    check_length(lattice, a)
+    columns = lattice.columns
+    return sum(x * g * b[s] for t, x in support for s, g in columns[t])
 
 
 def pairing(lattice: IntegralLattice, a: CohClass, b: CohClass) -> int:
     """Evaluate the intersection pairing a.b exactly."""
-    return _pair(lattice, a.coords, b.coords)
+    return _pair(lattice, a.support, a.coords, b.coords)
 
 
 def square(lattice: IntegralLattice, a: CohClass) -> int:
@@ -220,7 +229,7 @@ def square(lattice: IntegralLattice, a: CohClass) -> int:
 
 def pairing_rational(lattice: IntegralLattice, a, b) -> Fraction:
     """Pairing for rational coordinate vectors (plain sequences)."""
-    return Fraction(_pair(lattice, a, b))
+    return Fraction(_pair(lattice, _support(a), a, b))
 
 
 def characteristic_vector(lattice: IntegralLattice) -> CohClass:
@@ -236,9 +245,11 @@ def characteristic_vector(lattice: IntegralLattice) -> CohClass:
 
 
 def is_characteristic(lattice: IntegralLattice, c: CohClass) -> bool:
-    """True iff c.x = x.x (mod 2) for every basis vector x."""
-    image = apply(lattice, c.coords)
-    return all((x - d) % 2 == 0 for x, d in zip(image, lattice.diagonal))
+    """True iff c.x = x.x (mod 2) for every basis vector x: the odd entries
+    of G.c are those of the diagonal."""
+    check_length(lattice, c.coords)
+    odd = {s for s, y in covector(lattice, c.support).items() if y & 1}
+    return odd == lattice.odd_diagonal
 
 
 def _xgcd(a: int, b: int):
@@ -261,30 +272,35 @@ def integer_kernel(mat, n: int):
     integer vectors.  The columns of mat are row-echelonised by xgcd
     steps, tracking only the unimodular transform u; the rows of u past
     the rank map every column to zero and span the kernel.  Saturation is
-    automatic for kernels of integer maps.
+    automatic for kernels of integer maps.  Rows of a and u are sparse
+    {col: x} dicts, densified only in the result.
     """
-    a = [[row[j] for row in mat] for j in range(n)]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    a = [{c: x for c, r in enumerate(mat) if (x := r[j])} for j in range(n)]
+    u = [{i: 1} for i in range(n)]
     row = 0
     for col in range(len(mat)):
-        pivot = next((i for i in range(row, n) if a[i][col]), None)
+        pivot = next((i for i in range(row, n) if col in a[i]), None)
         if pivot is None:
             continue
         for t in (a, u):
             t[row], t[pivot] = t[pivot], t[row]
         for i in range(row + 1, n):
-            if not a[i][col]:
+            if col not in a[i]:
                 continue
             p, q = a[row][col], a[i][col]
             x, y, g = _xgcd(p, q)
             pg, qg = p // g, q // g
             for t in (a, u):
-                t[row], t[i] = (
-                    [x * r + y * s for r, s in zip(t[row], t[i])],
-                    [-qg * r + pg * s for r, s in zip(t[row], t[i])],
-                )
+                r, s = t[row], t[i]
+                keys = r.keys() | s.keys()
+                t[row] = {j: z for j in keys if (z := x * r.get(j, 0) + y * s.get(j, 0))}
+                t[i] = {j: z for j in keys if (z := pg * s.get(j, 0) - qg * r.get(j, 0))}
         row += 1
-    return u[row:]
+    out = [[0] * n for _ in u[row:]]
+    for dense, v in zip(out, u[row:]):
+        for j, x in v.items():
+            dense[j] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -295,14 +311,9 @@ class Sublattice:
     ambient: IntegralLattice
     basis: tuple[CohClass, ...]
 
-    @cached_property
-    def _supports(self):
-        return tuple(tuple((t, x) for t, x in enumerate(b.coords) if x) for b in self.basis)
-
     def entry(self, i: int, j: int) -> int:
         """The pairing b_i . b_j."""
-        columns, bj = self.ambient.columns, self.basis[j].coords
-        return sum(x * g * bj[s] for t, x in self._supports[i] for s, g in columns[t])
+        return pairing(self.ambient, self.basis[i], self.basis[j])
 
     @cached_property
     def restricted_gram(self) -> tuple[tuple[int, ...], ...]:

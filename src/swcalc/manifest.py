@@ -99,7 +99,8 @@ def _parse_block(obj, where) -> Block:
 def _parse_coords(obj, rank, where) -> tuple[int, ...]:
     if not isinstance(obj, list):
         raise ParseError(f"{where}: expected an integer array")
-    coords = tuple(_want_int(x, where) for x in obj)
+    # One C-level type check; the walk runs only to name the first bad entry.
+    coords = tuple(obj if set(map(type, obj)) <= {int} else (_want_int(x, where) for x in obj))
     if len(coords) != rank:
         raise ValidationError(
             "coords_length", f"{where}: length {len(coords)} != form rank {rank}"

@@ -21,7 +21,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, NonIntegralC, OddExponent, PreconditionError
-from .lattice import CohClass, IntegralLattice, apply, pairing, pairing_rational, square
+from .lattice import (CohClass, IntegralLattice, check_length, covector, pairing,
+                      pairing_rational, square)
 from .manifold import FourManifold, characteristic_number
 
 
@@ -183,7 +184,8 @@ def _span_reduce(lattice: IntegralLattice, span_classes, expand_classes):
 
     def reduce(k):
         """The tagged covector of k with every echelon pivot column cancelled."""
-        v = {j: x for j, x in enumerate(apply(lattice, k.coords)) if x}
+        check_length(lattice, k.coords)
+        v = covector(lattice, k.support)
         v[n + len(pivots)] = 1
         for row, pc in echelon:
             f = v.get(pc)

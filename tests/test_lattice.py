@@ -1,5 +1,6 @@
 """Lattice arithmetic: pairings, characteristic vectors, kernels, search."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -9,9 +10,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from swcalc.catalog import _elliptic
 from swcalc.errors import DimensionMismatch, ParityError
 from swcalc.manifest import parse_manifest
 from swcalc.manifold import basic_class_set, validate
+from swcalc.relations import dvanish_theorem_check, sst_check
+from swcalc.series import ExpSum, jet_expand
 from swcalc.lattice import (
     E8_GRAM,
     CohClass,
@@ -25,6 +29,7 @@ from swcalc.lattice import (
     apply,
     characteristic_vector,
     construct_abundance_classes,
+    covector,
     find_hyperbolic_pair,
     integer_kernel,
     is_characteristic,
@@ -350,6 +355,62 @@ def test_apply_matches_dense_block_gram(blocks, data):
             assert sub.restricted_gram[i][j] == form(bi.coords, bj.coords)
 
 
+@settings(max_examples=80, deadline=None)
+@given(block_lists, st.data())
+def test_sparse_core_matches_dense_block_gram(blocks, data):
+    lat = IntegralLattice.from_blocks(blocks)
+    g = dense_block_gram(blocks)
+    n = len(g)
+    ints = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    a, b = data.draw(ints), data.draw(ints)
+    if data.draw(st.booleans()):  # a characteristic class, often enough to matter
+        a = [c + 2 * x for c, x in zip(characteristic_vector(lat).coords, a)]
+    c = CohClass(tuple(a))
+    dense = [sum(g[i][j] * a[j] for j in range(n)) for i in range(n)]
+    assert lat.diagonal == tuple(g[i][i] for i in range(n))
+    assert c.support == tuple((t, x) for t, x in enumerate(a) if x)
+    assert covector(lat, c.support) == {s: y for s, y in enumerate(dense) if y}
+    characteristic = all((y - g[i][i]) % 2 == 0 for i, y in enumerate(dense))
+    event("characteristic" if characteristic else "not characteristic")
+    assert is_characteristic(lat, c) == characteristic
+    assert pairing(lat, c, CohClass(tuple(b))) == sum(y * x for y, x in zip(dense, b))
+    sub = orthogonal_complement(lat, [CohClass(tuple(b))])
+    for i, bi in enumerate(sub.basis):
+        for j, bj in enumerate(sub.basis):
+            assert sub.entry(i, j) == pairing(lat, bi, bj)
+
+
+def test_diagonal_block_columns_are_rank_linear():
+    block = DiagonalBlock((3, 0, -2, 0, 5))
+    assert block.columns == (((0, 3),), (), ((2, -2),), (), ((4, 5),))
+    lat = IntegralLattice.from_blocks([HyperbolicBlock(), DiagonalBlock((1,) * 300)])
+    assert sum(map(len, lat.columns)) == 302
+    assert lat.columns[2:4] == (((2, 1),), ((3, 1),))
+
+
+def test_e40_pipelines_leave_the_dense_views_unbuilt():
+    # rank 478: validation, sst and dvanish read pairings through the block
+    # columns only; neither the ambient nor the restricted Gram is built
+    m = parse_manifest(json.dumps(_elliptic(40))).to_manifold()
+    assert m.form.rank == 478 and validate(m).passed
+    w = characteristic_vector(m.form)
+    assert sst_check(m, w).verdict == "pass"
+    assert dvanish_theorem_check(m, w).verdict == "pass"
+    assert "gram" not in m.form.__dict__
+    assert "restricted_gram" not in m.complement.__dict__
+
+
+def test_length_checks_keep_their_messages():
+    with pytest.raises(DimensionMismatch, match="vector length 3 does not match lattice rank 2"):
+        pairing(H, CohClass((1, 0, 0)), CohClass((0, 1, 0)))
+    with pytest.raises(DimensionMismatch, match="cannot pair vectors of lengths 3 and 2"):
+        pairing_rational(H, (1, 0, 0), (0, 1))
+    with pytest.raises(DimensionMismatch, match="vector length 3 does not match lattice rank 2"):
+        is_characteristic(H, CohClass((1, 0, 0)))
+    with pytest.raises(DimensionMismatch, match="vector length 3 does not match lattice rank 2"):
+        jet_expand(ExpSum.exponential(H, CohClass((1, 0))), 1, span=[CohClass((1, 0, 0))])
+
+
 def test_restricted_gram_on_non_unit_basis():
     lat = IntegralLattice.from_blocks(
         [HyperbolicBlock(), DiagonalBlock((1, -1, 3)), E8Block(-1)])
@@ -551,7 +612,7 @@ def reference_pair_search(sub, radius):
 
 
 def is_indefinite(blocks):
-    signs = {(d > 0) - (d < 0) for b in blocks for d in b.diagonal}
+    signs = {(d > 0) - (d < 0) for d in IntegralLattice.from_blocks(blocks).diagonal}
     return any(isinstance(b, HyperbolicBlock) for b in blocks) or signs == {1, -1}
 
 

@@ -50,6 +50,21 @@ def test_coords_length_rejected():
     assert e.value.invariant == "coords_length"
 
 
+@pytest.mark.parametrize("position", [0, 11, 21])
+@pytest.mark.parametrize("bad, shown", [(True, "True"), (1.5, "1.5"), ("1", "'1'"),
+                                        (None, "None")])
+def test_non_integer_coordinate_message(bad, shown, position):
+    # the first bad entry is named, whatever follows it
+    base = json.loads(serialize_manifest(load_catalog("K3")))
+    coords = base["basic_classes"][0]["coords"]
+    coords[position] = bad
+    if position < 21:
+        coords[21] = 2.5
+    with pytest.raises(ParseError) as e:
+        parse_manifest(json.dumps(base))
+    assert str(e.value) == f"basic_classes[0].coords: expected an integer, got {shown}"
+
+
 def test_bad_block_and_syntax_errors():
     with pytest.raises(ParseError):
         parse_manifest(json.dumps({
