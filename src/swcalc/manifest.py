@@ -68,32 +68,29 @@ def _want_int(obj, where):
     return obj
 
 
+_BLOCK_FIELDS = {"H": {"type"}, "E8": {"type", "sign"}, "diag": {"type", "entries"}}
+
+
 def _parse_block(obj, where) -> Block:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError(f"{where}: block descriptors are objects with a 'type' field")
     kind = obj["type"]
+    if not isinstance(kind, str) or kind not in _BLOCK_FIELDS:
+        raise ParseError(f"{where}: unknown block type {kind!r}")
+    extra = set(obj) - _BLOCK_FIELDS[kind]
+    if extra:
+        raise ParseError(f"{where}: unknown block fields {sorted(extra)}")
     if kind == "H":
-        extra = set(obj) - {"type"}
-        if extra:
-            raise ParseError(f"{where}: unknown block fields {sorted(extra)}")
         return HyperbolicBlock()
     if kind == "E8":
-        extra = set(obj) - {"type", "sign"}
-        if extra:
-            raise ParseError(f"{where}: unknown block fields {sorted(extra)}")
         sign = _want_int(obj.get("sign", -1), f"{where}.sign")
         if sign not in (1, -1):
             raise ParseError(f"{where}.sign: must be 1 or -1")
         return E8Block(sign)
-    if kind == "diag":
-        extra = set(obj) - {"type", "entries"}
-        if extra:
-            raise ParseError(f"{where}: unknown block fields {sorted(extra)}")
-        entries = obj.get("entries")
-        if not isinstance(entries, list) or not entries:
-            raise ParseError(f"{where}.entries: expected a nonempty integer array")
-        return DiagonalBlock(tuple(_want_int(x, f"{where}.entries") for x in entries))
-    raise ParseError(f"{where}: unknown block type {kind!r}")
+    entries = obj.get("entries")
+    if not isinstance(entries, list) or not entries:
+        raise ParseError(f"{where}.entries: expected a nonempty integer array")
+    return DiagonalBlock(tuple(_want_int(x, f"{where}.entries") for x in entries))
 
 
 def _parse_coords(obj, rank, where) -> tuple[int, ...]:

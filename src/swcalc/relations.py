@@ -43,7 +43,7 @@ from .manifold import (
     orthogonality_defect,
 )
 from .report import coords, frac, vanishing_order_to_dict
-from .series import Jet, _integer_scaled, _span_reduce, sw_series, twist, vanishing_order
+from .series import Jet, power_sums, sw_series, twist, vanishing_order
 
 VERDICT_PASS = "pass"
 VERDICT_PASS_VACUOUS = "pass-vacuous"
@@ -152,37 +152,14 @@ class RelationQuery:
         return self.delta - 2 * self.m
 
 
-def _linear_form_powers(row, degrees, width: int) -> dict:
-    """{d: (sum_j row[j] * x_j)^d} for each d in degrees, as exponent dicts.
-
-    One chain of repeated polynomial multiplication up to the largest degree,
-    not multinomial coefficients; the jet expander provides an independent
-    route.
-    """
-    support = [(j, c) for j, c in enumerate(row) if c]
-    poly = {(0,) * width: 1}
-    out = {}
-    for e in range(max(degrees) + 1):
-        if e:
-            nxt = {}
-            for a, ca in poly.items():
-                for j, c in support:
-                    key = a[:j] + (a[j] + 1,) + a[j + 1:]
-                    nxt[key] = nxt.get(key, 0) + ca * c
-            poly = nxt
-        if e in degrees:
-            out[e] = poly
-    return out
-
-
 def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms) -> list[Jet]:
     """dswrel_value for each point count in ms, sharing one preparation.
 
     The hypotheses, the sign base, the twist and the span reduction depend
-    only on (w, lam, delta), so they run once.  Each class's integer span
-    row is raised to every degree delta - 2m in one multiplication chain,
-    and each degree's sums are divided by A * D^d once, A being the common
-    denominator of the coefficients and D the one the span rows come with.
+    only on (w, lam, delta), so they run once.  The sum over basic classes
+    of sw * <k - lam, h>^(delta - 2m) is power_sums of the twisted series at
+    degree delta - 2m, and each point count only rescales it by its signed
+    power of two.
     """
     if not m.assume_conjecture:
         raise ConjectureNotAssumed(
@@ -220,29 +197,11 @@ def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms
     assert (lam_sq - 2 * lam_dot_w - (m.sigma - wsq)) % 8 == 0
 
     power_of_two = Fraction(2) ** int(1 - (c + delta) / 2)
-
-    ordered = twist(sw_series(m, w), lam, -1).terms
-    classes = [k for _, k in ordered]
-    pivots, den, rows = _span_reduce(m.form, classes, classes)
-    width = len(pivots)
-    den_a, coeffs = _integer_scaled([a for a, _ in ordered])
-    degrees = {delta - 2 * mm for mm in ms}
-    sums = {d: {} for d in degrees}
-    for a, row in zip(coeffs, rows):
-        powers = _linear_form_powers(row, degrees, width)
-        for d, poly in powers.items():
-            acc = sums[d]
-            for alpha, v in poly.items():
-                acc[alpha] = acc.get(alpha, 0) + a * v
-
-    values = []
-    for mm in ms:
-        d = delta - 2 * mm
-        prefactor = -power_of_two if (mm - 1 + sign_base) % 2 else power_of_two
-        scale = prefactor / (den_a * den**d)
-        coefficients = {alpha: scale * v for alpha, v in sums[d].items() if v}
-        values.append(Jet(m.form, pivots, coefficients, d))
-    return values
+    sums = power_sums(twist(sw_series(m, w), lam, -1), {delta - 2 * mm for mm in ms})
+    return [
+        sums[delta - 2 * mm].scale(-power_of_two if (mm - 1 + sign_base) % 2 else power_of_two)
+        for mm in ms
+    ]
 
 
 def dswrel_value(m: FourManifold, q: RelationQuery) -> Jet:
@@ -250,6 +209,8 @@ def dswrel_value(m: FourManifold, q: RelationQuery) -> Jet:
 
     Value: 2^(1-(c+delta)/2) * (-1)^(m-1+lam.lam/2-lam.w) *
     sum over basic classes of the signed invariant times <k-lam, h>^(delta-2m).
+    That sum is (delta-2m)! times the degree-(delta-2m) Taylor part of the
+    series twisted by exp(-<lam, h>), read off series.power_sums.
     The sign prefactor is cross-checked against (-1)^((sigma-w.w)/2).
     """
     return _relation_values(m, q.w, q.lam, q.delta, (q.m,))[0]
@@ -406,8 +367,6 @@ def sst_check(
     applies = dvanish_applies(m, lambda0, delta)
     for mm, value in zip(ms, values):
         d = delta - 2 * mm
-        # prefactor consistency: 2^(1-(c+delta)/2) == 2^(1-(c+d)/2-m)
-        assert 1 - (c_int + delta) // 2 == 1 - (c_int + d) // 2 - mm
         is_zero = value.is_zero()
         all_zero = all_zero and is_zero and applies
         entries.append(SstEntry(d, mm, delta, applies, value, is_zero))
@@ -527,8 +486,6 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass, radius: int = 3) -> Dvan
                 all_ok = all_ok and applies
             elif d == r:
                 value = values[mm]
-                # prefactor rewrite with the monomial degree d - 2m
-                assert 1 - (c_int + d) // 2 == 1 - (c_int + (d - 2 * mm)) // 2 - mm
                 is_zero = value.is_zero()
                 entries.append(DvanishEntry(d, mm, "relation", is_zero))
                 all_ok = all_ok and is_zero

@@ -12,13 +12,15 @@ chosen covectors are linearly independent as forms, hence a jet is
 identically zero as a function exactly when all its coefficients vanish.
 
 The span reduction is fraction-free: every class gets an integer row over
-the pivots, with one common denominator that only jet_expand divides out.
+the pivots, with one common denominator.  One lazy power-sum kernel reads
+every Taylor coefficient that vanishing_order, power_sums and evaluate_along
+need; jet_expand is the independent Fraction route the tests compare it to.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .errors import DimensionMismatch, NonIntegralC, OddExponent, PreconditionError
 from .lattice import (CohClass, IntegralLattice, check_length, covector, pairing,
@@ -218,10 +220,51 @@ def _span_reduce(lattice: IntegralLattice, span_classes, expand_classes):
     return tuple(pivots), den, rows
 
 
-def _integer_scaled(values) -> tuple[int, list[int]]:
-    """(D, [D * x for x in values]) with D the least common denominator."""
-    den = lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
+def _integer_terms(s: ExpSum):
+    """(pivots, D, A, a', columns): the sum in the integers over its span.
+
+    Term i is a_i exp(<K_i, h>) with a_i = a'_i / A and <K_i, h> =
+    sum_j R'_ij x_j / D over the pivot variables x_j; columns[j][i] = R'_ij.
+    """
+    classes = [k for _, k in s.terms]
+    pivots, den, rows = _span_reduce(s.ambient, classes, classes)
+    den_a = lcm(*(a.denominator for a, _ in s.terms))
+    coeffs = [a.numerator * (den_a // a.denominator) for a, _ in s.terms]
+    return pivots, den, den_a, coeffs, list(zip(*rows))
+
+
+def _power_sums(columns, products, n):
+    """Yield (alpha, sum_i products[i] * prod_j columns[j][i]^alpha_j), |alpha| = n.
+
+    The exponents run in lexicographic order and are produced lazily, so a
+    caller can stop at the first nonzero sum.  With no columns only the
+    constant monomial exists: ((), sum(products)) at n = 0, nothing above.
+    """
+    if len(columns) > 1:
+        for e in range(n + 1):
+            for alpha, v in _power_sums(columns[1:], products, n - e):
+                yield (e, *alpha), v
+            products = [p * c for p, c in zip(products, columns[0])]
+    elif columns:
+        yield (n,), sum(p * c**n for p, c in zip(products, columns[0]))
+    elif not n:
+        yield (), sum(products)
+
+
+def power_sums(s: ExpSum, degrees) -> dict[int, Jet]:
+    """{d: sum_i a_i <K_i, h>^d} for each d in degrees, over the span pivots.
+
+    This is d! times the degree-d Taylor part of the sum: the coefficient of
+    x^alpha is d!/alpha! times the kernel's integer sum, divided by A * D^d.
+    """
+    pivots, den, den_a, coeffs, columns = _integer_terms(s)
+    return {
+        d: Jet(s.ambient, pivots, {
+            alpha: Fraction(factorial(d) // prod(map(factorial, alpha)) * v, den_a * den**d)
+            for alpha, v in _power_sums(columns, coeffs, d) if v
+        }, d)
+        for d in degrees
+    }
 
 
 def jet_expand(s: ExpSum, order: int, span=None) -> Jet:
@@ -279,38 +322,19 @@ def twist(s: ExpSum, lam: CohClass, sign: int) -> ExpSum:
 def vanishing_order(s: ExpSum, cap: int) -> VanishingOrder:
     """Smallest total degree with a nonzero Taylor coefficient, up to cap.
 
-    No jet is built: the degrees are walked upward and the walk stops at the
-    first nonzero coefficient.  Over the span pivots the coefficient of
-    x^alpha is sum_i a_i R_i^alpha / alpha!, with R_i the rational row of
-    term i.  The span reduction gives R_i = R'_i / D with integer rows R'_i
-    and one positive D; scaling the a_i by their common denominator A turns
-    the coefficient into the integer sum_i a'_i R'_i^alpha divided by the
-    positive A * D^n * alpha!, so the zero test is exact on that integer sum.
+    No jet is built: the degrees are walked upward through the power-sum
+    kernel, and the walk stops at the first nonzero integer sum, inside a
+    degree as well as across degrees.  The coefficient of x^alpha is its
+    sum divided by the positive integer A * D^n * alpha!, so the zero test
+    is exact.
     """
     if cap < 0:
         raise PreconditionError("cap must be nonnegative")
     if s.is_zero():
         return VanishingOrder.zero_series()
-    classes = [k for _, k in s.terms]
-    pivots, _, rows = _span_reduce(s.ambient, classes, classes)
-    width = len(pivots)
-    _, coeffs = _integer_scaled([a for a, _ in s.terms])
-    columns = list(zip(*rows))  # columns[j][i] = R'_ij
-    if not width:  # every class pairs trivially: only the constant term
-        return VanishingOrder.exact(0) if sum(coeffs) else VanishingOrder.at_least(cap + 1)
-
-    def nonzero(j, n, products):
-        """Some degree-n monomial in the variables j.. has a nonzero sum."""
-        if j == width - 1:
-            return sum(p * c**n for p, c in zip(products, columns[j])) != 0
-        for e in range(n + 1):
-            if nonzero(j + 1, n - e, products):
-                return True
-            products = [p * c for p, c in zip(products, columns[j])]
-        return False
-
+    _, _, _, coeffs, columns = _integer_terms(s)
     for n in range(cap + 1):
-        if nonzero(0, n, coeffs):
+        if any(v for _, v in _power_sums(columns, coeffs, n)):
             return VanishingOrder.exact(n)
     return VanishingOrder.at_least(cap + 1)
 
@@ -381,24 +405,13 @@ def evaluate_along(g: GaussianSeries, direction: Direction, order: int) -> list[
     q = g.quad_coeff * pairing_rational(ambient, direction.coords, direction.coords)
 
     quad = [Fraction(0)] * (order + 1)
-    power = Fraction(1)
-    fact = 1
     for j in range(order // 2 + 1):
-        if j:
-            power *= q
-            fact *= j
-        quad[2 * j] = power / fact
+        quad[2 * j] = q**j / factorial(j)
 
-    core = [Fraction(0)] * (order + 1)
-    for a, k in g.core.terms:
-        lin = pairing_rational(ambient, k.coords, direction.coords)
-        power = Fraction(1)
-        fact = 1
-        for d in range(order + 1):
-            if d:
-                power *= lin
-                fact *= d
-            core[d] += a * power / fact
+    coeffs = [a for a, _ in g.core.terms]
+    lins = [pairing_rational(ambient, k.coords, direction.coords) for _, k in g.core.terms]
+    core = [Fraction(v, factorial(d))
+            for d in range(order + 1) for _, v in _power_sums([lins], coeffs, d)]
 
     out = [Fraction(0)] * (order + 1)
     for i in range(order + 1):

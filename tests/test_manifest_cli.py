@@ -65,6 +65,32 @@ def test_non_integer_coordinate_message(bad, shown, position):
     assert str(e.value) == f"basic_classes[0].coords: expected an integer, got {shown}"
 
 
+@pytest.mark.parametrize("block, message", [
+    ({"type": "H", "sign": -1}, "form[1]: unknown block fields ['sign']"),
+    ({"type": "E8", "sign": -1, "entries": [1], "x": 0},
+     "form[1]: unknown block fields ['entries', 'x']"),
+    ({"type": "diag", "entries": [1], "sign": 1}, "form[1]: unknown block fields ['sign']"),
+    ({"type": "Q"}, "form[1]: unknown block type 'Q'"),
+    ({"type": []}, "form[1]: unknown block type []"),
+    ({"type": {}}, "form[1]: unknown block type {}"),
+    ({"sign": -1}, "form[1]: block descriptors are objects with a 'type' field"),
+    ("H", "form[1]: block descriptors are objects with a 'type' field"),
+    ({"type": "E8", "sign": 2}, "form[1].sign: must be 1 or -1"),
+    ({"type": "E8", "sign": True}, "form[1].sign: expected an integer, got True"),
+    ({"type": "diag", "entries": []}, "form[1].entries: expected a nonempty integer array"),
+    ({"type": "diag", "entries": [1, "a"]}, "form[1].entries: expected an integer, got 'a'"),
+], ids=["H-extra", "E8-extra", "diag-extra", "unknown-type", "list-type", "object-type",
+        "missing-type", "non-object", "E8-sign-2", "E8-sign-true", "diag-empty",
+        "diag-non-integer"])
+def test_block_descriptor_messages(block, message):
+    with pytest.raises(ParseError) as e:
+        parse_manifest(json.dumps({
+            "name": "x", "chi": 4, "sigma": 0, "b_plus": 1,
+            "form": [{"type": "H"}, block], "basic_classes": [],
+        }))
+    assert str(e.value) == message
+
+
 def test_bad_block_and_syntax_errors():
     with pytest.raises(ParseError):
         parse_manifest(json.dumps({

@@ -30,6 +30,7 @@ from swcalc.series import (
     evaluate_along,
     jet_expand,
     parity,
+    power_sums,
     predicted_parity,
     sw_series,
     twist,
@@ -342,6 +343,24 @@ def test_vanishing_order_matches_the_jet_route(s, cap):
     else:
         expected = VanishingOrder.exact(degree)
     assert vanishing_order(s, cap) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(exp_sums_over_h4(), st.integers(0, 6))
+def test_power_sums_match_the_jet_route(s, n):
+    # free and conjugate sums carry rational coefficients (A > 1), which
+    # sums built from sw data never do
+    jet = jet_expand(s, n)
+    value = power_sums(s, {n})[n]
+    assert value.variables == jet.variables
+    assert value.coefficients == jet.homogeneous_part(n).scale(math.factorial(n)).coefficients
+
+
+def test_power_sums_of_a_constant():
+    # no span pivots: only the constant monomial, and only in degree 0
+    sums = power_sums(ExpSum.constant(H, 3), {0, 2})
+    assert {d: jet.coefficients for d, jet in sums.items()} == {0: {(): 3}, 2: {}}
+    assert sums[0].variables == sums[2].variables == ()
 
 
 def test_vanishing_order_rows_with_coprime_denominators():
