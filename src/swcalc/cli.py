@@ -12,33 +12,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import report as rp
 from .catalog import catalog_names
 from .errors import AbundanceUndetermined, ParseError, SWCalcError
 from .lattice import CohClass, characteristic_vector, find_hyperbolic_pair
 from .manifest import load_catalog, parse_manifest, serialize_manifest
-from .manifold import (
-    basic_class_count,
-    c1_squared,
-    characteristic_number,
-    holomorphic_euler,
-    validate,
-)
-from .relations import (
-    RelationQuery,
-    VERDICT_FAIL,
-    VERDICT_PASS,
-    VERDICT_PASS_VACUOUS,
-    VERDICT_UNDETERMINED,
-    basic_class_bound,
-    construct_abundance_classes,
-    dswrel_value,
-    dvanish_theorem_check,
-    region_data,
-    sst_check,
-    Window,
-)
+from .manifold import (basic_class_count, c1_squared, characteristic_number, holomorphic_euler,
+                       validate)
+from .relations import (VERDICT_FAIL, VERDICT_PASS, VERDICT_PASS_VACUOUS, VERDICT_UNDETERMINED,
+                        RelationQuery, Window, basic_class_bound, construct_abundance_classes,
+                        dswrel_value, dvanish_theorem_check, region_data, sst_check)
 from .region import region_to_ascii, region_to_dict, region_to_svg
+from .report import render
 from .series import Direction, evaluate_along, parity, predicted_parity, sw_series, witten_series
 
 RADIUS_ENV = "SWCALC_RADIUS"
@@ -140,12 +124,12 @@ def cmd_invariants(args, manifest, manifold) -> dict:
     series = sw_series(manifold, w)
     return {
         "verdict": VERDICT_PASS,
-        "c": rp.frac(characteristic_number(manifold)),
-        "chi_h": rp.frac(holomorphic_euler(manifold)),
+        "c": characteristic_number(manifold),
+        "chi_h": holomorphic_euler(manifold),
         "c1_squared": c1_squared(manifold),
         "b": basic_class_count(manifold),
         "identity_c_equals_chi_h_minus_c1_squared": True,
-        "w": rp.coords(w),
+        "w": w,
         "parity": {
             "predicted": predicted_parity(manifold, w).value,
             "series": parity(series).value,
@@ -166,28 +150,17 @@ def cmd_abundance(args, manifest, manifold) -> dict:
         fields["note"] = "no hyperbolic pair found at this radius; abundance undetermined"
         return fields
     classes = construct_abundance_classes(pair, manifold.chi, manifold.sigma)
-    fields["pair"] = {"e1": rp.coords(pair.e1), "e2": rp.coords(pair.e2)}
-    fields["classes"] = {
-        "lambda0": rp.coords(classes.lambda0),
-        "lambda1": rp.coords(classes.lambda1),
-        "lambda_even": rp.coords(classes.lambda_even),
-    }
+    fields["pair"] = {"e1": pair.e1, "e2": pair.e2}
+    fields["classes"] = {"lambda0": classes.lambda0, "lambda1": classes.lambda1,
+                         "lambda_even": classes.lambda_even}
     return fields
 
 
 def cmd_sst(args, manifest, manifold) -> dict:
     w = _resolve_w(args, manifest, manifold)
-    rank = manifold.form.rank
-    lambda0 = _parse_coords(args.lambda0, rank) if args.lambda0 else None
-    lambda1 = _parse_coords(args.lambda1, rank) if args.lambda1 else None
-    return sst_check(
-        manifold, w, lambda0=lambda0, lambda1=lambda1, radius=_default_radius(args),
-    ).to_dict()
-
-
-def cmd_dvanish(args, manifest, manifold) -> dict:
-    w = _resolve_w(args, manifest, manifold)
-    return dvanish_theorem_check(manifold, w, radius=_default_radius(args)).to_dict()
+    lambda0, lambda1 = (_parse_coords(t, manifold.form.rank) if t else None
+                        for t in (args.lambda0, args.lambda1))
+    return sst_check(manifold, w, lambda0, lambda1, radius=_default_radius(args)).to_dict()
 
 
 def cmd_relate(args, manifest, manifold) -> dict:
@@ -198,21 +171,12 @@ def cmd_relate(args, manifest, manifold) -> dict:
     value = dswrel_value(manifold, query)
     fields = {
         "verdict": VERDICT_PASS,
-        "query": {
-            "w": rp.coords(w),
-            "lambda": rp.coords(lam),
-            "delta": args.delta,
-            "m": args.m,
-            "d": query.d,
-        },
-        "polynomial": rp.jet_to_dict(value),
+        "query": {"w": w, "lambda": lam, "delta": args.delta, "m": args.m, "d": query.d},
+        "polynomial": value.to_dict(),
     }
     if args.at:
         direction = _parse_direction(args.at, rank)
-        fields["value_at"] = {
-            "direction": [rp.frac(x) for x in direction.coords],
-            "value": rp.frac(value.evaluate(direction)),
-        }
+        fields["value_at"] = {"direction": direction.coords, "value": value.evaluate(direction)}
     return fields
 
 
@@ -224,17 +188,13 @@ def cmd_witten(args, manifest, manifold) -> dict:
     series = witten_series(manifold, w)
     return {
         "verdict": VERDICT_PASS,
-        "w": rp.coords(w),
-        "direction": [rp.frac(x) for x in direction.coords],
+        "w": w,
+        "direction": direction.coords,
         "order": args.order,
-        "prefactor": rp.frac(series.prefactor),
-        "quad_coeff": rp.frac(series.quad_coeff),
-        "coefficients": [rp.frac(x) for x in evaluate_along(series, direction, args.order)],
+        "prefactor": series.prefactor,
+        "quad_coeff": series.quad_coeff,
+        "coefficients": evaluate_along(series, direction, args.order),
     }
-
-
-def cmd_bound(args, manifest, manifold) -> dict:
-    return basic_class_bound(manifold, strict=not args.non_strict).to_dict()
 
 
 def cmd_region(args, manifest, manifold):
@@ -245,27 +205,83 @@ def cmd_region(args, manifest, manifold):
         return region_to_svg(description)
     if args.format == "ascii":
         return region_to_ascii(description)
-    return {"verdict": VERDICT_PASS, "w": rp.coords(w), "region": region_to_dict(description)}
+    return {"verdict": VERDICT_PASS, "w": w, "region": region_to_dict(description)}
 
 
 def cmd_catalog(args):
     if args.action == "list":
-        return {"verdict": VERDICT_PASS, "names": list(catalog_names())}
+        return {"verdict": VERDICT_PASS, "names": catalog_names()}
     if not args.name:
         raise UsageError("catalog show requires a NAME")
     return serialize_manifest(load_catalog(args.name))
 
 
-def _run(args) -> int:
-    """Load and validate the manifest, run the command, print its report and
-    return the exit code of its verdict.
+_W = ("--w", {"help": "integral class, comma-separated coordinates "
+                      "(default: the manifest's w, else a characteristic vector)"})
+_RADIUS = ("--radius", {"type": int, "help": f"pair search radius (default 3 or ${RADIUS_ENV})"})
 
-    Input that fails validation gets the validation report instead of the
+# name -> (help, command, options after FILE and --lenient); argparse keeps
+# this order.  The validate report is built in main.
+COMMANDS = {
+    "validate": ("run every input-consistency check", None, ()),
+    "invariants": ("derived numerical invariants", cmd_invariants, (_W,)),
+    "abundance": ("search the basic-class complement for a hyperbolic pair", cmd_abundance,
+                  (_RADIUS,)),
+    "sst": ("superconformal vanishing bound with proof trace", cmd_sst,
+            (_W, ("--lambda0", {"help": "override the square -(chi+sigma) class"}),
+             ("--lambda1", {"help": "override the square -(chi+sigma)+4 class"}), _RADIUS)),
+    "dvanish": ("degree-sweep vanishing pipeline",
+                lambda args, manifest, manifold: dvanish_theorem_check(
+                    manifold, _resolve_w(args, manifest, manifold), radius=_default_radius(args),
+                ).to_dict(),
+                (_W, _RADIUS)),
+    "relate": ("evaluate the boundary-degree relation formula", cmd_relate,
+               (("--lambda", {"dest": "lam", "required": True}),
+                ("--w", {"required": True}),
+                ("--delta", {"type": int, "required": True}),
+                ("-m", {"type": int, "required": True}),
+                ("--at", {"help": "optional rational direction to evaluate at"}))),
+    "witten": ("Gaussian-twisted series along a direction", cmd_witten,
+               (_W, ("--direction", {"required": True}),
+                ("--order", {"type": int, "required": True}))),
+    "bound": ("basic-class count bound",
+              lambda args, manifest, manifold:
+                  basic_class_bound(manifold, strict=not args.non_strict).to_dict(),
+              (("--non-strict", {"action": "store_true"}),)),
+    "region": ("admissible-degree region figure", cmd_region,
+               (_W, ("--format", {"choices": ("svg", "ascii", "json"), "default": "json"}),
+                ("--window", {"help": "LMIN:LMAX:DMIN:DMAX"}))),
+}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="swcalc", description=__doc__)
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, (help, _, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help, description=help)
+        p.add_argument("file", metavar="FILE", help="manifest path or catalog name")
+        p.add_argument("--lenient", action="store_true",
+                       help="warn on unknown manifest fields instead of rejecting them")
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+    p = sub.add_parser("catalog", help="list or show built-in manifests")
+    p.add_argument("action", choices=("list", "show"))
+    p.add_argument("name", nargs="?")
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command, print its report and return the exit code of its verdict.
+
+    A command other than catalog first loads and validates the manifest;
+    input that fails validation gets the validation report instead of the
     command's.  The report starts with the command and manifold names,
-    followed by the command's fields.
+    followed by the command's fields.  Usage, parse and precondition errors
+    print one line on standard error and return 1.
     """
     head = {}
     try:
+        args = build_parser().parse_args(argv)
         if args.cmd == "catalog":
             fields = cmd_catalog(args)
         else:
@@ -277,7 +293,7 @@ def _run(args) -> int:
                 fields = {
                     "verdict": VERDICT_PASS if checks.passed else VERDICT_FAIL,
                     "checks": checks.to_list(),
-                    "warnings": list(manifest.warnings),
+                    "warnings": manifest.warnings,
                 }
             elif not checks.passed:
                 fields = {
@@ -286,83 +302,20 @@ def _run(args) -> int:
                     "error": "input fails validation",
                 }
             else:
-                fields = args.func(args, manifest, manifold)
+                fields = COMMANDS[args.cmd][1](args, manifest, manifold)
     except AbundanceUndetermined as e:
         head, fields = {}, {"verdict": VERDICT_UNDETERMINED, "error": str(e)}
-    if isinstance(fields, str):
-        sys.stdout.write(fields)
-        return 0
-    sys.stdout.write(rp.render(rp.new_report(args.cmd, **head, **fields)))
-    return _EXIT_BY_VERDICT[fields["verdict"]]
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="swcalc", description=__doc__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def command(name, help, func=None):
-        p = sub.add_parser(name, help=help)
-        p.add_argument("file", metavar="FILE", help="manifest path or catalog name")
-        p.add_argument("--lenient", action="store_true",
-                       help="warn on unknown manifest fields instead of rejecting them")
-        p.set_defaults(func=func)
-        return p
-
-    command("validate", "run every input-consistency check")
-
-    p = command("invariants", "derived numerical invariants", cmd_invariants)
-    p.add_argument("--w", help="integral class, comma-separated coordinates")
-
-    p = command("abundance", "search the basic-class complement for a hyperbolic pair",
-                cmd_abundance)
-    p.add_argument("--radius", type=int, help="search radius (default 3 or $SWCALC_RADIUS)")
-
-    p = command("sst", "superconformal vanishing bound with proof trace", cmd_sst)
-    p.add_argument("--w", help="integral lift of w2, comma-separated coordinates")
-    p.add_argument("--lambda0", help="override the square -(chi+sigma) class")
-    p.add_argument("--lambda1", help="override the square -(chi+sigma)+4 class")
-    p.add_argument("--radius", type=int)
-
-    p = command("dvanish", "degree-sweep vanishing pipeline", cmd_dvanish)
-    p.add_argument("--w", help="integral lift of w2")
-    p.add_argument("--radius", type=int)
-
-    p = command("relate", "evaluate the boundary-degree relation formula", cmd_relate)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--at", help="optional rational direction to evaluate at")
-
-    p = command("witten", "Gaussian-twisted series along a direction", cmd_witten)
-    p.add_argument("--w", help="integral class (defaults like sst)")
-    p.add_argument("--direction", required=True)
-    p.add_argument("--order", type=int, required=True)
-
-    p = command("bound", "basic-class count bound", cmd_bound)
-    p.add_argument("--non-strict", action="store_true")
-
-    p = command("region", "admissible-degree region figure", cmd_region)
-    p.add_argument("--w", help="integral class (defaults like sst)")
-    p.add_argument("--format", choices=("svg", "ascii", "json"), default="json")
-    p.add_argument("--window", help="LMIN:LMAX:DMIN:DMAX")
-
-    p = sub.add_parser("catalog", help="list or show built-in manifests")
-    p.add_argument("action", choices=("list", "show"))
-    p.add_argument("name", nargs="?")
-
-    return parser
-
-
-def main(argv=None) -> int:
-    try:
-        return _run(build_parser().parse_args(argv))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except SWCalcError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    if isinstance(fields, str):
+        sys.stdout.write(fields)
+        return 0
+    sys.stdout.write(render(args.cmd, **head, **fields))
+    return _EXIT_BY_VERDICT[fields["verdict"]]
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """SVG and ASCII renderings of the admissible-degree region."""
 
+from dataclasses import asdict
 from fractions import Fraction
 
 from .relations import RegionDescription
@@ -8,25 +9,20 @@ from .relations import RegionDescription
 def region_to_dict(r: RegionDescription) -> dict:
     return {
         "lines": {
-            "r": {"slope": -1, "intercept": str(r.intercept_r)},
-            "i": {"slope": 1, "intercept": str(r.intercept_i)},
+            "r": {"slope": -1, "intercept": r.intercept_r},
+            "i": {"slope": 1, "intercept": r.intercept_i},
         },
-        "intersection": [r.intersection[0], str(r.intersection[1])],
-        "triangle": [[str(x), str(y)] for x, y in r.triangle],
-        "window": {
-            "lam_min": r.window.lam_min,
-            "lam_max": r.window.lam_max,
-            "delta_min": r.window.delta_min,
-            "delta_max": r.window.delta_max,
-        },
+        "intersection": r.intersection,
+        "triangle": r.triangle,
+        "window": asdict(r.window),
         "congruences": {
             "delta_mod_4": r.delta_congruence,
             "lam_square_mod_4": r.lam_congruence,
             "white_dots_lam_square_mod_8": 0 if r.w_characteristic else None,
         },
         "w_characteristic": r.w_characteristic,
-        "marked": [list(p) for p in r.marked],
-        "white": [list(p) for p in r.white],
+        "marked": r.marked,
+        "white": r.white,
     }
 
 

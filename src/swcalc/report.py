@@ -1,48 +1,27 @@
-"""Report serialization helpers.
+"""The one JSON encoder of reports.
 
-Exact rationals are serialized as strings in lowest terms ("3/2", or "2"
-when the denominator is 1); they are never converted to floats, so
-reports round-trip losslessly.
+Report fields hold exact values.  A rational is written as a string in
+lowest terms ("3/2", or "2" when the denominator is 1) and a class as its
+coordinate list; nothing is converted to a float, so reports round-trip
+losslessly.  Any other value without a JSON form is an error.
 """
 
 import json
 from fractions import Fraction
 
 from .lattice import CohClass
-from .series import Jet, VanishingOrder
 
 SCHEMA_VERSION = 1
 
 
-def frac(x) -> str:
-    return str(Fraction(x))
+def _exact(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, CohClass):
+        return value.coords
+    raise TypeError(f"no exact JSON form for {type(value).__name__}")
 
 
-def coords(c: CohClass) -> list:
-    return list(c.coords)
-
-
-def vanishing_order_to_dict(v: VanishingOrder) -> dict:
-    return {"kind": v.kind, "value": v.value}
-
-
-def jet_to_dict(j: Jet) -> dict:
-    return {
-        "variables": [coords(v) for v in j.variables],
-        "order": j.order,
-        "coefficients": {
-            ",".join(str(e) for e in alpha): frac(c)
-            for alpha, c in sorted(j.coefficients.items())
-        },
-        "is_zero": j.is_zero(),
-    }
-
-
-def new_report(command: str, **fields) -> dict:
-    out = {"schema_version": SCHEMA_VERSION, "command": command}
-    out.update(fields)
-    return out
-
-
-def render(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+def render(command: str, **fields) -> str:
+    report = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
+    return json.dumps(report, indent=2, default=_exact) + "\n"

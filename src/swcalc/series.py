@@ -169,6 +169,17 @@ class Jet:
             total += term
         return total
 
+    def to_dict(self) -> dict:
+        """Report fields; a coefficient is keyed by its exponents, as in "2,0"."""
+        return {
+            "variables": self.variables,
+            "order": self.order,
+            "coefficients": {
+                ",".join(map(str, alpha)): c for alpha, c in sorted(self.coefficients.items())
+            },
+            "is_zero": self.is_zero(),
+        }
+
 
 def _span_reduce(lattice: IntegralLattice, span_classes, expand_classes):
     """Pick pivot classes with independent pairing covectors; express the rest.

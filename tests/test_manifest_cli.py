@@ -5,7 +5,7 @@ import json
 import pytest
 
 from swcalc.catalog import catalog_names
-from swcalc.cli import main
+from swcalc.cli import COMMANDS, main
 from swcalc.errors import ParseError, ValidationError
 from swcalc.manifest import load_catalog, parse_manifest, serialize_manifest
 
@@ -352,3 +352,17 @@ def test_cli_conjecture_flag_respected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sst", str(p))
     assert code == 1
     assert "conjecture" in err
+
+
+@pytest.mark.parametrize("name", [*COMMANDS, "catalog"])
+def test_help_names_every_declared_option(name, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([name, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: swcalc {name} ")
+    if name == "catalog":
+        assert "{list,show}" in out
+        return
+    for flag in ["--lenient", *(flag for flag, _ in COMMANDS[name][2])]:
+        assert flag in out.split(), flag
