@@ -109,7 +109,7 @@ def _default_radius(args) -> int:
 
 
 def _resolve_w(args, manifest, manifold) -> CohClass:
-    if args.w:
+    if args.w is not None:
         return _parse_coords(args.w, manifold.form.rank)
     if manifest.w is not None:
         return CohClass(manifest.w)
@@ -158,7 +158,7 @@ def cmd_abundance(args, manifest, manifold) -> dict:
 
 def cmd_sst(args, manifest, manifold) -> dict:
     w = _resolve_w(args, manifest, manifold)
-    lambda0, lambda1 = (_parse_coords(t, manifold.form.rank) if t else None
+    lambda0, lambda1 = (None if t is None else _parse_coords(t, manifold.form.rank)
                         for t in (args.lambda0, args.lambda1))
     return sst_check(manifold, w, lambda0, lambda1, radius=_default_radius(args)).to_dict()
 
@@ -174,7 +174,7 @@ def cmd_relate(args, manifest, manifold) -> dict:
         "query": {"w": w, "lambda": lam, "delta": args.delta, "m": args.m, "d": query.d},
         "polynomial": value.to_dict(),
     }
-    if args.at:
+    if args.at is not None:
         direction = _parse_direction(args.at, rank)
         fields["value_at"] = {"direction": direction.coords, "value": value.evaluate(direction)}
     return fields
@@ -199,7 +199,7 @@ def cmd_witten(args, manifest, manifold) -> dict:
 
 def cmd_region(args, manifest, manifold):
     w = _resolve_w(args, manifest, manifold)
-    window = _parse_window(args.window) if args.window else None
+    window = None if args.window is None else _parse_window(args.window)
     description = region_data(manifold, w, window)
     if args.format == "svg":
         return region_to_svg(description)
@@ -236,20 +236,27 @@ COMMANDS = {
                 ).to_dict(),
                 (_W, _RADIUS)),
     "relate": ("evaluate the boundary-degree relation formula", cmd_relate,
-               (("--lambda", {"dest": "lam", "required": True}),
-                ("--w", {"required": True}),
-                ("--delta", {"type": int, "required": True}),
-                ("-m", {"type": int, "required": True}),
+               (("--lambda", {"dest": "lam", "required": True,
+                              "help": "integral class orthogonal to every basic class"}),
+                ("--w", {"required": True,
+                         "help": "integral class with w - lambda characteristic"}),
+                ("--delta", {"type": int, "required": True,
+                             "help": "degree with delta = r(lambda) < i(lambda)"}),
+                ("-m", {"type": int, "required": True, "help": "integer m with 0 <= 2m <= delta"}),
                 ("--at", {"help": "optional rational direction to evaluate at"}))),
     "witten": ("Gaussian-twisted series along a direction", cmd_witten,
-               (_W, ("--direction", {"required": True}),
-                ("--order", {"type": int, "required": True}))),
+               (_W, ("--direction", {"required": True,
+                                     "help": "rational direction, comma-separated coordinates"}),
+                ("--order", {"type": int, "required": True,
+                             "help": "highest Taylor degree along the direction (>= 0)"}))),
     "bound": ("basic-class count bound",
               lambda args, manifest, manifold:
                   basic_class_bound(manifold, strict=not args.non_strict).to_dict(),
-              (("--non-strict", {"action": "store_true"}),)),
+              (("--non-strict", {"action": "store_true",
+                                 "help": "decide by b >= c/2 instead of b > c/2"}),)),
     "region": ("admissible-degree region figure", cmd_region,
-               (_W, ("--format", {"choices": ("svg", "ascii", "json"), "default": "json"}),
+               (_W, ("--format", {"choices": ("svg", "ascii", "json"), "default": "json",
+                                  "help": "output format (default json)"}),
                 ("--window", {"help": "LMIN:LMAX:DMIN:DMAX"}))),
 }
 

@@ -10,10 +10,11 @@ characteristic vector is the diagonal mod 2, and orthogonal complements
 come from a sparse xgcd transform kernel.
 """
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, tee
 from math import gcd, prod
 
 from .errors import DimensionMismatch, ParityError, PreconditionError
@@ -154,8 +155,9 @@ class IntegralLattice:
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The dense Gram, row t read off column t (G is symmetric)."""
         n = self.rank
-        return tuple(tuple(apply(self, CohClass.unit(n, i).coords)) for i in range(n))
+        return tuple(tuple(col.get(s, 0) for s in range(n)) for col in map(dict, self.columns))
 
     @cached_property
     def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -180,23 +182,15 @@ def check_length(lattice: IntegralLattice, coords) -> None:
         )
 
 
-def covector(lattice: IntegralLattice, support) -> dict:
-    """{s: (G.v)_s} over the nonzero entries, for v given by its support."""
+def covector(lattice: IntegralLattice, c: CohClass) -> dict:
+    """G.c as {s: (G.c)_s} over its nonzero entries, walked over c's support."""
+    check_length(lattice, c.coords)
     out: dict = {}
     columns = lattice.columns
-    for t, x in support:
+    for t, x in c.support:
         for s, g in columns[t]:
             out[s] = out.get(s, 0) + g * x
     return {s: y for s, y in out.items() if y}
-
-
-def apply(lattice: IntegralLattice, coords) -> list:
-    """G.v as a dense list, for int or Fraction coordinates."""
-    check_length(lattice, coords)
-    out = [0] * len(coords)
-    for s, y in covector(lattice, _support(coords)).items():
-        out[s] = y
-    return out
 
 
 def block_signature(lattice: IntegralLattice) -> int:
@@ -247,8 +241,7 @@ def characteristic_vector(lattice: IntegralLattice) -> CohClass:
 def is_characteristic(lattice: IntegralLattice, c: CohClass) -> bool:
     """True iff c.x = x.x (mod 2) for every basis vector x: the odd entries
     of G.c are those of the diagonal."""
-    check_length(lattice, c.coords)
-    odd = {s for s, y in covector(lattice, c.support).items() if y & 1}
+    odd = {s for s, y in covector(lattice, c).items() if y & 1}
     return odd == lattice.odd_diagonal
 
 
@@ -265,20 +258,23 @@ def _xgcd(a: int, b: int):
     return x, y, g
 
 
-def integer_kernel(mat, n: int):
-    """A saturated basis for {x in Z^n : mat @ x == 0}.
+def integer_kernel(rows, n: int):
+    """A saturated basis for {x in Z^n : r.x == 0 for every r in rows}.
 
-    mat is a list of rows of length n; the result is a list of length-n
-    integer vectors.  The columns of mat are row-echelonised by xgcd
-    steps, tracking only the unimodular transform u; the rows of u past
-    the rank map every column to zero and span the kernel.  Saturation is
-    automatic for kernels of integer maps.  Rows of a and u are sparse
-    {col: x} dicts, densified only in the result.
+    Each row is a sparse {j: x} dict of nonzero entries, j < n; the result
+    is a list of length-n integer vectors.  The rows, read as columns, are
+    row-echelonised by xgcd steps, tracking only the unimodular transform
+    u; the rows of u past the rank map every row to zero and span the
+    kernel.  Saturation is automatic for kernels of integer maps.  Rows of
+    a and u are sparse {col: x} dicts, densified only in the result.
     """
-    a = [{c: x for c, r in enumerate(mat) if (x := r[j])} for j in range(n)]
+    a = [{} for _ in range(n)]
+    for c, r in enumerate(rows):
+        for j, x in r.items():
+            a[j][c] = x
     u = [{i: 1} for i in range(n)]
     row = 0
-    for col in range(len(mat)):
+    for col in range(len(rows)):
         pivot = next((i for i in range(row, n) if col in a[i]), None)
         if pivot is None:
             continue
@@ -323,7 +319,7 @@ class Sublattice:
 
 def orthogonal_complement(lattice: IntegralLattice, classes) -> Sublattice:
     """The saturated sublattice {x : x.s == 0 for all s in classes}."""
-    kernel = integer_kernel([apply(lattice, s.coords) for s in classes], lattice.rank)
+    kernel = integer_kernel([covector(lattice, s) for s in classes], lattice.rank)
     return Sublattice(lattice, tuple(CohClass(tuple(v)) for v in kernel))
 
 
@@ -365,11 +361,13 @@ def _definiteness(gram):
 
 
 def _isotropic_vectors(gram, radius: int):
-    """Nonzero v in [-radius, radius]^k with v.G.v == 0, lexicographically.
+    """(v, G.v) for the nonzero v in [-radius, radius]^k with v.G.v == 0,
+    lexicographically.
 
     An odometer over the box, last coordinate fastest: moving coordinate t
     by d updates q = v.G.v by 2d(G.v)_t + d^2 G_tt and G.v by d times
     column t, so each step costs O(k) rather than a fresh O(k^2) form.
+    Every step binds G.v to a new list, so a yielded one never changes.
     G must be symmetric.
     """
     k = len(gram)
@@ -378,7 +376,7 @@ def _isotropic_vectors(gram, radius: int):
     q = -radius * sum(gv)
     while True:
         if q == 0 and any(v):
-            yield tuple(v)
+            yield tuple(v), gv
         # Coordinates at +radius wrap to -radius and carry to the left;
         # the first one below +radius steps up by one.
         t = k
@@ -408,11 +406,12 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     zero-diagonal basis vectors; the dense restricted Gram is built only
     for the definiteness test and the box.
 
-    The enumeration is lazy: isotropic vectors are generated in that order
-    only as far as some scan has reached, and kept for the scans that
-    follow.  An e whose covector G.e has gcd != 1 is skipped without an
-    f-scan, since no f can reach e.f = 1.  The cost grows with the number
-    of candidates scanned before the first hit; when no pair exists it is
+    The enumeration is lazy: isotropic vectors and their covectors G.v are
+    generated in that order only as far as some scan has reached, and kept
+    for the scans that follow.  An e whose covector G.e has gcd != 1 is
+    skipped without an f-scan, since no f can reach e.f = 1; a
+    non-primitive e is one of them.  The cost grows with the number of
+    candidates scanned before the first hit; when no pair exists it is
     still the whole box, (2*radius+1)^k candidates.
 
     Returning None never proves that no pair exists; it only means the
@@ -433,36 +432,17 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     if _definiteness(g) is not None:
         return None
 
-    stream = _isotropic_vectors(g, radius)
-    seen = []
-
-    def scan():
-        """The isotropic vectors from the first on; each scan keeps its own
-        index into seen and pulls from the shared stream past its end."""
-        i = 0
-        while True:
-            if i == len(seen):
-                v = next(stream, None)
-                if v is None:
-                    return
-                seen.append(v)
-            yield seen[i]
-            i += 1
+    # origin stays at the first vector; each scan is a copy of it, and the
+    # copies share what any of them has generated.
+    origin, = tee(_isotropic_vectors(g, radius), 1)
 
     def to_ambient(v):
-        out = CohClass.zero(sub.ambient.rank)
-        for c, b in zip(v, sub.basis):
-            if c:
-                out = out + c * b
-        return out
+        return sum((c * b for c, b in zip(v, sub.basis) if c), CohClass.zero(sub.ambient.rank))
 
-    for e in scan():
-        if gcd(*e) != 1:
-            continue
-        cov = [sum(g[i][j] * e[j] for j in range(k)) for i in range(k)]
+    for e, cov in copy(origin):
         if gcd(*cov) != 1:
             continue
-        for f in scan():
+        for f, _ in copy(origin):
             if sum(c * x for c, x in zip(cov, f)) == 1:
                 return HyperbolicPair(to_ambient(e), to_ambient(f))
     return None

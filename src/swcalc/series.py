@@ -23,8 +23,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
 from .errors import DimensionMismatch, NonIntegralC, OddExponent, PreconditionError
-from .lattice import (CohClass, IntegralLattice, check_length, covector, pairing,
-                      pairing_rational, square)
+from .lattice import CohClass, IntegralLattice, covector, pairing, pairing_rational, square
 from .manifold import FourManifold, characteristic_number
 
 
@@ -197,8 +196,7 @@ def _span_reduce(lattice: IntegralLattice, span_classes, expand_classes):
 
     def reduce(k):
         """The tagged covector of k with every echelon pivot column cancelled."""
-        check_length(lattice, k.coords)
-        v = covector(lattice, k.support)
+        v = covector(lattice, k)
         v[n + len(pivots)] = 1
         for row, pc in echelon:
             f = v.get(pc)

@@ -312,6 +312,32 @@ def test_cli_usage_errors(capsys, tmp_path):
         assert err.startswith("error: cannot read") and err.count("\n") == 1, err
 
 
+E4_LAMBDA = ",".join(["0", "0", "2", "-3"] + ["0"] * 42)
+E4_W = ",".join(["0", "0", "2", "-1"] + ["0"] * 42)
+INTEGERS = "expected comma-separated integers, got ''"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("sst", "E4", "--w="), INTEGERS, id="sst-w"),
+    pytest.param(("sst", "E4", "--lambda0="), INTEGERS, id="sst-lambda0"),
+    pytest.param(("sst", "E4", "--lambda1="), INTEGERS, id="sst-lambda1"),
+    pytest.param(("invariants", "E4", "--w="), INTEGERS, id="invariants-w"),
+    pytest.param(("region", "E4", "--w="), INTEGERS, id="region-w"),
+    pytest.param(("region", "E4", "--window="), "window must be LMIN:LMAX:DMIN:DMAX, got ''",
+                 id="region-window"),
+    pytest.param(("relate", "E4", "--lambda=0", "--w=", "--delta=0", "-m=0"), INTEGERS,
+                 id="relate-w"),
+    pytest.param(("relate", "E4", f"--lambda={E4_LAMBDA}", f"--w={E4_W}", "--delta=0", "-m=0",
+                  "--at="), "expected comma-separated rationals, got ''", id="relate-at"),
+])
+def test_cli_empty_option_value_is_usage_error(capsys, argv, message):
+    # an empty value is parsed like any other, never taken for an absent option
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
 def test_cli_parse_error_exit_code(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{ nope")
@@ -366,3 +392,5 @@ def test_help_names_every_declared_option(name, capsys):
         return
     for flag in ["--lenient", *(flag for flag, _ in COMMANDS[name][2])]:
         assert flag in out.split(), flag
+    for flag, spec in COMMANDS[name][2]:
+        assert spec.get("help", "").strip(), flag
