@@ -10,6 +10,7 @@ from .lattice import (
     Sublattice,
     block_determinant,
     block_signature,
+    find_hyperbolic_pair,
     is_characteristic,
     orthogonal_complement,
     pairing,
@@ -40,6 +41,16 @@ class FourManifold:
         """The orthogonal complement of the basic classes, built once per
         manifold object and shared by every pipeline run on it."""
         return orthogonal_complement(self.form, basic_class_set(self))
+
+    @cached_property
+    def _pairs(self) -> dict:
+        return {}
+
+    def hyperbolic_pair(self, radius: int):
+        """The complement's find_hyperbolic_pair, searched once per radius and object."""
+        if radius not in self._pairs:
+            self._pairs[radius] = find_hyperbolic_pair(self.complement, radius)
+        return self._pairs[radius]
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .lattice import (
     CohClass,
     HyperbolicPair,
     construct_abundance_classes,
-    find_hyperbolic_pair,
     is_characteristic,
     pairing,
     square,
@@ -42,7 +41,7 @@ from .manifold import (
     holomorphic_euler,
     orthogonality_defect,
 )
-from .series import Jet, power_sums, sw_series, twist, vanishing_order
+from .series import Jet, VanishingOrder, power_sums, sw_series, twist, vanishing_order
 
 VERDICT_PASS = "pass"
 VERDICT_PASS_VACUOUS = "pass-vacuous"
@@ -154,7 +153,8 @@ class RelationQuery:
         return self.delta - 2 * self.m
 
 
-def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms) -> list[Jet]:
+def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms,
+                     order: VanishingOrder = VanishingOrder.at_least(0)) -> list[Jet]:
     """dswrel_value for each point count in ms, sharing one preparation.
 
     The hypotheses, the sign base, the twist and the span reduction depend
@@ -162,6 +162,11 @@ def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms
     of sw * <k - lam, h>^(delta - 2m) is power_sums of the twisted series at
     degree delta - 2m, and each point count only rescales it by its signed
     power of two.
+
+    Lemma: given the checks below (k.lam = 0 for each basic class k, lam.lam
+    even), sw_series(m, w + lam) is (-1)^((2 w.lam + lam.lam)/2) sw_series(m, w),
+    and exp(-<lam, h>) is a unit of the power-series ring, so the twisted sum has
+    the order of sw_series(m, w): each degree below the order passed in is zero.
     """
     if not m.assume_conjecture:
         raise ConjectureNotAssumed(
@@ -199,7 +204,8 @@ def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms
     assert (lam_sq - 2 * lam_dot_w - (m.sigma - wsq)) % 8 == 0
 
     power_of_two = Fraction(2) ** int(1 - (c + delta) / 2)
-    sums = power_sums(twist(sw_series(m, w), lam, -1), {delta - 2 * mm for mm in ms})
+    zero_below = next((d for d in range(delta + 1) if not order.satisfies(d + 1)), delta + 1)
+    sums = power_sums(twist(sw_series(m, w), lam, -1), {delta - 2 * mm for mm in ms}, zero_below)
     return [
         sums[delta - 2 * mm].scale(-power_of_two if (mm - 1 + sign_base) % 2 else power_of_two)
         for mm in ms
@@ -219,7 +225,7 @@ def dswrel_value(m: FourManifold, q: RelationQuery) -> Jet:
 
 
 def _resolve_pair(m: FourManifold, radius: int) -> HyperbolicPair:
-    pair = find_hyperbolic_pair(m.complement, radius)
+    pair = m.hyperbolic_pair(radius)
     if pair is None:
         raise AbundanceUndetermined(
             f"no hyperbolic pair found in the basic-class complement at radius {radius}"
@@ -322,11 +328,10 @@ def sst_check(
     """Test the superconformal vanishing bound and replay its derivation.
 
     Verdict is pass-vacuous when c - 3 < 0.  Otherwise the series must
-    vanish to order at least c - 2.  The trace pins, for every m >= 0
-    with d = c - 4 - 2m >= 0, the vanishing branch for the square
-    -(chi+sigma) class and the explicit relation sum for the square
-    -(chi+sigma)+4 class; each relation sum is asserted to be the zero
-    polynomial.
+    vanish to order at least c - 2.  The trace pins, for every m >= 0 with
+    d = c - 4 - 2m >= 0, the vanishing branch for the square -(chi+sigma)
+    class and the relation sum for the square -(chi+sigma)+4 class, which
+    must be zero: below the series' vanishing order it is read off the order.
     """
     if not m.assume_conjecture:
         raise ConjectureNotAssumed("the vanishing bound is conditional on the conjecture")
@@ -365,7 +370,7 @@ def sst_check(
     all_zero = True
     delta = c_int - 4
     ms = range(delta // 2 + 1)  # every m >= 0 with d = delta - 2m >= 0
-    values = _relation_values(m, w + lambda1, lambda1, delta, ms) if ms else []
+    values = _relation_values(m, w + lambda1, lambda1, delta, ms, order) if ms else []
     applies = delta < r0 and delta < i0  # the vanishing branch for lambda0
     for mm, value in zip(ms, values):
         d = delta - 2 * mm

@@ -229,14 +229,15 @@ def _span_reduce(lattice: IntegralLattice, span_classes, expand_classes):
     return tuple(pivots), den, rows
 
 
-def _integer_terms(s: ExpSum):
+def _integer_terms(s: ExpSum, expand=True):
     """(pivots, D, A, a', columns): the sum in the integers over its span.
 
     Term i is a_i exp(<K_i, h>) with a_i = a'_i / A and <K_i, h> =
     sum_j R'_ij x_j / D over the pivot variables x_j; columns[j][i] = R'_ij.
+    With expand false only the pivots are picked: D = 1 and no columns.
     """
     classes = [k for _, k in s.terms]
-    pivots, den, rows = _span_reduce(s.ambient, classes, classes)
+    pivots, den, rows = _span_reduce(s.ambient, classes, classes if expand else [])
     den_a = lcm(*(a.denominator for a, _ in s.terms))
     coeffs = [a.numerator * (den_a // a.denominator) for a, _ in s.terms]
     return pivots, den, den_a, coeffs, list(zip(*rows))
@@ -260,18 +261,20 @@ def _power_sums(columns, products, n):
         yield (), sum(products)
 
 
-def power_sums(s: ExpSum, degrees) -> dict[int, Jet]:
+def power_sums(s: ExpSum, degrees, zero_below=0) -> dict[int, Jet]:
     """{d: sum_i a_i <K_i, h>^d} for each d in degrees, over the span pivots.
 
     This is d! times the degree-d Taylor part of the sum: the coefficient of
     x^alpha is d!/alpha! times the kernel's integer sum, divided by A * D^d.
+    The caller vouches that s vanishes to order >= zero_below: each degree
+    below it is the zero Jet over the pivots, and only the rest run the kernel.
     """
-    pivots, den, den_a, coeffs, columns = _integer_terms(s)
+    pivots, den, den_a, coeffs, columns = _integer_terms(s, any(d >= zero_below for d in degrees))
     return {
         d: Jet(s.ambient, pivots, {
             alpha: Fraction(factorial(d) // prod(map(factorial, alpha)) * v, den_a * den**d)
             for alpha, v in _power_sums(columns, coeffs, d) if v
-        }, d)
+        } if d >= zero_below else {}, d)
         for d in degrees
     }
 
@@ -320,12 +323,18 @@ def jet_expand(s: ExpSum, order: int, span=None) -> Jet:
 
 
 def twist(s: ExpSum, lam: CohClass, sign: int) -> ExpSum:
-    """Multiply by exp(sign * <lam, h>): every term class shifts by sign*lam."""
+    """Multiply by exp(sign * <lam, h>): term classes shift by sign*lam on lam's support."""
     if sign not in (1, -1):
         raise PreconditionError("sign must be +1 or -1")
-    return ExpSum.build(
-        s.ambient, [(a, k + sign * lam) for a, k in s.terms]
-    )
+    if lam.rank != s.ambient.rank:
+        raise DimensionMismatch("twist class length does not match lattice rank")
+    pairs = []
+    for a, k in s.terms:
+        coords = list(k.coords)
+        for t, x in lam.support:
+            coords[t] += sign * x
+        pairs.append((a, CohClass(tuple(coords))))
+    return ExpSum.build(s.ambient, pairs)
 
 
 def vanishing_order(s: ExpSum, cap: int) -> VanishingOrder:

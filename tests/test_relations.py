@@ -52,7 +52,8 @@ from swcalc.relations import (
     region_data,
     sst_check,
 )
-from swcalc.series import Direction, jet_expand, sw_series, twist
+from swcalc.catalog import _elliptic
+from swcalc.series import Direction, jet_expand, sw_series, twist, vanishing_order
 
 H = IntegralLattice.from_blocks([HyperbolicBlock()])
 
@@ -516,6 +517,82 @@ def test_sst_and_dvanish_share_one_complement(monkeypatch):
     sst_check(e4, CohClass.zero(46))
     dvanish_theorem_check(e4, CohClass.zero(46))
     assert len(calls) == 1
+
+
+def test_sst_and_dvanish_share_one_pair_search(monkeypatch):
+    # The pair is cached on the manifold object per radius, like the
+    # complement: a second pipeline at the same radius does not search again.
+    calls = []
+    search = manifold_module.find_hyperbolic_pair
+    monkeypatch.setattr(manifold_module, "find_hyperbolic_pair",
+                        lambda *args: calls.append(args) or search(*args))
+    e4 = load_catalog("E4").to_manifold()
+    sst_check(e4, CohClass.zero(46))
+    dvanish_theorem_check(e4, CohClass.zero(46))
+    assert [radius for _, radius in calls] == [3]
+    dvanish_theorem_check(e4, CohClass.zero(46), radius=2)
+    assert [radius for _, radius in calls] == [3, 2]
+
+
+def test_sw_series_shifted_by_an_orthogonal_even_class_changes_by_one_sign(catalog, fixtures_dir):
+    # the lemma behind sst's relation sums: with k.lam = 0 for every basic
+    # class and lam.lam even, sw_series(m, w + lam) is sw_series(m, w) times
+    # (-1)^((2 w.lam + lam.lam)/2), term by term
+    rng = random.Random(59)
+    wide = parse_manifest((fixtures_dir / "wide_e10_2222.json").read_text()).to_manifold()
+    signs = set()
+    for m in (catalog["E4"], catalog["E6"], wide):
+        rank, w2 = m.form.rank, characteristic_vector(m.form)
+        for _ in range(20):
+            lam = CohClass.zero(rank)
+            for b in rng.sample(m.complement.basis, 3):
+                lam = lam + rng.randint(-2, 2) * b
+            if square(m.form, lam) % 2:
+                continue
+            w = w2 + 2 * CohClass(tuple(rng.randint(-1, 1) for _ in range(rank)))
+            base, shifted = sw_series(m, w), sw_series(m, w + lam)
+            sign = (-1) ** ((2 * pairing(m.form, w, lam) + square(m.form, lam)) // 2)
+            signs.add(sign)
+            assert [k for _, k in shifted.terms] == [k for _, k in base.terms]
+            assert [a for a, _ in shifted.terms] == [sign * a for a, _ in base.terms]
+    assert signs == {1, -1}
+
+
+def test_sst_runs_no_relation_kernel_below_the_order(fixtures_dir, monkeypatch):
+    # sst may skip the kernel only for degrees below the twisted sum's own
+    # vanishing order, and must skip it for every one of them: on the
+    # passing data no degree is left, on the sw-3 copy the kernel still runs
+    # and finds the nonzero sums
+    kernel_degrees = []
+    compute = relations.power_sums
+
+    def guarded(s, degrees, zero_below=0):
+        order = vanishing_order(s, max(degrees) + 1)
+        below = max(degrees) + 1 if order.value is None else order.value
+        assert zero_below <= below
+        asked = sorted(d for d in degrees if d >= zero_below)
+        assert all(d >= below for d in asked), (asked, order)
+        kernel_degrees.append(asked)
+        return compute(s, degrees, zero_below)
+
+    monkeypatch.setattr(relations, "power_sums", guarded)
+    manifest = parse_manifest((fixtures_dir / "wide_e10_2222.json").read_text())
+    m, w = manifest.to_manifold(), CohClass(manifest.w)
+    e20 = parse_manifest(json.dumps(_elliptic(20))).to_manifold()
+    for manifold, w_class in ((m, w), (e20, characteristic_vector(e20.form))):
+        kernel_degrees.clear()
+        assert sst_check(manifold, w_class).verdict == VERDICT_PASS
+        assert kernel_degrees == [[]]
+    heavy = {(2, -2, 2, -2), (-2, 2, -2, 2)}
+    corrupted = dataclasses.replace(m, basic_classes=tuple(
+        BasicClassEntry(e.k, 3) if tuple(e.k.coords[i] for i in (2, 5, 10, 19)) in heavy else e
+        for e in m.basic_classes
+    ))
+    kernel_degrees.clear()
+    report = sst_check(corrupted, w)
+    assert report.verdict == VERDICT_FAIL
+    assert kernel_degrees == [[0, 2, 4, 6]]
+    assert not any(e.relation_is_zero for e in report.entries)
 
 
 def test_sst_not_characteristic(catalog):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swcalc.series as series
 from swcalc.errors import NonIntegralC, OddExponent, SWCalcError
 from swcalc.lattice import (
     CohClass,
@@ -354,6 +355,55 @@ def test_power_sums_match_the_jet_route(s, n):
     value = power_sums(s, {n})[n]
     assert value.variables == jet.variables
     assert value.coefficients == jet.homogeneous_part(n).scale(math.factorial(n)).coefficients
+
+
+@settings(max_examples=100, deadline=None)
+@given(exp_sums_over_h4())
+def test_power_sums_at_a_vouched_order_match_the_kernel(s):
+    # degrees below the sum's own order come back as the kernel's zero Jets,
+    # over the same pivots, and the degrees from the order on are unchanged
+    order = vanishing_order(s, 6)
+    zero_below = 7 if order.value is None else order.value
+    assert power_sums(s, range(7), zero_below) == power_sums(s, range(7))
+
+
+def test_power_sums_below_the_order_run_no_kernel(catalog, monkeypatch):
+    s = sw_series(catalog["E4"], CohClass.zero(46))  # exact order 2
+    full = power_sums(s, {0, 1, 2})
+    assert full[0].is_zero() and full[1].is_zero() and not full[2].is_zero()
+
+    def kernel(*args):
+        raise AssertionError("power-sum kernel run below the vouched order")
+
+    monkeypatch.setattr(series, "_power_sums", kernel)
+    assert power_sums(s, {0, 1}, 2) == {0: full[0], 1: full[1]}
+
+
+H2_DIAG = IntegralLattice.from_blocks([HyperbolicBlock()] * 2 + [DiagonalBlock((1, -1, 2))])
+H2_DIAG_CLASSES = st.lists(st.integers(-2, 2), min_size=7, max_size=7)
+
+
+@st.composite
+def exp_sums_over_h2_diag(draw):
+    """Free sums, or products of differences (e^v - e^-v), whose exact
+    orders are positive unless some G.v is zero."""
+    if draw(st.booleans()):
+        terms = draw(st.lists(st.tuples(st.integers(-3, 3), H2_DIAG_CLASSES),
+                              min_size=1, max_size=5))
+    else:
+        terms = [(draw(st.integers(1, 3)), [0] * 7)]
+        for v in draw(st.lists(H2_DIAG_CLASSES, min_size=1, max_size=3)):
+            terms = [(sign * a, [x + sign * y for x, y in zip(u, v)])
+                     for a, u in terms for sign in (1, -1)]
+    return ExpSum.build(H2_DIAG, [(a, CohClass(tuple(v))) for a, v in terms])
+
+
+@settings(max_examples=100, deadline=None)
+@given(exp_sums_over_h2_diag(), H2_DIAG_CLASSES, st.sampled_from((1, -1)))
+def test_vanishing_order_twist_invariance_over_h2_diag(s, lam, sign):
+    # exp(+-<lam, h>) is a unit of the power-series ring, so twisting keeps
+    # the order, exact or bounded: sst reads its relation sums off this
+    assert vanishing_order(twist(s, CohClass(tuple(lam)), sign), 6) == vanishing_order(s, 6)
 
 
 def test_power_sums_of_a_constant():
