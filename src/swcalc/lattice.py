@@ -86,9 +86,23 @@ Block = HyperbolicBlock | E8Block | DiagonalBlock
 @dataclass(frozen=True)
 class CohClass:
     """An integral cohomology class: its coordinates in the fixed basis, a
-    tuple of ints."""
+    tuple of ints.  Arithmetic and the parity and zero tests walk the
+    support; a class built by from_support never rescans its coordinates."""
 
     coords: tuple[int, ...]
+
+    @staticmethod
+    def from_support(rank: int, support) -> "CohClass":
+        """The class with the given (t, x) pairs, t distinct and below rank,
+        its support primed (sorted, zeros dropped) rather than scanned."""
+        support = tuple(sorted((t, x) for t, x in support if x))
+        coords = [0] * rank
+        for t, x in support:
+            coords[t] = x
+        c = CohClass(tuple(coords))
+        # cached_property stores in the instance __dict__, frozen or not
+        c.__dict__["support"] = support
+        return c
 
     @property
     def rank(self) -> int:
@@ -99,31 +113,37 @@ class CohClass:
         """The nonzero coordinates as (t, x) pairs."""
         return _support(self.coords)
 
-    def __add__(self, other: "CohClass") -> "CohClass":
+    def _plus(self, other: "CohClass", sign: int) -> "CohClass":
         if len(self.coords) != len(other.coords):
             raise DimensionMismatch("cannot add classes of different rank")
-        return CohClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        out = dict(self.support)
+        for t, x in other.support:
+            out[t] = out.get(t, 0) + sign * x
+        return CohClass.from_support(self.rank, out.items())
+
+    def __add__(self, other: "CohClass") -> "CohClass":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "CohClass") -> "CohClass":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "CohClass":
-        return CohClass(tuple(-a for a in self.coords))
+        return self * -1
 
     def __mul__(self, scalar: int) -> "CohClass":
-        return CohClass(tuple(scalar * a for a in self.coords))
+        return CohClass.from_support(self.rank, ((t, scalar * x) for t, x in self.support))
 
     __rmul__ = __mul__
 
     def is_even(self) -> bool:
-        return all(a % 2 == 0 for a in self.coords)
+        return all(x % 2 == 0 for _, x in self.support)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not self.support
 
     @staticmethod
     def zero(rank: int) -> "CohClass":
-        return CohClass((0,) * rank)
+        return CohClass.from_support(rank, ())
 
     @staticmethod
     def unit(rank: int, index: int) -> "CohClass":
@@ -235,7 +255,7 @@ def characteristic_vector(lattice: IntegralLattice) -> CohClass:
     free variables set to zero, and the system is always solvable, since
     x -> x.x is linear mod 2 and vanishes on the radical.
     """
-    return CohClass(tuple(d & 1 for d in lattice.diagonal))
+    return CohClass.from_support(lattice.rank, ((i, 1) for i in lattice.odd_diagonal))
 
 
 def is_characteristic(lattice: IntegralLattice, c: CohClass) -> bool:
@@ -261,12 +281,11 @@ def _xgcd(a: int, b: int):
 def integer_kernel(rows, n: int):
     """A saturated basis for {x in Z^n : r.x == 0 for every r in rows}.
 
-    Each row is a sparse {j: x} dict of nonzero entries, j < n; the result
-    is a list of length-n integer vectors.  The rows, read as columns, are
+    Each row is a sparse {j: x} dict of nonzero entries, j < n, and so is
+    each kernel row returned.  The rows, read as columns, are
     row-echelonised by xgcd steps, tracking only the unimodular transform
     u; the rows of u past the rank map every row to zero and span the
-    kernel.  Saturation is automatic for kernels of integer maps.  Rows of
-    a and u are sparse {col: x} dicts, densified only in the result.
+    kernel.  Saturation is automatic for kernels of integer maps.
     """
     a = [{} for _ in range(n)]
     for c, r in enumerate(rows):
@@ -292,11 +311,7 @@ def integer_kernel(rows, n: int):
                 t[row] = {j: z for j in keys if (z := x * r.get(j, 0) + y * s.get(j, 0))}
                 t[i] = {j: z for j in keys if (z := pg * s.get(j, 0) - qg * r.get(j, 0))}
         row += 1
-    out = [[0] * n for _ in u[row:]]
-    for dense, v in zip(out, u[row:]):
-        for j, x in v.items():
-            dense[j] = x
-    return out
+    return u[row:]
 
 
 @dataclass(frozen=True)
@@ -317,10 +332,26 @@ class Sublattice:
         return tuple(tuple(self.entry(i, j) for j in range(k)) for i in range(k))
 
 
+def _distinct_directions(rows):
+    """The sparse rows without zero rows and without rows parallel to an
+    earlier one (equal after dividing by the gcd and fixing the sign of the
+    first entry).  A column of integer_kernel in the rational span of
+    earlier ones finds no pivot, so dropping these leaves its basis as is."""
+    out = {}
+    for r in rows:
+        if r:
+            items = sorted(r.items())
+            g = gcd(*r.values()) * (1 if items[0][1] > 0 else -1)
+            out.setdefault(tuple((j, x // g) for j, x in items), r)
+    return list(out.values())
+
+
 def orthogonal_complement(lattice: IntegralLattice, classes) -> Sublattice:
-    """The saturated sublattice {x : x.s == 0 for all s in classes}."""
-    kernel = integer_kernel([covector(lattice, s) for s in classes], lattice.rank)
-    return Sublattice(lattice, tuple(CohClass(tuple(v)) for v in kernel))
+    """The saturated sublattice {x : x.s == 0 for all s in classes}, its
+    basis classes built from the sparse kernel rows."""
+    rows = _distinct_directions(covector(lattice, s) for s in classes)
+    kernel = integer_kernel(rows, lattice.rank)
+    return Sublattice(lattice, tuple(CohClass.from_support(lattice.rank, v.items()) for v in kernel))
 
 
 @dataclass(frozen=True)
@@ -400,11 +431,15 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     enumerate primitive isotropic vectors e with basis coordinates in
     [-radius, radius] (lexicographic order, most negative first) and for
     each look for an isotropic f with e.f = 1 in the same order; the
-    first hit wins.  Definite forms are rejected without enumeration.
+    first hit wins.  Definite forms are rejected without enumeration, and
+    so is every sublattice that provably holds no pair: rank below 2, a
+    common factor > 1 of all restricted pairings (no e.f can be 1), or
+    rank 2 with determinant != -1 or an odd diagonal entry (a rank-2
+    lattice holds a pair iff it is H; Milnor-Husemoller, ch. I).
 
     The block scan reads only the diagonal and the entries between
     zero-diagonal basis vectors; the dense restricted Gram is built only
-    for the definiteness test and the box.
+    for the proofs of absence and the box.
 
     The enumeration is lazy: isotropic vectors and their covectors G.v are
     generated in that order only as far as some scan has reached, and kept
@@ -414,13 +449,13 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     candidates scanned before the first hit; when no pair exists it is
     still the whole box, (2*radius+1)^k candidates.
 
-    Returning None never proves that no pair exists; it only means the
-    bounded search was exhausted.
+    Past the proofs of absence, returning None never proves that no pair
+    exists; it only means the bounded search was exhausted.
     """
     if radius < 1:
         raise PreconditionError("radius must be at least 1")
     k = len(sub.basis)
-    if k == 0:
+    if k < 2:
         return None
     isotropic = [i for i in range(k) if sub.entry(i, i) == 0]
     for a, i in enumerate(isotropic):
@@ -429,7 +464,9 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
             if abs(x) == 1:
                 return HyperbolicPair(sub.basis[i], x * sub.basis[j])
     g = sub.restricted_gram
-    if _definiteness(g) is not None:
+    if _definiteness(g) is not None or gcd(*(x for row in g for x in row)) != 1:
+        return None
+    if k == 2 and (g[0][0] * g[1][1] - g[0][1] ** 2 != -1 or (g[0][0] | g[1][1]) & 1):
         return None
 
     # origin stays at the first vector; each scan is a copy of it, and the

@@ -100,7 +100,7 @@ def validate(m: FourManifold) -> ValidationReport:
           f"block form determinant {det}, must be 1 or -1")
 
     st = 2 * m.chi + 3 * m.sigma
-    seen = {}
+    seen = {}  # support -> (class, sw), first entry per class
     for idx, entry in enumerate(m.basic_classes):
         label = f"basic_classes[{idx}]"
         check(f"{label}.sw_nonzero", entry.sw != 0, "sw must be nonzero")
@@ -109,10 +109,10 @@ def validate(m: FourManifold) -> ValidationReport:
                   f"coords length {len(entry.k.coords)} != rank {rank}")
             continue
         check(f"{label}.coords_length", True, "")
-        if entry.k.coords in seen:
+        if entry.k.support in seen:
             check(f"{label}.distinct", False, f"duplicate class {list(entry.k.coords)}")
         else:
-            seen[entry.k.coords] = entry.sw
+            seen[entry.k.support] = entry.k, entry.sw
         check(f"{label}.characteristic", is_characteristic(m.form, entry.k),
               f"class {list(entry.k.coords)} is not characteristic")
         sq = square(m.form, entry.k)
@@ -123,13 +123,13 @@ def validate(m: FourManifold) -> ValidationReport:
         eps = -1 if ((m.chi + m.sigma) // 4) % 2 else 1
         ok = True
         detail = ""
-        for coords, sw in seen.items():
-            neg = tuple(-x for x in coords)
-            partner = seen.get(neg)
+        for k, sw in seen.values():
+            neg = -k
+            partner = seen.get(neg.support, (None, None))[1]
             if partner != eps * sw:
                 ok = False
-                detail = (f"entry ({list(coords)}, {sw}) needs partner "
-                          f"({list(neg)}, {eps * sw}), found {partner}")
+                detail = (f"entry ({list(k.coords)}, {sw}) needs partner "
+                          f"({list(neg.coords)}, {eps * sw}), found {partner}")
                 break
         check("conjugation_symmetry", ok, detail)
 

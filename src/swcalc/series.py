@@ -43,21 +43,20 @@ class Direction:
 
 @dataclass(frozen=True)
 class ExpSum:
-    """Merged exponential sum; terms are sorted by class coordinates."""
+    """Merged exponential sum; terms are sorted by class coordinates, and
+    each keeps the first class object given for its coordinates."""
 
     ambient: IntegralLattice
     terms: tuple[tuple[Fraction, CohClass], ...]
 
     @staticmethod
     def build(ambient: IntegralLattice, pairs) -> "ExpSum":
-        merged: dict[tuple[int, ...], Fraction] = {}
+        merged: dict[tuple[int, ...], list] = {}
         for coeff, k in pairs:
             if len(k.coords) != ambient.rank:
                 raise DimensionMismatch("term class length does not match lattice rank")
-            merged[k.coords] = merged.get(k.coords, Fraction(0)) + Fraction(coeff)
-        terms = tuple(
-            (merged[c], CohClass(c)) for c in sorted(merged) if merged[c] != 0
-        )
+            merged.setdefault(k.coords, [Fraction(0), k])[0] += Fraction(coeff)
+        terms = tuple((a, k) for _, (a, k) in sorted(merged.items()) if a != 0)
         return ExpSum(ambient, terms)
 
     @staticmethod
@@ -323,18 +322,13 @@ def jet_expand(s: ExpSum, order: int, span=None) -> Jet:
 
 
 def twist(s: ExpSum, lam: CohClass, sign: int) -> ExpSum:
-    """Multiply by exp(sign * <lam, h>): term classes shift by sign*lam on lam's support."""
+    """Multiply by exp(sign * <lam, h>): each term class k becomes k + sign*lam."""
     if sign not in (1, -1):
         raise PreconditionError("sign must be +1 or -1")
     if lam.rank != s.ambient.rank:
         raise DimensionMismatch("twist class length does not match lattice rank")
-    pairs = []
-    for a, k in s.terms:
-        coords = list(k.coords)
-        for t, x in lam.support:
-            coords[t] += sign * x
-        pairs.append((a, CohClass(tuple(coords))))
-    return ExpSum.build(s.ambient, pairs)
+    shift = sign * lam
+    return ExpSum.build(s.ambient, [(a, k + shift) for a, k in s.terms])
 
 
 def vanishing_order(s: ExpSum, cap: int) -> VanishingOrder:

@@ -16,6 +16,7 @@ from swcalc.manifest import parse_manifest
 from swcalc.manifold import basic_class_set, validate
 from swcalc.relations import dvanish_theorem_check, sst_check
 from swcalc.series import ExpSum, jet_expand
+from swcalc import lattice
 from swcalc.lattice import (
     E8_GRAM,
     CohClass,
@@ -25,6 +26,7 @@ from swcalc.lattice import (
     HyperbolicPair,
     IntegralLattice,
     Sublattice,
+    _distinct_directions,
     _isotropic_vectors,
     _xgcd,
     characteristic_vector,
@@ -379,6 +381,54 @@ def test_sparse_core_matches_dense_block_gram(blocks, data):
             assert sub.entry(i, j) == pairing(lat, bi, bj)
 
 
+@st.composite
+def dense_class_pairs(draw):
+    n = draw(st.integers(0, 6))
+    coords = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return n, draw(coords), draw(coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_class_pairs(), st.integers(-3, 3), st.randoms(use_true_random=False))
+def test_sparse_class_arithmetic_matches_the_dense_definition(case, scalar, rng):
+    n, a, b = case
+
+    def agrees(c, dense):
+        want = CohClass(tuple(dense))
+        assert c.coords == tuple(dense)
+        assert c.support == tuple((t, x) for t, x in enumerate(dense) if x)
+        assert c == want and hash(c) == hash(want)
+        assert c.is_zero() == (not any(dense))
+        assert c.is_even() == all(x % 2 == 0 for x in dense)
+
+    pairs = list(enumerate(a))  # zeros included, in any order
+    rng.shuffle(pairs)
+    agrees(CohClass.from_support(n, pairs), a)
+    # sparse classes and dense ones, their supports scanned, combine alike
+    for x, y in ((CohClass.from_support(n, pairs), CohClass(tuple(b))),
+                 (CohClass(tuple(a)), CohClass.from_support(n, enumerate(b)))):
+        agrees(x + y, [p + q for p, q in zip(a, b)])
+        agrees(x - y, [p - q for p, q in zip(a, b)])
+        agrees(-x, [-p for p in a])
+        agrees(scalar * x, [scalar * p for p in a])
+        agrees(x * scalar, [scalar * p for p in a])
+    with pytest.raises(DimensionMismatch, match="cannot add classes of different rank"):
+        CohClass(tuple(a)) + CohClass.zero(n + 1)
+
+
+def test_e40_complement_and_literal_block_search_never_rescan_a_class(monkeypatch):
+    # rank 478: the complement basis comes from the sparse kernel rows and
+    # the pair from a literal block, so no class support is ever rescanned
+    m = parse_manifest(json.dumps(_elliptic(40))).to_manifold()
+    assert validate(m).passed  # reads the input classes' supports once
+    scans = []
+    monkeypatch.setattr(lattice, "_support", lambda coords: scans.append(1) or ())
+    sub = orthogonal_complement(m.form, basic_class_set(m))
+    pair = find_hyperbolic_pair(sub, 3)
+    assert pair is not None and not scans
+    assert "restricted_gram" not in sub.__dict__
+
+
 def test_diagonal_block_columns_are_rank_linear():
     block = DiagonalBlock((3, 0, -2, 0, 5))
     assert block.columns == (((0, 3),), (), ((2, -2),), (), ((4, 5),))
@@ -422,8 +472,13 @@ def test_restricted_gram_on_non_unit_basis():
             assert sub.restricted_gram[i][j] == pairing(lat, bi, bj)
 
 
+def dense_rows(rows, n):
+    """Sparse {j: x} kernel rows as length-n lists."""
+    return [[v.get(j, 0) for j in range(n)] for v in rows]
+
+
 def test_integer_kernel_empty_constraints():
-    assert integer_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert dense_rows(integer_kernel([], 3), 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def reference_kernel(mat, n):
@@ -482,9 +537,20 @@ def constraint_matrices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(constraint_matrices())
+def test_dropping_parallel_constraint_rows_keeps_the_kernel(case):
+    mat, n = case
+    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    kept = _distinct_directions(rows)
+    event(f"{len(rows) - len(kept)} rows dropped")
+    assert all(any(r is k for r in rows) for k in kept)
+    assert integer_kernel(kept, n) == integer_kernel(rows, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_matrices())
 def test_integer_kernel_matches_the_full_hermite_reference(case):
     mat, n = case
-    kernel = integer_kernel([{j: x for j, x in enumerate(row) if x} for row in mat], n)
+    kernel = dense_rows(integer_kernel([{j: x for j, x in enumerate(row) if x} for row in mat], n), n)
     assert kernel == reference_kernel(mat, n)
     assert len(kernel) == n - rational_rank(mat)
     for v in kernel:
@@ -534,10 +600,41 @@ def test_find_pair_search_without_literal_block():
 
 
 def test_find_pair_skips_e_with_non_primitive_covector():
-    # every pairing of diag(2,-2,2,-2,2,-2) is even, so no e.f is 1; the
-    # e-loop skips each e at once, instead of scanning the box for an f
+    # every pairing of diag(2,-2,2,-2,2,-2) is even, so no e.f is 1
     lat = IntegralLattice.from_blocks([DiagonalBlock((2, -2) * 3)])
     assert find_hyperbolic_pair(orthogonal_complement(lat, []), 2) is None
+    # diag(2,-2,2,-2,1) has gcd 1, so the box is walked; an isotropic e has
+    # an even last coordinate, so G.e is not primitive and the e-loop skips
+    # each e at once, instead of scanning the box for an f
+    lat = IntegralLattice.from_blocks([DiagonalBlock((2, -2, 2, -2, 1))])
+    assert find_hyperbolic_pair(orthogonal_complement(lat, []), 2) is None
+
+
+def test_find_pair_proves_absence_without_walking_the_box(monkeypatch):
+    def no_walk(gram, radius):
+        raise AssertionError("the box was walked")
+
+    monkeypatch.setattr(lattice, "_isotropic_vectors", no_walk)
+    # every pairing even: no e.f is 1
+    even = IntegralLattice.from_blocks([DiagonalBlock((2, -2) * 3)])
+    assert find_hyperbolic_pair(orthogonal_complement(even, []), 3) is None
+    # rank 2, det -1 but odd: not H
+    assert find_hyperbolic_pair(orthogonal_complement(DIAG11, []), 3) is None
+    # rank 2 with gcd 1, even, indefinite, det -5 != -1: not H
+    sub = Sublattice(IntegralLattice.from_blocks([HyperbolicBlock()] * 2),
+                     (CohClass((1, 1, 0, 0)), CohClass((1, 2, 1, -1))))
+    assert sub.restricted_gram == ((2, 3), (3, 2))
+    assert find_hyperbolic_pair(sub, 3) is None
+    # rank 1 and rank 0
+    assert find_hyperbolic_pair(orthogonal_complement(H, [CohClass((1, 0))]), 3) is None
+    assert find_hyperbolic_pair(orthogonal_complement(H, [CohClass((1, 0)), CohClass((0, 1))]), 3) is None
+    # [[2,1],[1,0]] is H without a literal block: no proof applies, so it walks
+    walks = Sublattice(H, (CohClass((1, 1)), CohClass((0, 1))))
+    with pytest.raises(AssertionError, match="the box was walked"):
+        find_hyperbolic_pair(walks, 3)
+    monkeypatch.undo()
+    pair = find_hyperbolic_pair(walks, 3)
+    assert square(H, pair.e1) == square(H, pair.e2) == 0 and pairing(H, pair.e1, pair.e2) == 1
 
 
 def test_literal_block_hit_leaves_the_dense_gram_unbuilt(catalog):
