@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .catalog import catalog_names
 from .errors import AbundanceUndetermined, ParseError, SWCalcError
-from .lattice import CohClass, characteristic_vector, find_hyperbolic_pair
+from .lattice import CohClass, characteristic_vector
 from .manifest import load_catalog, parse_manifest, serialize_manifest
 from .manifold import (basic_class_count, c1_squared, characteristic_number, holomorphic_euler,
                        validate)
@@ -139,12 +139,11 @@ def cmd_invariants(args, manifest, manifold) -> dict:
 
 def cmd_abundance(args, manifest, manifold) -> dict:
     radius = _default_radius(args)
-    complement = manifold.complement
-    pair = find_hyperbolic_pair(complement, radius)
+    pair = manifold.hyperbolic_pair(radius)
     fields = {
         "verdict": VERDICT_UNDETERMINED if pair is None else VERDICT_PASS,
         "radius": radius,
-        "complement_rank": len(complement.basis),
+        "complement_rank": len(manifold.complement.basis),
     }
     if pair is None:
         fields["note"] = "no hyperbolic pair found at this radius; abundance undetermined"

@@ -4,8 +4,9 @@ Everything here runs over plain Python integers (arbitrary precision) or
 exact rationals; no floating point.  A lattice is a list of standard
 blocks: the rank-two hyperbolic block, the E8 form with a sign, and
 diagonal blocks.  The block list is the source of truth: the form acts
-only through the block Gram columns, walked over the support (nonzero
-coordinates) of a class.  The dense Gram is a derived view.  The
+only through the block Gram columns, walked over the support of a class.
+A class likewise is its rank and support (its nonzero coordinates); the
+dense Gram and a class's dense coordinates are derived views.  The
 characteristic vector is the diagonal mod 2, and orthogonal complements
 come from a sparse xgcd transform kernel.
 """
@@ -83,38 +84,40 @@ class DiagonalBlock:
 Block = HyperbolicBlock | E8Block | DiagonalBlock
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CohClass:
-    """An integral cohomology class: its coordinates in the fixed basis, a
-    tuple of ints.  Arithmetic and the parity and zero tests walk the
-    support; a class built by from_support never rescans its coordinates."""
+    """An integral cohomology class: its rank and its support, the nonzero
+    coordinates in the fixed basis as (t, x) pairs sorted by t.  Equality,
+    hashing, arithmetic, the parity and zero tests and the pairing read
+    these two fields; the dense coordinates are a derived view."""
 
-    coords: tuple[int, ...]
+    rank: int
+    support: tuple[tuple[int, int], ...]
+
+    def __init__(self, coords):
+        """The class with the given dense coordinates, scanned once."""
+        object.__setattr__(self, "rank", len(coords))
+        object.__setattr__(self, "support", tuple(zip(compress(range(len(coords)), coords),
+                                                      compress(coords, coords))))
 
     @staticmethod
     def from_support(rank: int, support) -> "CohClass":
-        """The class with the given (t, x) pairs, t distinct and below rank,
-        its support primed (sorted, zeros dropped) rather than scanned."""
-        support = tuple(sorted((t, x) for t, x in support if x))
-        coords = [0] * rank
-        for t, x in support:
-            coords[t] = x
-        c = CohClass(tuple(coords))
-        # cached_property stores in the instance __dict__, frozen or not
-        c.__dict__["support"] = support
+        """The class with the given (t, x) pairs, t distinct and below rank."""
+        c = object.__new__(CohClass)
+        object.__setattr__(c, "rank", rank)
+        object.__setattr__(c, "support", tuple(sorted((t, x) for t, x in support if x)))
         return c
 
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
     @cached_property
-    def support(self) -> tuple[tuple[int, int], ...]:
-        """The nonzero coordinates as (t, x) pairs."""
-        return _support(self.coords)
+    def coords(self) -> tuple[int, ...]:
+        """The dense coordinate tuple, built on first use."""
+        out = [0] * self.rank
+        for t, x in self.support:
+            out[t] = x
+        return tuple(out)
 
     def _plus(self, other: "CohClass", sign: int) -> "CohClass":
-        if len(self.coords) != len(other.coords):
+        if self.rank != other.rank:
             raise DimensionMismatch("cannot add classes of different rank")
         out = dict(self.support)
         for t, x in other.support:
@@ -191,20 +194,16 @@ class IntegralLattice:
         return tuple(out)
 
 
-def _support(coords) -> tuple:
-    return tuple(zip(compress(range(len(coords)), coords), compress(coords, coords)))
-
-
-def check_length(lattice: IntegralLattice, coords) -> None:
-    if len(coords) != lattice.rank:
+def check_length(lattice: IntegralLattice, length: int) -> None:
+    if length != lattice.rank:
         raise DimensionMismatch(
-            f"vector length {len(coords)} does not match lattice rank {lattice.rank}"
+            f"vector length {length} does not match lattice rank {lattice.rank}"
         )
 
 
 def covector(lattice: IntegralLattice, c: CohClass) -> dict:
     """G.c as {s: (G.c)_s} over its nonzero entries, walked over c's support."""
-    check_length(lattice, c.coords)
+    check_length(lattice, c.rank)
     out: dict = {}
     columns = lattice.columns
     for t, x in c.support:
@@ -224,17 +223,12 @@ def block_determinant(lattice: IntegralLattice) -> int:
     return prod(b.determinant for b in lattice.blocks)
 
 
-def _pair(lattice: IntegralLattice, support, a, b):
-    if len(a) != len(b):
-        raise DimensionMismatch(f"cannot pair vectors of lengths {len(a)} and {len(b)}")
-    check_length(lattice, a)
-    columns = lattice.columns
-    return sum(x * g * b[s] for t, x in support for s, g in columns[t])
-
-
 def pairing(lattice: IntegralLattice, a: CohClass, b: CohClass) -> int:
-    """Evaluate the intersection pairing a.b exactly."""
-    return _pair(lattice, a.support, a.coords, b.coords)
+    """Evaluate the intersection pairing a.b exactly: G.a read over b's support."""
+    if a.rank != b.rank:
+        raise DimensionMismatch(f"cannot pair vectors of lengths {a.rank} and {b.rank}")
+    ga = covector(lattice, a)
+    return sum(ga.get(t, 0) * x for t, x in b.support)
 
 
 def square(lattice: IntegralLattice, a: CohClass) -> int:
@@ -243,7 +237,10 @@ def square(lattice: IntegralLattice, a: CohClass) -> int:
 
 def pairing_rational(lattice: IntegralLattice, a, b) -> Fraction:
     """Pairing for rational coordinate vectors (plain sequences)."""
-    return Fraction(_pair(lattice, _support(a), a, b))
+    if len(a) != len(b):
+        raise DimensionMismatch(f"cannot pair vectors of lengths {len(a)} and {len(b)}")
+    check_length(lattice, len(a))
+    return Fraction(sum(x * g * b[s] for t, x in enumerate(a) for s, g in lattice.columns[t]))
 
 
 def characteristic_vector(lattice: IntegralLattice) -> CohClass:

@@ -110,6 +110,10 @@ def parse_manifest(text: str, strict: bool = True) -> Manifest:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ParseError("integer literal has too many digits") from None
     if not isinstance(raw, dict):
         raise ParseError("manifest must be a JSON object")
 

@@ -104,9 +104,8 @@ def validate(m: FourManifold) -> ValidationReport:
     for idx, entry in enumerate(m.basic_classes):
         label = f"basic_classes[{idx}]"
         check(f"{label}.sw_nonzero", entry.sw != 0, "sw must be nonzero")
-        if len(entry.k.coords) != rank:
-            check(f"{label}.coords_length", False,
-                  f"coords length {len(entry.k.coords)} != rank {rank}")
+        if entry.k.rank != rank:
+            check(f"{label}.coords_length", False, f"coords length {entry.k.rank} != rank {rank}")
             continue
         check(f"{label}.coords_length", True, "")
         if entry.k.support in seen:
@@ -165,11 +164,7 @@ def c1_squared(m: FourManifold) -> int:
 
 def basic_class_count(m: FourManifold) -> int:
     """Number of basic classes up to sign; the zero class counts once."""
-    orbits = set()
-    for entry in m.basic_classes:
-        neg = tuple(-x for x in entry.k.coords)
-        orbits.add(max(entry.k.coords, neg))
-    return len(orbits)
+    return len({max(e.k.support, (-e.k).support) for e in m.basic_classes})
 
 
 def basic_class_set(m: FourManifold) -> tuple[CohClass, ...]:

@@ -41,23 +41,29 @@ class Direction:
         return Direction(tuple(Fraction(v) for v in values))
 
 
+def _dense_order(support) -> tuple:
+    """Sorts supports of one rank as sorted() sorts their dense tuples: (t, x)
+    is (1, -t, x) if x > 0, else (-1, t, x); (0,) is the zeros past the last."""
+    return (*((1, -t, x) if x > 0 else (-1, t, x) for t, x in support), (0,))
+
+
 @dataclass(frozen=True)
 class ExpSum:
-    """Merged exponential sum; terms are sorted by class coordinates, and
-    each keeps the first class object given for its coordinates."""
+    """Merged exponential sum; terms are sorted by their classes' dense
+    coordinates, and each keeps the first class object given for its support."""
 
     ambient: IntegralLattice
     terms: tuple[tuple[Fraction, CohClass], ...]
 
     @staticmethod
     def build(ambient: IntegralLattice, pairs) -> "ExpSum":
-        merged: dict[tuple[int, ...], list] = {}
+        merged: dict[tuple, list] = {}
         for coeff, k in pairs:
-            if len(k.coords) != ambient.rank:
+            if k.rank != ambient.rank:
                 raise DimensionMismatch("term class length does not match lattice rank")
-            merged.setdefault(k.coords, [Fraction(0), k])[0] += Fraction(coeff)
-        terms = tuple((a, k) for _, (a, k) in sorted(merged.items()) if a != 0)
-        return ExpSum(ambient, terms)
+            merged.setdefault(k.support, [Fraction(0), k])[0] += Fraction(coeff)
+        order = sorted(merged, key=_dense_order)
+        return ExpSum(ambient, tuple((a, k) for a, k in map(merged.get, order) if a != 0))
 
     @staticmethod
     def constant(ambient: IntegralLattice, value) -> "ExpSum":
@@ -355,9 +361,9 @@ def parity(s: ExpSum) -> Parity:
     """Compare s(h) with s(-h) termwise."""
     if s.is_zero():
         return Parity.ZERO
-    table = {k.coords: a for a, k in s.terms}
-    even = all(table.get(tuple(-x for x in c)) == a for c, a in table.items())
-    odd = all(table.get(tuple(-x for x in c)) == -a for c, a in table.items())
+    table = {k.support: a for a, k in s.terms}
+    even = all(table.get((-k).support) == a for a, k in s.terms)
+    odd = all(table.get((-k).support) == -a for a, k in s.terms)
     if even:
         return Parity.EVEN
     if odd:

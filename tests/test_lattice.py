@@ -416,17 +416,22 @@ def test_sparse_class_arithmetic_matches_the_dense_definition(case, scalar, rng)
         CohClass(tuple(a)) + CohClass.zero(n + 1)
 
 
-def test_e40_complement_and_literal_block_search_never_rescan_a_class(monkeypatch):
-    # rank 478: the complement basis comes from the sparse kernel rows and
-    # the pair from a literal block, so no class support is ever rescanned
+def test_e40_pipelines_past_validate_build_no_dense_class(monkeypatch):
+    # rank 478: past validate, whose details list the input classes, the
+    # complement, the literal-block pair search, sst and dvanish read every
+    # class through its support and read no class's dense coordinates
     m = parse_manifest(json.dumps(_elliptic(40))).to_manifold()
-    assert validate(m).passed  # reads the input classes' supports once
-    scans = []
-    monkeypatch.setattr(lattice, "_support", lambda coords: scans.append(1) or ())
+    assert validate(m).passed
+    views = []
+    dense = CohClass.coords.func
+    monkeypatch.setattr(CohClass, "coords", property(lambda c: views.append(c) or dense(c)))
     sub = orthogonal_complement(m.form, basic_class_set(m))
-    pair = find_hyperbolic_pair(sub, 3)
-    assert pair is not None and not scans
+    assert find_hyperbolic_pair(sub, 3) is not None
     assert "restricted_gram" not in sub.__dict__
+    w = characteristic_vector(m.form)
+    assert sst_check(m, w).verdict == "pass"
+    assert dvanish_theorem_check(m, w).verdict == "pass"
+    assert not views
 
 
 def test_diagonal_block_columns_are_rank_linear():

@@ -345,6 +345,19 @@ def test_cli_parse_error_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[" * 100_000, "error: JSON nested too deeply\n"),
+    ("1" * 5000, None),  # past the interpreter's digit limit, whose wording varies
+])
+def test_cli_unreadable_json_is_a_one_line_parse_error(capsys, tmp_path, text, message):
+    p = tmp_path / "unreadable.json"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, "validate", str(p))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert message in (None, err)
+
+
 def test_cli_radius_env(capsys, monkeypatch):
     monkeypatch.setenv("SWCALC_RADIUS", "1")
     code, out, _ = run_cli(capsys, "abundance", "K3")

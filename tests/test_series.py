@@ -27,6 +27,7 @@ from swcalc.series import (
     ExpSum,
     Parity,
     VanishingOrder,
+    _dense_order,
     _span_reduce,
     evaluate_along,
     jet_expand,
@@ -44,6 +45,23 @@ DIAG11 = IntegralLattice.from_blocks([DiagonalBlock((1, -1))])
 H3 = IntegralLattice.from_blocks([HyperbolicBlock()] * 3)
 
 F_H = CohClass((1, 0))
+
+
+@st.composite
+def dense_rows(draw):
+    """Dense coordinate tuples of one rank in 0..6, the zero class first."""
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=12))
+    return [(0,) * n, *rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_rows(), st.randoms(use_true_random=False))
+def test_dense_order_sorts_supports_as_sorted_sorts_dense_tuples(rows, rng):
+    classes = [CohClass(r) for r in rows]
+    rng.shuffle(classes)
+    by_support = sorted(classes, key=lambda k: _dense_order(k.support))
+    assert [k.coords for k in by_support] == sorted(rows)
 
 
 def taylor_eval_oracle(s: ExpSum, direction: Direction, order: int) -> Fraction:
