@@ -284,7 +284,20 @@ def main(argv=None) -> int:
     command's.  The report starts with the command and manifold names,
     followed by the command's fields.  Usage, parse and precondition errors
     print one line on standard error and return 1.
+
+    The interpreter's integer-to-string digit limit guards the parsing of
+    input only: it is lifted once the manifest is loaded, so that no check
+    detail or report on parsed data runs into it, and restored on return.
     """
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        return _run(argv)
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
+
+
+def _run(argv) -> int:
     head = {}
     try:
         args = build_parser().parse_args(argv)
@@ -292,6 +305,8 @@ def main(argv=None) -> int:
             fields = cmd_catalog(args)
         else:
             manifest = _load(args.file, args.lenient)
+            if hasattr(sys, "set_int_max_str_digits"):  # absent on older 3.10 builds
+                sys.set_int_max_str_digits(0)  # 0: no limit
             manifold = manifest.to_manifold()
             head["manifold"] = manifold.name
             checks = validate(manifold)

@@ -15,7 +15,7 @@ from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, tee
+from itertools import combinations, compress, tee
 from math import gcd, prod
 
 from .errors import DimensionMismatch, ParityError, PreconditionError
@@ -194,16 +194,13 @@ class IntegralLattice:
         return tuple(out)
 
 
-def check_length(lattice: IntegralLattice, length: int) -> None:
-    if length != lattice.rank:
+def covector(lattice: IntegralLattice, c) -> dict:
+    """G.c as {s: (G.c)_s} over its nonzero entries, walked over c's support;
+    c is a class or a rational series.Direction, which has both."""
+    if c.rank != lattice.rank:
         raise DimensionMismatch(
-            f"vector length {length} does not match lattice rank {lattice.rank}"
+            f"vector length {c.rank} does not match lattice rank {lattice.rank}"
         )
-
-
-def covector(lattice: IntegralLattice, c: CohClass) -> dict:
-    """G.c as {s: (G.c)_s} over its nonzero entries, walked over c's support."""
-    check_length(lattice, c.rank)
     out: dict = {}
     columns = lattice.columns
     for t, x in c.support:
@@ -223,7 +220,7 @@ def block_determinant(lattice: IntegralLattice) -> int:
     return prod(b.determinant for b in lattice.blocks)
 
 
-def pairing(lattice: IntegralLattice, a: CohClass, b: CohClass) -> int:
+def pairing(lattice: IntegralLattice, a, b):
     """Evaluate the intersection pairing a.b exactly: G.a read over b's support."""
     if a.rank != b.rank:
         raise DimensionMismatch(f"cannot pair vectors of lengths {a.rank} and {b.rank}")
@@ -233,14 +230,6 @@ def pairing(lattice: IntegralLattice, a: CohClass, b: CohClass) -> int:
 
 def square(lattice: IntegralLattice, a: CohClass) -> int:
     return pairing(lattice, a, a)
-
-
-def pairing_rational(lattice: IntegralLattice, a, b) -> Fraction:
-    """Pairing for rational coordinate vectors (plain sequences)."""
-    if len(a) != len(b):
-        raise DimensionMismatch(f"cannot pair vectors of lengths {len(a)} and {len(b)}")
-    check_length(lattice, len(a))
-    return Fraction(sum(x * g * b[s] for t, x in enumerate(a) for s, g in lattice.columns[t]))
 
 
 def characteristic_vector(lattice: IntegralLattice) -> CohClass:
@@ -388,6 +377,25 @@ def _definiteness(gram):
     return None
 
 
+def _minor_gcd(gram) -> int:
+    """The gcd of the 2x2 minors of the matrix, a running gcd that stops at 1.
+
+    If the lattice holds a pair (e, f), P G P^T = H for the 2 x k matrix P
+    of their coordinates, and Cauchy-Binet writes det H = -1 as an integer
+    combination of 2x2 minors of G: their gcd divides 1.  With k < 2 there
+    is no minor, and the gcd of nothing is 0.
+    """
+    k = len(gram)
+    d = 0
+    for i, j in combinations(range(k), 2):
+        gi, gj = gram[i], gram[j]
+        for s, t in combinations(range(k), 2):
+            d = gcd(d, gi[s] * gj[t] - gi[t] * gj[s])
+            if d == 1:
+                return 1
+    return d
+
+
 def _isotropic_vectors(gram, radius: int):
     """(v, G.v) for the nonzero v in [-radius, radius]^k with v.G.v == 0,
     lexicographically.
@@ -429,10 +437,12 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     [-radius, radius] (lexicographic order, most negative first) and for
     each look for an isotropic f with e.f = 1 in the same order; the
     first hit wins.  Definite forms are rejected without enumeration, and
-    so is every sublattice that provably holds no pair: rank below 2, a
-    common factor > 1 of all restricted pairings (no e.f can be 1), or
-    rank 2 with determinant != -1 or an odd diagonal entry (a rank-2
-    lattice holds a pair iff it is H; Milnor-Husemoller, ch. I).
+    so is every sublattice that provably holds no pair: one whose 2x2
+    restricted minors have a gcd other than 1 (by Cauchy-Binet it divides
+    det H = -1; this covers rank below 2, a common factor of all pairings
+    and a rank-2 determinant other than -1), or rank 2 with an odd diagonal
+    entry (a rank-2 lattice holds a pair iff it is H; Milnor-Husemoller,
+    ch. I).
 
     The block scan reads only the diagonal and the entries between
     zero-diagonal basis vectors; the dense restricted Gram is built only
@@ -452,8 +462,6 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     if radius < 1:
         raise PreconditionError("radius must be at least 1")
     k = len(sub.basis)
-    if k < 2:
-        return None
     isotropic = [i for i in range(k) if sub.entry(i, i) == 0]
     for a, i in enumerate(isotropic):
         for j in isotropic[a + 1:]:
@@ -461,9 +469,9 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
             if abs(x) == 1:
                 return HyperbolicPair(sub.basis[i], x * sub.basis[j])
     g = sub.restricted_gram
-    if _definiteness(g) is not None or gcd(*(x for row in g for x in row)) != 1:
+    if _minor_gcd(g) != 1 or _definiteness(g) is not None:
         return None
-    if k == 2 and (g[0][0] * g[1][1] - g[0][1] ** 2 != -1 or (g[0][0] | g[1][1]) & 1):
+    if k == 2 and (g[0][0] | g[1][1]) & 1:
         return None
 
     # origin stays at the first vector; each scan is a copy of it, and the

@@ -41,7 +41,7 @@ from .manifold import (
     holomorphic_euler,
     orthogonality_defect,
 )
-from .series import Jet, VanishingOrder, power_sums, sw_series, twist, vanishing_order
+from .series import Jet, power_sums, sw_series, twist, vanishing_order
 
 VERDICT_PASS = "pass"
 VERDICT_PASS_VACUOUS = "pass-vacuous"
@@ -154,7 +154,7 @@ class RelationQuery:
 
 
 def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms,
-                     order: VanishingOrder = VanishingOrder.at_least(0)) -> list[Jet]:
+                     zero_below: int = 0) -> list[Jet]:
     """dswrel_value for each point count in ms, sharing one preparation.
 
     The hypotheses, the sign base, the twist and the span reduction depend
@@ -166,7 +166,7 @@ def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms
     Lemma: given the checks below (k.lam = 0 for each basic class k, lam.lam
     even), sw_series(m, w + lam) is (-1)^((2 w.lam + lam.lam)/2) sw_series(m, w),
     and exp(-<lam, h>) is a unit of the power-series ring, so the twisted sum has
-    the order of sw_series(m, w): each degree below the order passed in is zero.
+    the order of sw_series(m, w): each degree below zero_below, a bound on it, is zero.
     """
     if not m.assume_conjecture:
         raise ConjectureNotAssumed(
@@ -204,7 +204,6 @@ def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms
     assert (lam_sq - 2 * lam_dot_w - (m.sigma - wsq)) % 8 == 0
 
     power_of_two = Fraction(2) ** int(1 - (c + delta) / 2)
-    zero_below = next((d for d in range(delta + 1) if not order.satisfies(d + 1)), delta + 1)
     sums = power_sums(twist(sw_series(m, w), lam, -1), {delta - 2 * mm for mm in ms}, zero_below)
     return [
         sums[delta - 2 * mm].scale(-power_of_two if (mm - 1 + sign_base) % 2 else power_of_two)
@@ -370,7 +369,8 @@ def sst_check(
     all_zero = True
     delta = c_int - 4
     ms = range(delta // 2 + 1)  # every m >= 0 with d = delta - 2m >= 0
-    values = _relation_values(m, w + lambda1, lambda1, delta, ms, order) if ms else []
+    zero_below = delta + 1 if order.value is None else order.value  # None: the zero series
+    values = _relation_values(m, w + lambda1, lambda1, delta, ms, zero_below) if ms else []
     applies = delta < r0 and delta < i0  # the vanishing branch for lambda0
     for mm, value in zip(ms, values):
         d = delta - 2 * mm
@@ -416,25 +416,20 @@ class DvanishReport:
     entries: tuple[DvanishEntry, ...]
     notes: tuple[str, ...]
 
-    def trace_dict(self) -> dict:
-        """Deterministic trace for fixture comparison and reports.
-
-        Unlike the other report fields it is already JSON-native, rationals
-        as strings and classes as lists, because tests compare it directly
-        with the dict loaded from a fixture file.
-        """
-        return {
+    def to_dict(self) -> dict:
+        """Report fields from the verdict on; the trace holds exact values."""
+        trace = {
             "manifold": self.manifold,
-            "w": list(self.w.coords),
+            "w": self.w,
             "case_mod_8": self.case_mod_8,
             "case": self.case_label,
-            "c": str(self.c),
-            "lambda": list(self.lam.coords),
+            "c": self.c,
+            "lambda": self.lam,
             "lambda_square": self.lam_square,
-            "r_lambda": str(self.r),
-            "i_lambda": str(self.i),
+            "r_lambda": self.r,
+            "i_lambda": self.i,
             "d_max": self.d_max,
-            "admissible_d": list(self.admissible_d),
+            "admissible_d": self.admissible_d,
             "w_shift_sign": self.w_shift_sign,
             "entries": [
                 {"d": e.d, "m": e.m, "route": e.route, "value": "0" if e.value_is_zero else "nonzero"}
@@ -442,10 +437,7 @@ class DvanishReport:
             ],
             "verdict": self.verdict,
         }
-
-    def to_dict(self) -> dict:
-        """Report fields from the verdict on."""
-        return {"verdict": self.verdict, "trace": self.trace_dict(), "notes": self.notes}
+        return {"verdict": self.verdict, "trace": trace, "notes": self.notes}
 
 
 def dvanish_theorem_check(m: FourManifold, w: CohClass, radius: int = 3) -> DvanishReport:

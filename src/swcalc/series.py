@@ -20,16 +20,18 @@ need; jet_expand is the independent Fraction route the tests compare it to.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd, lcm, prod
 
 from .errors import DimensionMismatch, NonIntegralC, OddExponent, PreconditionError
-from .lattice import CohClass, IntegralLattice, covector, pairing, pairing_rational, square
+from .lattice import CohClass, IntegralLattice, covector, pairing, square
 from .manifold import FourManifold, characteristic_number
 
 
 @dataclass(frozen=True)
 class Direction:
-    """A rational direction for h, given by Poincare-dual coordinates."""
+    """A rational direction for h, given by Poincare-dual coordinates; it has
+    a class's rank and support, so the lattice pairings take it."""
 
     coords: tuple[Fraction, ...]
 
@@ -38,7 +40,15 @@ class Direction:
 
     @staticmethod
     def of(values) -> "Direction":
-        return Direction(tuple(Fraction(v) for v in values))
+        return Direction(tuple(values))
+
+    @property
+    def rank(self) -> int:
+        return len(self.coords)
+
+    @cached_property
+    def support(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((t, x) for t, x in enumerate(self.coords) if x)
 
 
 def _dense_order(support) -> tuple:
@@ -161,10 +171,7 @@ class Jet:
         return Jet(self.ambient, self.variables, out, cap)
 
     def evaluate(self, direction: Direction) -> Fraction:
-        xs = [
-            pairing_rational(self.ambient, v.coords, direction.coords)
-            for v in self.variables
-        ]
+        xs = [pairing(self.ambient, v, direction) for v in self.variables]
         total = Fraction(0)
         for alpha, c in self.coefficients.items():
             term = c
@@ -420,14 +427,14 @@ def evaluate_along(g: GaussianSeries, direction: Direction, order: int) -> list[
     if order < 0:
         raise PreconditionError("order must be nonnegative")
     ambient = g.core.ambient
-    q = g.quad_coeff * pairing_rational(ambient, direction.coords, direction.coords)
+    q = g.quad_coeff * pairing(ambient, direction, direction)
 
     quad = [Fraction(0)] * (order + 1)
     for j in range(order // 2 + 1):
         quad[2 * j] = q**j / factorial(j)
 
     coeffs = [a for a, _ in g.core.terms]
-    lins = [pairing_rational(ambient, k.coords, direction.coords) for _, k in g.core.terms]
+    lins = [pairing(ambient, k, direction) for _, k in g.core.terms]
     core = [Fraction(v, factorial(d))
             for d in range(order + 1) for _, v in _power_sums([lins], coeffs, d)]
 

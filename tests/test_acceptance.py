@@ -36,6 +36,7 @@ from swcalc.relations import (
     region_data,
     sst_check,
 )
+from swcalc.report import render
 from swcalc.series import (
     ExpSum,
     Parity,
@@ -259,5 +260,5 @@ def test_criterion_11_dvanish_trace_fixture(catalog, fixtures_dir):
     assert all(e.route == "vanishing" for e in report.entries)
     assert report.case_mod_8 == 0
     expected = json.loads((fixtures_dir / "e4_dvanish_trace.json").read_text())
-    assert report.trace_dict() == expected
+    assert json.loads(render("dvanish", **report.to_dict()))["trace"] == expected
     print("PASS criterion 11: E4 sweep trace matches the fixture")

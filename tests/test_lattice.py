@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -15,7 +15,7 @@ from swcalc.errors import DimensionMismatch, ParityError
 from swcalc.manifest import parse_manifest
 from swcalc.manifold import basic_class_set, validate
 from swcalc.relations import dvanish_theorem_check, sst_check
-from swcalc.series import ExpSum, jet_expand
+from swcalc.series import Direction, ExpSum, evaluate_along, jet_expand, sw_series, witten_series
 from swcalc import lattice
 from swcalc.lattice import (
     E8_GRAM,
@@ -28,6 +28,7 @@ from swcalc.lattice import (
     Sublattice,
     _distinct_directions,
     _isotropic_vectors,
+    _minor_gcd,
     _xgcd,
     characteristic_vector,
     construct_abundance_classes,
@@ -37,7 +38,6 @@ from swcalc.lattice import (
     is_characteristic,
     orthogonal_complement,
     pairing,
-    pairing_rational,
     square,
 )
 
@@ -346,8 +346,8 @@ def test_apply_matches_dense_block_gram(blocks, data):
     a, b = data.draw(ints), data.draw(ints)
     p, q = data.draw(fracs), data.draw(fracs)
     assert pairing(lat, CohClass(tuple(a)), CohClass(tuple(b))) == form(a, b)
-    assert pairing_rational(lat, p, q) == form(p, q)
-    assert pairing_rational(lat, a, q) == form(a, q)
+    assert pairing(lat, Direction.of(p), Direction.of(q)) == form(p, q)
+    assert pairing(lat, CohClass(tuple(a)), Direction.of(q)) == form(a, q)
     assert [list(row) for row in lat.gram] == g
     sub = orthogonal_complement(lat, [CohClass(tuple(a))])
     for i, bi in enumerate(sub.basis):
@@ -418,8 +418,9 @@ def test_sparse_class_arithmetic_matches_the_dense_definition(case, scalar, rng)
 
 def test_e40_pipelines_past_validate_build_no_dense_class(monkeypatch):
     # rank 478: past validate, whose details list the input classes, the
-    # complement, the literal-block pair search, sst and dvanish read every
-    # class through its support and read no class's dense coordinates
+    # complement, the literal-block pair search, sst, dvanish and the series
+    # along a sparse direction read every class through its support and read
+    # no class's dense coordinates
     m = parse_manifest(json.dumps(_elliptic(40))).to_manifold()
     assert validate(m).passed
     views = []
@@ -431,6 +432,11 @@ def test_e40_pipelines_past_validate_build_no_dense_class(monkeypatch):
     w = characteristic_vector(m.form)
     assert sst_check(m, w).verdict == "pass"
     assert dvanish_theorem_check(m, w).verdict == "pass"
+    # along d = e_1, <f, d> = 1 and d.d = 0: the series is (2 sinh t)^38,
+    # and the Witten prefactor 2^(2-c) is 2^-38
+    d = Direction.of([0, 1] + [0] * 476)
+    assert evaluate_along(witten_series(m, w), d, 38) == [0] * 38 + [1]
+    assert jet_expand(sw_series(m, w), 38).evaluate(d) == 2**38
     assert not views
 
 
@@ -458,7 +464,7 @@ def test_length_checks_keep_their_messages():
     with pytest.raises(DimensionMismatch, match="vector length 3 does not match lattice rank 2"):
         pairing(H, CohClass((1, 0, 0)), CohClass((0, 1, 0)))
     with pytest.raises(DimensionMismatch, match="cannot pair vectors of lengths 3 and 2"):
-        pairing_rational(H, (1, 0, 0), (0, 1))
+        pairing(H, Direction.of((1, 0, 0)), Direction.of((0, 1)))
     with pytest.raises(DimensionMismatch, match="vector length 3 does not match lattice rank 2"):
         is_characteristic(H, CohClass((1, 0, 0)))
     with pytest.raises(DimensionMismatch, match="vector length 3 does not match lattice rank 2"):
@@ -608,11 +614,13 @@ def test_find_pair_skips_e_with_non_primitive_covector():
     # every pairing of diag(2,-2,2,-2,2,-2) is even, so no e.f is 1
     lat = IntegralLattice.from_blocks([DiagonalBlock((2, -2) * 3)])
     assert find_hyperbolic_pair(orthogonal_complement(lat, []), 2) is None
-    # diag(2,-2,2,-2,1) has gcd 1, so the box is walked; an isotropic e has
-    # an even last coordinate, so G.e is not primitive and the e-loop skips
-    # each e at once, instead of scanning the box for an f
-    lat = IntegralLattice.from_blocks([DiagonalBlock((2, -2, 2, -2, 1))])
-    assert find_hyperbolic_pair(orthogonal_complement(lat, []), 2) is None
+    # diag(1,1,1,-4) has 2x2 minors with gcd 1, so the box is walked; an
+    # isotropic e has a^2 + b^2 + c^2 = 4d^2, so a, b and c are even, G.e is
+    # not primitive and the e-loop skips each e at once, instead of scanning
+    # the box for an f
+    lat = IntegralLattice.from_blocks([DiagonalBlock((1, 1, 1, -4))])
+    assert _minor_gcd(lat.gram) == 1
+    assert find_hyperbolic_pair(orthogonal_complement(lat, []), 3) is None
 
 
 def test_find_pair_proves_absence_without_walking_the_box(monkeypatch):
@@ -620,17 +628,22 @@ def test_find_pair_proves_absence_without_walking_the_box(monkeypatch):
         raise AssertionError("the box was walked")
 
     monkeypatch.setattr(lattice, "_isotropic_vectors", no_walk)
-    # every pairing even: no e.f is 1
+    # every pairing even: the 2x2 minors have gcd 4, which does not divide -1
     even = IntegralLattice.from_blocks([DiagonalBlock((2, -2) * 3)])
     assert find_hyperbolic_pair(orthogonal_complement(even, []), 3) is None
+    # <1> + 3(<2> + <-2>) and <1> + 4(<2> + <-2>): pairings with gcd 1, but
+    # minors with gcd 2; the radius-3 box of the rank-9 form holds 7^9 vectors
+    for copies in (3, 4):
+        odd = IntegralLattice.from_blocks([DiagonalBlock((1,) + (2, -2) * copies)])
+        assert find_hyperbolic_pair(orthogonal_complement(odd, []), 3) is None
     # rank 2, det -1 but odd: not H
     assert find_hyperbolic_pair(orthogonal_complement(DIAG11, []), 3) is None
-    # rank 2 with gcd 1, even, indefinite, det -5 != -1: not H
+    # rank 2 with gcd 1, even, indefinite, det -5: the one minor is -5
     sub = Sublattice(IntegralLattice.from_blocks([HyperbolicBlock()] * 2),
                      (CohClass((1, 1, 0, 0)), CohClass((1, 2, 1, -1))))
     assert sub.restricted_gram == ((2, 3), (3, 2))
     assert find_hyperbolic_pair(sub, 3) is None
-    # rank 1 and rank 0
+    # rank 1 and rank 0: no minor, and the gcd of nothing is 0
     assert find_hyperbolic_pair(orthogonal_complement(H, [CohClass((1, 0))]), 3) is None
     assert find_hyperbolic_pair(orthogonal_complement(H, [CohClass((1, 0)), CohClass((0, 1))]), 3) is None
     # [[2,1],[1,0]] is H without a literal block: no proof applies, so it walks
@@ -718,12 +731,11 @@ def test_isotropic_vectors_walk_the_box_with_their_covectors(g, radius):
     assert list(_isotropic_vectors(g, radius)) == expected
 
 
-def reference_pair_search(sub, radius):
+def reference_pair_search(g, radius):
     """The box search written out in full: every isotropic vector of the box
-    in product order, v.G.v from the dense restricted Gram, then the first
+    in product order, v.G.v from the dense restricted Gram g, then the first
     (e, f) hit.  The literal-block shortcut is left to the caller; definite
     forms need no special case, having no isotropic vector."""
-    g = sub.restricted_gram
     k = len(g)
     isotropic = [
         v for v in product(range(-radius, radius + 1), repeat=k)
@@ -737,6 +749,22 @@ def reference_pair_search(sub, radius):
             if sum(c * x for c, x in zip(cov, f)) == 1:
                 return e, f
     return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_symmetric_grams().filter(lambda g: len(g) >= 2), st.integers(1, 2))
+def test_minor_gcd_never_proves_absence_where_the_box_finds_a_pair(g, radius):
+    # the running gcd stops early only at 1, so it is the gcd of all the
+    # 2x2 minors; and a pair (e, f) gives P G P^T = H, so by Cauchy-Binet
+    # that gcd divides det H = -1
+    k = len(g)
+    pairs = list(combinations(range(k), 2))
+    minors = [g[i][s] * g[j][t] - g[i][t] * g[j][s] for i, j in pairs for s, t in pairs]
+    assert _minor_gcd(g) == gcd(*minors)
+    hit = reference_pair_search(g, radius)
+    event("box search: " + ("exhausted" if hit is None else "found"))
+    if hit is not None:
+        assert _minor_gcd(g) == 1
 
 
 def is_indefinite(blocks):
@@ -769,7 +797,7 @@ def test_find_pair_matches_the_full_box_reference(blocks, n_classes, radius, dat
     if literal:
         event("literal hyperbolic block")
         return
-    hit = reference_pair_search(sub, radius)
+    hit = reference_pair_search(g, radius)
     event("box search: " + ("exhausted" if hit is None else "found"))
     if hit is None:
         assert pair is None

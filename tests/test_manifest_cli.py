@@ -1,6 +1,7 @@
 """Manifest grammar, catalog round-trips, CLI exit codes and payloads."""
 
 import json
+import sys
 
 import pytest
 
@@ -407,3 +408,37 @@ def test_help_names_every_declared_option(name, capsys):
         assert flag in out.split(), flag
     for flag, spec in COMMANDS[name][2]:
         assert spec.get("help", "").strip(), flag
+
+
+def _big_integer_manifests():
+    """(argv after the path, manifest, exit code): integers of 4,300 digits,
+    which parse, whose sums, products and series coefficients pass the
+    interpreter's integer-to-string digit limit."""
+    big = int("9" * 4300)
+    k3 = json.loads(serialize_manifest(load_catalog("K3")))
+    det = dict(k3, form=k3["form"][:4] + [{"type": "diag", "entries": [big, big] + [-1] * 6}])
+    e3 = json.loads(serialize_manifest(load_catalog("E3")))
+    for entry in e3["basic_classes"]:
+        entry["sw"] = (1 if entry["sw"] > 0 else -1) * 10**4299
+    direction = ",".join(["10"] + ["0"] * 33)
+    return [
+        pytest.param(("validate",), dict(k3, chi=big, sigma=big), 2, id="validate-chi-sigma"),
+        pytest.param(("validate",), dict(k3, b_plus=big), 2, id="validate-b-plus"),
+        pytest.param(("validate",), det, 2, id="validate-determinant"),
+        pytest.param(("witten", f"--direction={direction}", "--order", "3"), e3, 0,
+                     id="witten-sw"),
+    ]
+
+
+@pytest.mark.parametrize("argv, manifest, expected", _big_integer_manifests())
+def test_cli_reports_integers_past_the_digit_limit(capsys, tmp_path, argv, manifest, expected):
+    # the digit limit guards parsing; a report on parsed data is not cut off
+    # by it, and main restores it for the rest of the process
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(manifest))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)  # absent on older 3.10 builds
+    before = limit()
+    code, out, err = run_cli(capsys, argv[0], str(p), *argv[1:])
+    assert limit() == before
+    assert (code, err) == (expected, "")
+    assert f'"verdict": "{"pass" if expected == 0 else "fail"}"' in out

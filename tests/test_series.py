@@ -19,7 +19,6 @@ from swcalc.lattice import (
     IntegralLattice,
     find_hyperbolic_pair,
     orthogonal_complement,
-    pairing_rational,
 )
 from swcalc.manifold import BasicClassEntry, FourManifold
 from swcalc.series import (
@@ -67,12 +66,14 @@ def test_dense_order_sorts_supports_as_sorted_sorts_dense_tuples(rows, rng):
 def taylor_eval_oracle(s: ExpSum, direction: Direction, order: int) -> Fraction:
     """Truncated Taylor value of the sum along a direction, done termwise.
 
-    Independent of the span-reduction machinery: each exponential is
+    Independent of the span-reduction machinery and of the pairing code:
+    each <k, d> is read off the dense Gram, and each exponential is
     expanded on its own by plain powers and factorials.
     """
+    gram = s.ambient.gram
     total = Fraction(0)
     for a, k in s.terms:
-        x = pairing_rational(s.ambient, k.coords, direction.coords)
+        x = sum(ki * g * di for ki, row in zip(k.coords, gram) for g, di in zip(row, direction.coords))
         power = Fraction(1)
         fact = 1
         for d in range(order + 1):
