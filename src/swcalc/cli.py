@@ -62,8 +62,16 @@ def _parse_coords(text: str, rank: int) -> CohClass:
     return CohClass(tuple(_parse_vector(text, rank, "integers", int)))
 
 
+def _rational(text: str) -> Fraction:
+    """An integer, p/q or plain decimal; exponent notation is refused, since
+    Fraction would spend unbounded time on a value like 1e10000000."""
+    if "e" in text.lower():
+        raise ValueError(text)
+    return Fraction(text)
+
+
 def _parse_direction(text: str, rank: int) -> Direction:
-    return Direction.of(_parse_vector(text, rank, "rationals", Fraction))
+    return Direction.of(_parse_vector(text, rank, "rationals", _rational))
 
 
 def _parse_window(text: str) -> Window:

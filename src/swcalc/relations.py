@@ -271,7 +271,6 @@ class SstEntry:
 @dataclass(frozen=True)
 class SstReport:
     verdict: str
-    manifold: str
     w: CohClass
     c: Fraction
     required_order: int | None
@@ -341,7 +340,7 @@ def sst_check(
     notes = []
     if c - 3 < 0:
         return SstReport(
-            VERDICT_PASS_VACUOUS, m.name, w, c, None, None, None, None,
+            VERDICT_PASS_VACUOUS, w, c, None, None, None, None,
             notes=(f"c = {c}: c - 3 < 0, nothing to check",),
         )
     c_int = int(c)
@@ -385,7 +384,7 @@ def sst_check(
         notes.append("a relation sum failed to vanish; data inconsistent with the conjectures")
     return SstReport(
         VERDICT_PASS if ok else VERDICT_FAIL,
-        m.name, w, c, required, order, lambda0, lambda1,
+        w, c, required, order, lambda0, lambda1,
         r0, i0, r1, i1, tuple(entries), tuple(notes),
     )
 
@@ -625,17 +624,12 @@ def region_data(m: FourManifold, w: CohClass, window: Window | None = None) -> R
     rhs = _degree_rule_rhs(m, wsq)
     delta_cong = (rhs // 2) % 4 if rhs % 2 == 0 else -1
     lam_cong = (wsq - m.sigma) % 4
-    marked = []
-    white = []
-    for lam_sq in range(window.lam_min, window.lam_max + 1):
-        if lam_sq % 4 != lam_cong:
-            continue
-        for delta in range(window.delta_min, window.delta_max + 1):
-            if (2 * delta - rhs) % 8 != 0:
-                continue
-            marked.append((lam_sq, delta))
-            if w_char and lam_sq % 8 == 0:
-                white.append((lam_sq, delta))
+    deltas = [d for d in range(window.delta_min, window.delta_max + 1)
+              if degree_admissible(m, w, d)]
+    lam_sqs = range(window.lam_min + (lam_cong - window.lam_min) % 4, window.lam_max + 1, 4)
+    marked = [(lam_sq, delta) for lam_sq in lam_sqs for delta in deltas]
+    white = [(lam_sq, delta) for lam_sq in lam_sqs if w_char and lam_sq % 8 == 0
+             for delta in deltas]
     # the r-line passes through (intercept_r, 0): triangle vertex order is
     # left foot, apex, right foot
     tri = tuple(sorted(triangle, key=lambda p: p[0]))

@@ -132,11 +132,6 @@ class Jet:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def min_total_degree(self) -> int | None:
-        if not self.coefficients:
-            return None
-        return min(sum(alpha) for alpha in self.coefficients)
-
     def homogeneous_part(self, degree: int) -> "Jet":
         part = {a: c for a, c in self.coefficients.items() if sum(a) == degree}
         return Jet(self.ambient, self.variables, part, self.order)
@@ -151,24 +146,6 @@ class Jet:
             {a: c * f for a, c in self.coefficients.items()},
             self.order,
         )
-
-    def mul(self, other: "Jet", order: int | None = None) -> "Jet":
-        if self.variables != other.variables:
-            raise PreconditionError("jets expanded over different variable bases")
-        cap = min(self.order, other.order) if order is None else order
-        out: dict[tuple[int, ...], Fraction] = {}
-        for a, ca in self.coefficients.items():
-            da = sum(a)
-            for b, cb in other.coefficients.items():
-                if da + sum(b) > cap:
-                    continue
-                key = tuple(x + y for x, y in zip(a, b))
-                v = out.get(key, Fraction(0)) + ca * cb
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return Jet(self.ambient, self.variables, out, cap)
 
     def evaluate(self, direction: Direction) -> Fraction:
         xs = [pairing(self.ambient, v, direction) for v in self.variables]
@@ -192,15 +169,16 @@ class Jet:
         }
 
 
-def _span_reduce(lattice: IntegralLattice, span_classes, expand_classes):
-    """Pick pivot classes with independent pairing covectors; express the rest.
+def _span_reduce(lattice: IntegralLattice, classes, expand=True):
+    """Pick pivot classes with independent pairing covectors; express all.
 
-    Returns (pivots, den, rows): pivots are drawn from span_classes in order
-    of first appearance, and den > 0 is the least integer with
-    den * covector(expand_classes[i]) = sum_j rows[i][j] * covector(pivots[j])
-    for integer rows.  The elimination is fraction-free over sparse
-    covectors {col: x}; tag column n + s counts pivot s, so every row also
-    records which integer combination of pivot covectors it is.
+    Returns (pivots, den, rows): pivots are drawn from classes in order of
+    first appearance, and den > 0 is the least integer with
+    den * covector(classes[i]) = sum_j rows[i][j] * covector(pivots[j])
+    for integer rows; with expand false there are no rows and den = 1.  The
+    elimination is fraction-free over sparse covectors {col: x}; tag column
+    n + s counts pivot s, so every row also records which integer
+    combination of pivot covectors it is.
     """
     n = lattice.rank
     echelon = []  # (row, pivot col); later rows are zero in earlier pivot cols
@@ -219,7 +197,7 @@ def _span_reduce(lattice: IntegralLattice, span_classes, expand_classes):
                      if (y := a * v.get(j, 0) - b * row.get(j, 0))}
         return v
 
-    for k in span_classes:
+    for k in classes:
         v = reduce(k)
         pc = min(v)
         if pc < n:
@@ -229,10 +207,8 @@ def _span_reduce(lattice: IntegralLattice, span_classes, expand_classes):
 
     width = len(pivots)
     scaled = []  # (mu, e) with mu * covector(k) = sum_s e[s] * covector(pivots[s])
-    for k in expand_classes:
+    for k in classes if expand else ():
         v = reduce(k)
-        if min(v) < n:
-            raise PreconditionError("class lies outside the provided span")
         mu = v.pop(n + width)
         g = gcd(mu, *v.values())
         scaled.append((mu // g, [-v.get(n + s, 0) // g for s in range(width)]))
@@ -248,8 +224,7 @@ def _integer_terms(s: ExpSum, expand=True):
     sum_j R'_ij x_j / D over the pivot variables x_j; columns[j][i] = R'_ij.
     With expand false only the pivots are picked: D = 1 and no columns.
     """
-    classes = [k for _, k in s.terms]
-    pivots, den, rows = _span_reduce(s.ambient, classes, classes if expand else [])
+    pivots, den, rows = _span_reduce(s.ambient, [k for _, k in s.terms], expand)
     den_a = lcm(*(a.denominator for a, _ in s.terms))
     coeffs = [a.numerator * (den_a // a.denominator) for a, _ in s.terms]
     return pivots, den, den_a, coeffs, list(zip(*rows))
@@ -291,18 +266,11 @@ def power_sums(s: ExpSum, degrees, zero_below=0) -> dict[int, Jet]:
     }
 
 
-def jet_expand(s: ExpSum, order: int, span=None) -> Jet:
-    """Expand the sum through total degree <= order, exactly.
-
-    The optional span argument lists extra classes to include when the
-    variable basis is chosen, so that jets of related sums can share a
-    coordinate system and be combined.
-    """
+def jet_expand(s: ExpSum, order: int) -> Jet:
+    """Expand the sum through total degree <= order, exactly, over its pivots."""
     if order < 0:
         raise PreconditionError("order must be nonnegative")
-    classes = [k for _, k in s.terms]
-    span_classes = list(span) if span is not None else classes
-    pivots, den, rows = _span_reduce(s.ambient, span_classes, classes)
+    pivots, den, rows = _span_reduce(s.ambient, [k for _, k in s.terms])
     width = len(pivots)
     coeffs: dict[tuple[int, ...], Fraction] = {}
 

@@ -339,6 +339,31 @@ def test_cli_empty_option_value_is_usage_error(capsys, argv, message):
     assert err == f"usage error: {message}\n"
 
 
+HUGE = "1e10000000"  # Fraction alone takes seconds to minutes on this
+
+
+@pytest.mark.parametrize("argv, text", [
+    pytest.param(("witten", "K3", f"--direction={HUGE}" + ",0" * 21, "--order=1"),
+                 HUGE + ",0" * 21, id="witten-direction"),
+    pytest.param(("witten", "K3", "--direction=0,0,1E2" + ",0" * 19, "--order=1"),
+                 "0,0,1E2" + ",0" * 19, id="witten-direction-upper"),
+    pytest.param(("relate", "E4", f"--lambda={E4_LAMBDA}", f"--w={E4_W}", "--delta=0", "-m=0",
+                  f"--at={HUGE}" + ",0" * 45), HUGE + ",0" * 45, id="relate-at"),
+])
+def test_cli_exponent_notation_is_usage_error(capsys, argv, text):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: expected comma-separated rationals, got {text!r}\n"
+
+
+def test_cli_direction_takes_integers_fractions_and_decimals(capsys):
+    code, out, _ = run_cli(capsys, "witten", "E3", "--direction",
+                           ",".join(["0.5", "-1/2", "-0"] + ["0"] * 31), "--order", "3")
+    assert code == 0
+    assert json.loads(out)["direction"][:3] == ["1/2", "-1/2", "0"]
+
+
 def test_cli_parse_error_exit_code(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{ nope")

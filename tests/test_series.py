@@ -239,7 +239,7 @@ def test_jet_e4_square_leading_term(catalog):
     e4 = catalog["E4"]
     s = sw_series(e4, CohClass.zero(46))
     jet = jet_expand(s, 2)
-    assert jet.min_total_degree() == 2
+    assert min(map(sum, jet.coefficients), default=None) == 2
     d = Direction.of([0, 1] + [0] * 44)  # <f, d> = 1
     assert jet.homogeneous_part(2).evaluate(d) == 4
 
@@ -270,13 +270,15 @@ def test_twist_then_expand_equals_jet_product():
         s = ExpSum.build(H3, terms)
         lam = CohClass(tuple(rng.randint(-1, 1) for _ in range(6)))
         order = 4
-        span = [k for _, k in s.terms] + [k + lam for _, k in s.terms] + [lam]
-        lhs = jet_expand(twist(s, lam, 1), order, span=span)
-        rhs = jet_expand(s, order, span=span).mul(
-            jet_expand(ExpSum.exponential(H3, lam), order, span=span)
-        )
-        assert lhs.variables == rhs.variables
-        assert lhs.coefficients == rhs.coefficients
+        exp_lam = ambient_poly_oracle(ExpSum.exponential(H3, lam), order)
+        product: dict[tuple[int, ...], Fraction] = {}
+        for a, ca in ambient_poly_oracle(s, order).items():
+            for b, cb in exp_lam.items():
+                if sum(a) + sum(b) <= order:
+                    key = tuple(x + y for x, y in zip(a, b))
+                    product[key] = product.get(key, Fraction(0)) + ca * cb
+        expected = {alpha: c for alpha, c in product.items() if c}
+        assert jet_in_ambient_coords(jet_expand(twist(s, lam, 1), order)) == expected
 
 
 def test_vanishing_order_examples(catalog):
@@ -355,7 +357,7 @@ def exp_sums_over_h4(draw):
 @settings(max_examples=100, deadline=None)
 @given(exp_sums_over_h4(), st.integers(0, 8))
 def test_vanishing_order_matches_the_jet_route(s, cap):
-    degree = jet_expand(s, cap).min_total_degree()
+    degree = min(map(sum, jet_expand(s, cap).coefficients), default=None)
     if s.is_zero():
         expected = VanishingOrder.zero_series()
     elif degree is None:
@@ -440,7 +442,7 @@ def test_vanishing_order_rows_with_coprime_denominators():
     g, h = CohClass.unit(8, 0), CohClass.unit(8, 2)
     s = ExpSum.build(H4, [(1, CohClass.zero(8)), (3, 2 * g), (-2, 3 * g), (1, -3 * h), (-3, -h)])
     assert vanishing_order(s, 4) == VanishingOrder.exact(2)
-    assert jet_expand(s, 4).min_total_degree() == 2
+    assert min(map(sum, jet_expand(s, 4).coefficients), default=None) == 2
 
 
 def rational_solve(columns, target):
@@ -481,13 +483,13 @@ def rational_span_reference(form, span_classes, expand_classes):
 
 @st.composite
 def span_reduction_cases(draw):
-    """A lattice of H, +-E8 and diagonal blocks with span and expand classes.
+    """A lattice of H, +-E8 and diagonal blocks with a shuffled class list.
 
-    The span classes are zero classes, repeats, integer multiples of earlier
-    classes and multiples scale * c of fresh combinations c of at most
-    rank - 1 generators.  The expand classes are the span classes, the
-    combinations c (a c scaled by 2 or 3 gets a row with that denominator)
-    and integer combinations of the span classes.
+    The list holds span classes: zero classes, repeats, integer multiples of
+    earlier classes and multiples scale * c of fresh combinations c of at
+    most rank - 1 generators.  It also holds the combinations c (a c whose
+    multiple 2c or 3c comes first gets a row with that denominator) and
+    integer combinations of the span classes.
     """
     block = st.one_of(
         st.just(HyperbolicBlock()),
@@ -524,35 +526,20 @@ def span_reduction_cases(draw):
         expand.append(CohClass(tuple(
             sum(c * k.coords[i] for c, k in zip(cs, span)) for i in range(n)
         )))
-    return form, span, draw(st.permutations(expand))
+    return form, draw(st.permutations(expand))
 
 
 @settings(max_examples=200, deadline=None)
 @given(span_reduction_cases())
 def test_span_reduce_matches_rational_elimination(case):
-    form, span, expand = case
-    pivots, den, rows = _span_reduce(form, span, expand)
-    ref_pivots, ref_rows = rational_span_reference(form, span, expand)
+    form, classes = case
+    pivots, den, rows = _span_reduce(form, classes)
+    ref_pivots, ref_rows = rational_span_reference(form, classes, classes)
     assert list(pivots) == ref_pivots
     assert den > 0
     assert den == math.lcm(*(x.denominator for row in ref_rows for x in row))
     assert all(isinstance(x, int) for row in rows for x in row)
     assert [tuple(Fraction(x, den) for x in row) for row in rows] == ref_rows
-
-    # the span classes lie in the span of at most rank - 1 generators and the
-    # form is nondegenerate, so the covector of some unit class is outside
-    outside = next(
-        u for u in (CohClass.unit(form.rank, i) for i in range(form.rank))
-        if rational_span_reference(form, span, [u])[1][0] is None
-    )
-    with pytest.raises(SWCalcError):
-        _span_reduce(form, span, expand + [outside])
-
-
-def _mismatched_jet_product():
-    x = jet_expand(ExpSum.exponential(H, F_H), 2)
-    y = jet_expand(ExpSum.exponential(H, CohClass((0, 1))), 2)
-    return x.mul(y)
 
 
 @pytest.mark.parametrize("call", [
@@ -563,10 +550,7 @@ def _mismatched_jet_product():
         Direction.of([1, 1]), -1),
     lambda: vanishing_order(ExpSum.exponential(H, F_H), -1),
     lambda: twist(ExpSum.exponential(H, F_H), F_H, 2),
-    _mismatched_jet_product,
-    lambda: jet_expand(ExpSum.exponential(H, F_H), 2, span=[CohClass((0, 1))]),
-], ids=["pair-radius", "jet-order", "evaluate-order", "vanishing-cap", "twist-sign",
-        "jet-basis-mismatch", "outside-span"])
+], ids=["pair-radius", "jet-order", "evaluate-order", "vanishing-cap", "twist-sign"])
 def test_library_preconditions_raise_swcalc_errors(call):
     with pytest.raises(SWCalcError) as caught:
         call()
