@@ -220,12 +220,17 @@ def block_determinant(lattice: IntegralLattice) -> int:
     return prod(b.determinant for b in lattice.blocks)
 
 
+def dot(ga: dict, b) -> int:
+    """The pairing a.b from ga = covector(lattice, a): ga read over b's
+    support, so a caller that pairs one class with many builds ga once."""
+    return sum(ga.get(t, 0) * x for t, x in b.support)
+
+
 def pairing(lattice: IntegralLattice, a, b):
     """Evaluate the intersection pairing a.b exactly: G.a read over b's support."""
     if a.rank != b.rank:
         raise DimensionMismatch(f"cannot pair vectors of lengths {a.rank} and {b.rank}")
-    ga = covector(lattice, a)
-    return sum(ga.get(t, 0) * x for t, x in b.support)
+    return dot(covector(lattice, a), b)
 
 
 def square(lattice: IntegralLattice, a: CohClass) -> int:
@@ -244,11 +249,12 @@ def characteristic_vector(lattice: IntegralLattice) -> CohClass:
     return CohClass.from_support(lattice.rank, ((i, 1) for i in lattice.odd_diagonal))
 
 
-def is_characteristic(lattice: IntegralLattice, c: CohClass) -> bool:
+def is_characteristic(lattice: IntegralLattice, c: CohClass, gc=None) -> bool:
     """True iff c.x = x.x (mod 2) for every basis vector x: the odd entries
-    of G.c are those of the diagonal."""
-    odd = {s for s, y in covector(lattice, c).items() if y & 1}
-    return odd == lattice.odd_diagonal
+    of G.c are those of the diagonal.  A caller that holds gc = G.c passes it."""
+    if gc is None:
+        gc = covector(lattice, c)
+    return {s for s, y in gc.items() if y & 1} == lattice.odd_diagonal
 
 
 def _xgcd(a: int, b: int):
@@ -308,9 +314,14 @@ class Sublattice:
     ambient: IntegralLattice
     basis: tuple[CohClass, ...]
 
+    @cached_property
+    def covectors(self) -> tuple[dict, ...]:
+        """covector(ambient, b_i) for each basis class, built once."""
+        return tuple(covector(self.ambient, b) for b in self.basis)
+
     def entry(self, i: int, j: int) -> int:
         """The pairing b_i . b_j."""
-        return pairing(self.ambient, self.basis[i], self.basis[j])
+        return dot(self.covectors[i], self.basis[j])
 
     @cached_property
     def restricted_gram(self) -> tuple[tuple[int, ...], ...]:

@@ -1,5 +1,6 @@
 """The validated input datum: topology, intersection form, basic classes."""
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -10,11 +11,11 @@ from .lattice import (
     Sublattice,
     block_determinant,
     block_signature,
+    covector,
+    dot,
     find_hyperbolic_pair,
     is_characteristic,
     orthogonal_complement,
-    pairing,
-    square,
 )
 
 
@@ -55,9 +56,15 @@ class FourManifold:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check; describe() builds its detail text, only when it is read."""
+
     name: str
     ok: bool
-    detail: str
+    describe: Callable[[], str] = str
+
+    @property
+    def detail(self) -> str:
+        return self.describe()
 
 
 @dataclass(frozen=True)
@@ -80,43 +87,44 @@ def validate(m: FourManifold) -> ValidationReport:
     """Run every internal-consistency check; failures are reported, not raised."""
     checks = []
 
-    def check(name, ok, detail=""):
-        checks.append(CheckResult(name, bool(ok), detail))
+    def check(name, ok, describe=str):
+        checks.append(CheckResult(name, bool(ok), describe))
 
     rank = m.form.rank
-    check("b_plus", m.b_plus > 1, f"b_plus = {m.b_plus}, must exceed 1")
+    check("b_plus", m.b_plus > 1, lambda: f"b_plus = {m.b_plus}, must exceed 1")
     check("euler_number", m.chi == 2 + rank,
-          f"chi = {m.chi}, form rank = {rank}, need chi = 2 + rank")
+          lambda: f"chi = {m.chi}, form rank = {rank}, need chi = 2 + rank")
     mod4_ok = (m.chi + m.sigma) % 4 == 0
     check("chi_plus_sigma_mod_4", mod4_ok,
-          f"chi + sigma = {m.chi + m.sigma}, must be 0 mod 4")
+          lambda: f"chi + sigma = {m.chi + m.sigma}, must be 0 mod 4")
     check("signature", m.sigma == 2 * m.b_plus - rank,
-          f"sigma = {m.sigma}, expected {2 * m.b_plus - rank} from b_plus and rank")
+          lambda: f"sigma = {m.sigma}, expected {2 * m.b_plus - rank} from b_plus and rank")
     form_sig = block_signature(m.form)
     check("form_signature", m.sigma == form_sig,
-          f"sigma = {m.sigma}, block form signature {form_sig}")
+          lambda: f"sigma = {m.sigma}, block form signature {form_sig}")
     det = block_determinant(m.form)
     check("unimodular", abs(det) == 1,
-          f"block form determinant {det}, must be 1 or -1")
+          lambda: f"block form determinant {det}, must be 1 or -1")
 
     st = 2 * m.chi + 3 * m.sigma
     seen = {}  # support -> (class, sw), first entry per class
     for idx, entry in enumerate(m.basic_classes):
-        label = f"basic_classes[{idx}]"
-        check(f"{label}.sw_nonzero", entry.sw != 0, "sw must be nonzero")
-        if entry.k.rank != rank:
-            check(f"{label}.coords_length", False, f"coords length {entry.k.rank} != rank {rank}")
+        label, k = f"basic_classes[{idx}]", entry.k
+        check(f"{label}.sw_nonzero", entry.sw != 0, lambda: "sw must be nonzero")
+        if k.rank != rank:
+            check(f"{label}.coords_length", False, lambda r=k.rank: f"coords length {r} != rank {rank}")
             continue
-        check(f"{label}.coords_length", True, "")
-        if entry.k.support in seen:
-            check(f"{label}.distinct", False, f"duplicate class {list(entry.k.coords)}")
+        check(f"{label}.coords_length", True)
+        if k.support in seen:
+            check(f"{label}.distinct", False, lambda k=k: f"duplicate class {list(k.coords)}")
         else:
-            seen[entry.k.support] = entry.k, entry.sw
-        check(f"{label}.characteristic", is_characteristic(m.form, entry.k),
-              f"class {list(entry.k.coords)} is not characteristic")
-        sq = square(m.form, entry.k)
+            seen[k.support] = k, entry.sw
+        gk = covector(m.form, k)
+        check(f"{label}.characteristic", is_characteristic(m.form, k, gk),
+              lambda k=k: f"class {list(k.coords)} is not characteristic")
+        sq = dot(gk, k)
         check(f"{label}.sw_simple_type", sq == st,
-              f"k.k = {sq}, simple type requires {st}")
+              lambda sq=sq: f"k.k = {sq}, simple type requires {st}")
 
     if mod4_ok:
         eps = -1 if ((m.chi + m.sigma) // 4) % 2 else 1
@@ -130,7 +138,7 @@ def validate(m: FourManifold) -> ValidationReport:
                 detail = (f"entry ({list(k.coords)}, {sw}) needs partner "
                           f"({list(neg.coords)}, {eps * sw}), found {partner}")
                 break
-        check("conjugation_symmetry", ok, detail)
+        check("conjugation_symmetry", ok, lambda: detail)
 
     return ValidationReport(tuple(checks))
 
@@ -173,7 +181,8 @@ def basic_class_set(m: FourManifold) -> tuple[CohClass, ...]:
 
 def orthogonality_defect(m: FourManifold, lam: CohClass):
     """First basic class not orthogonal to lam, or None."""
+    glam = covector(m.form, lam)
     for entry in m.basic_classes:
-        if pairing(m.form, lam, entry.k) != 0:
+        if dot(glam, entry.k) != 0:
             return entry.k
     return None

@@ -22,9 +22,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm, prod
+from operator import mul
 
 from .errors import DimensionMismatch, NonIntegralC, OddExponent, PreconditionError
-from .lattice import CohClass, IntegralLattice, covector, pairing, square
+from .lattice import CohClass, IntegralLattice, covector, dot, pairing, square
 from .manifold import FourManifold, characteristic_number
 
 
@@ -169,25 +170,27 @@ class Jet:
         }
 
 
-def _span_reduce(lattice: IntegralLattice, classes, expand=True):
+def _span_reduce(lattice: IntegralLattice, classes):
     """Pick pivot classes with independent pairing covectors; express all.
 
     Returns (pivots, den, rows): pivots are drawn from classes in order of
     first appearance, and den > 0 is the least integer with
     den * covector(classes[i]) = sum_j rows[i][j] * covector(pivots[j])
-    for integer rows; with expand false there are no rows and den = 1.  The
-    elimination is fraction-free over sparse covectors {col: x}; tag column
-    n + s counts pivot s, so every row also records which integer
-    combination of pivot covectors it is.
+    for integer rows.  The elimination is fraction-free over sparse
+    covectors {col: x}; tag column n + s counts pivot s, so every row also
+    records which integer combination of pivot covectors it is.  It is one
+    pass that reads each covector once: a pivot's row is its unit vector,
+    and a dependent class, once reduced, is zero on every lattice column,
+    so no later echelon row can change its tags.
     """
     n = lattice.rank
     echelon = []  # (row, pivot col); later rows are zero in earlier pivot cols
     pivots = []
-
-    def reduce(k):
-        """The tagged covector of k with every echelon pivot column cancelled."""
+    scaled = []  # (mu, e) with mu * covector(k) = sum_s e[s] * covector(pivots[s])
+    for k in classes:
+        tag = n + len(pivots)
         v = covector(lattice, k)
-        v[n + len(pivots)] = 1
+        v[tag] = 1
         for row, pc in echelon:
             f = v.get(pc)
             if f:
@@ -195,57 +198,67 @@ def _span_reduce(lattice: IntegralLattice, classes, expand=True):
                 a, b = row[pc] // g, f // g
                 v = {j: y for j in v.keys() | row.keys()
                      if (y := a * v.get(j, 0) - b * row.get(j, 0))}
-        return v
-
-    for k in classes:
-        v = reduce(k)
         pc = min(v)
         if pc < n:
             g = gcd(*v.values())
             echelon.append(({j: x // g for j, x in v.items()}, pc))
+            scaled.append((1, {len(pivots): 1}))
             pivots.append(k)
-
-    width = len(pivots)
-    scaled = []  # (mu, e) with mu * covector(k) = sum_s e[s] * covector(pivots[s])
-    for k in classes if expand else ():
-        v = reduce(k)
-        mu = v.pop(n + width)
-        g = gcd(mu, *v.values())
-        scaled.append((mu // g, [-v.get(n + s, 0) // g for s in range(width)]))
+        else:
+            mu = v.pop(tag)
+            g = gcd(mu, *v.values())
+            scaled.append((mu // g, {j - n: -x // g for j, x in v.items()}))
     den = lcm(*(mu for mu, _ in scaled))
-    rows = [tuple(x * (den // mu) for x in e) for mu, e in scaled]
+    rows = [tuple(e.get(s, 0) * (den // mu) for s in range(len(pivots))) for mu, e in scaled]
     return tuple(pivots), den, rows
 
 
-def _integer_terms(s: ExpSum, expand=True):
+def _integer_terms(s: ExpSum):
     """(pivots, D, A, a', columns): the sum in the integers over its span.
 
     Term i is a_i exp(<K_i, h>) with a_i = a'_i / A and <K_i, h> =
     sum_j R'_ij x_j / D over the pivot variables x_j; columns[j][i] = R'_ij.
-    With expand false only the pivots are picked: D = 1 and no columns.
     """
-    pivots, den, rows = _span_reduce(s.ambient, [k for _, k in s.terms], expand)
+    pivots, den, rows = _span_reduce(s.ambient, [k for _, k in s.terms])
     den_a = lcm(*(a.denominator for a, _ in s.terms))
     coeffs = [a.numerator * (den_a // a.denominator) for a, _ in s.terms]
     return pivots, den, den_a, coeffs, list(zip(*rows))
 
 
-def _power_sums(columns, products, n):
+def _power_sums(columns, products, n, powers):
     """Yield (alpha, sum_i products[i] * prod_j columns[j][i]^alpha_j), |alpha| = n.
 
-    The exponents run in lexicographic order and are produced lazily, so a
+    An odometer runs the exponents of the columns but the last in
+    lexicographic order, keeping the running product of each prefix; the
+    last column takes the rest of n and reads its powers off the caller's
+    table powers[e][i] = columns[-1][i]^e, which starts as [], is shared by
+    every degree of a walk and grows as they need.  The walk is lazy, so a
     caller can stop at the first nonzero sum.  With no columns only the
     constant monomial exists: ((), sum(products)) at n = 0, nothing above.
     """
-    if len(columns) > 1:
-        for e in range(n + 1):
-            for alpha, v in _power_sums(columns[1:], products, n - e):
-                yield (e, *alpha), v
-            products = [p * c for p, c in zip(products, columns[0])]
-    elif columns:
-        yield (n,), sum(p * c**n for p, c in zip(products, columns[0]))
-    elif not n:
-        yield (), sum(products)
+    if not columns:
+        if not n:
+            yield (), sum(products)
+        return
+    while len(powers) <= n:
+        powers.append(list(map(mul, powers[-1], columns[-1])) if powers else [1] * len(products))
+    front = columns[:-1]
+    m = len(front)
+    alpha = [0] * m
+    prods = [products] * (m + 1)  # prods[j] = products * prod_{i<j} front[i]^alpha[i]
+    rest = n
+    while True:
+        yield (*alpha, rest), sum(map(mul, prods[m], powers[rest]))
+        j = m - 1
+        while j >= 0 and not rest:
+            rest += alpha[j]
+            alpha[j] = 0
+            j -= 1
+        if j < 0:
+            return
+        alpha[j] += 1
+        rest -= 1
+        prods[j + 1:] = [list(map(mul, prods[j + 1], front[j]))] * (m - j)
 
 
 def power_sums(s: ExpSum, degrees, zero_below=0) -> dict[int, Jet]:
@@ -256,11 +269,12 @@ def power_sums(s: ExpSum, degrees, zero_below=0) -> dict[int, Jet]:
     The caller vouches that s vanishes to order >= zero_below: each degree
     below it is the zero Jet over the pivots, and only the rest run the kernel.
     """
-    pivots, den, den_a, coeffs, columns = _integer_terms(s, any(d >= zero_below for d in degrees))
+    pivots, den, den_a, coeffs, columns = _integer_terms(s)
+    powers = []
     return {
         d: Jet(s.ambient, pivots, {
             alpha: Fraction(factorial(d) // prod(map(factorial, alpha)) * v, den_a * den**d)
-            for alpha, v in _power_sums(columns, coeffs, d) if v
+            for alpha, v in _power_sums(columns, coeffs, d, powers) if v
         } if d >= zero_below else {}, d)
         for d in degrees
     }
@@ -319,29 +333,41 @@ def vanishing_order(s: ExpSum, cap: int) -> VanishingOrder:
     kernel, and the walk stops at the first nonzero integer sum, inside a
     degree as well as across degrees.  The coefficient of x^alpha is its
     sum divided by the positive integer A * D^n * alpha!, so the zero test
-    is exact.
+    is exact.  An even (odd) sum has no odd (even) part, so only degrees of
+    its parity are walked, and over one term per conjugate pair: a<k, h>^n
+    and +-a<-k, h>^n add up to 2a<k, h>^n there.  Term i and term -1-i are
+    the pair (see parity); the zero class is the middle term, kept as it is.
     """
     if cap < 0:
         raise PreconditionError("cap must be nonnegative")
     if s.is_zero():
         return VanishingOrder.zero_series()
+    first, step = 0, 1
+    p = parity(s)
+    if p is not Parity.NEITHER:
+        half = len(s.terms) // 2
+        folded = tuple((2 * a, k) for a, k in s.terms[:half]) + s.terms[half:len(s.terms) - half]
+        s = ExpSum(s.ambient, folded)
+        first, step = (1 if p is Parity.ODD else 0), 2
     _, _, _, coeffs, columns = _integer_terms(s)
-    for n in range(cap + 1):
-        if any(v for _, v in _power_sums(columns, coeffs, n)):
+    powers = []
+    for n in range(first, cap + 1, step):
+        if any(v for _, v in _power_sums(columns, coeffs, n, powers)):
             return VanishingOrder.exact(n)
     return VanishingOrder.at_least(cap + 1)
 
 
 def parity(s: ExpSum) -> Parity:
-    """Compare s(h) with s(-h) termwise."""
+    """Compare s(h) with s(-h) termwise.  Negation reverses the order of the
+    terms, that of their dense coordinates, so term i pairs with term -1-i."""
     if s.is_zero():
         return Parity.ZERO
-    table = {k.support: a for a, k in s.terms}
-    even = all(table.get((-k).support) == a for a, k in s.terms)
-    odd = all(table.get((-k).support) == -a for a, k in s.terms)
-    if even:
+    pairs = list(zip(s.terms, reversed(s.terms)))
+    if any(l.support != tuple((t, -x) for t, x in k.support) for (_, k), (_, l) in pairs):
+        return Parity.NEITHER
+    if all(b == a for (a, _), (b, _) in pairs):
         return Parity.EVEN
-    if odd:
+    if all(b == -a for (a, _), (b, _) in pairs):
         return Parity.ODD
     return Parity.NEITHER
 
@@ -353,10 +379,11 @@ def sw_series(m: FourManifold, w: CohClass) -> ExpSum:
     The exponent is an integer whenever k is characteristic; data that
     fails this raises OddExponent.
     """
-    wsq = square(m.form, w)
+    gw = covector(m.form, w)
+    wsq = dot(gw, w)
     pairs = []
     for entry in m.basic_classes:
-        e = wsq + pairing(m.form, entry.k, w)
+        e = wsq + dot(gw, entry.k)
         if e % 2:
             raise OddExponent(
                 f"w.w + k.w = {e} is odd for k = {list(entry.k.coords)}"
@@ -394,17 +421,18 @@ def evaluate_along(g: GaussianSeries, direction: Direction, order: int) -> list[
     """Substitute h = t * direction; exact univariate jet in t through order."""
     if order < 0:
         raise PreconditionError("order must be nonnegative")
-    ambient = g.core.ambient
-    q = g.quad_coeff * pairing(ambient, direction, direction)
+    gd = covector(g.core.ambient, direction)
+    q = g.quad_coeff * dot(gd, direction)
 
     quad = [Fraction(0)] * (order + 1)
     for j in range(order // 2 + 1):
         quad[2 * j] = q**j / factorial(j)
 
     coeffs = [a for a, _ in g.core.terms]
-    lins = [pairing(ambient, k, direction) for _, k in g.core.terms]
+    lins = [dot(gd, k) for _, k in g.core.terms]
+    powers = []
     core = [Fraction(v, factorial(d))
-            for d in range(order + 1) for _, v in _power_sums([lins], coeffs, d)]
+            for d in range(order + 1) for _, v in _power_sums([lins], coeffs, d, powers)]
 
     out = [Fraction(0)] * (order + 1)
     for i in range(order + 1):

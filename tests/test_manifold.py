@@ -167,3 +167,28 @@ def test_basic_class_count_negation_invariance(catalog):
             ),
         )
         assert basic_class_count(flipped) == basic_class_count(m)
+
+
+def test_validate_builds_details_only_when_rendered(catalog, monkeypatch):
+    # the details name the input classes: validate reads no class's dense
+    # coordinates, and to_list builds each detail from its own class
+    views = []
+    dense = CohClass.coords.func
+    monkeypatch.setattr(CohClass, "coords", property(lambda c: views.append(c) or dense(c)))
+    e4 = catalog["E4"]
+    report = validate(e4)
+    assert report.passed and not views
+    details = {c["name"]: c["detail"] for c in report.to_list()}
+    for idx, entry in enumerate(e4.basic_classes):
+        assert details[f"basic_classes[{idx}].characteristic"] == (
+            f"class {list(entry.k.coords)} is not characteristic")
+
+    a, b = CohClass((1, 1) + (0,) * 20), CohClass((1,) + (0,) * 21)
+    k3 = dataclasses.replace(catalog["K3"], basic_classes=(
+        BasicClassEntry(a, 1), BasicClassEntry(b, 1), BasicClassEntry(a, 1)))
+    details = {c["name"]: c["detail"] for c in validate(k3).to_list()}
+    assert details["basic_classes[0].characteristic"] == f"class {list(a.coords)} is not characteristic"
+    assert details["basic_classes[1].characteristic"] == f"class {list(b.coords)} is not characteristic"
+    assert details["basic_classes[2].distinct"] == f"duplicate class {list(a.coords)}"
+    assert details["basic_classes[0].sw_simple_type"] == "k.k = 2, simple type requires 0"
+    assert details["basic_classes[1].sw_simple_type"] == "k.k = 0, simple type requires 0"

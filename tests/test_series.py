@@ -400,6 +400,58 @@ def test_power_sums_below_the_order_run_no_kernel(catalog, monkeypatch):
     assert power_sums(s, {0, 1}, 2) == {0: full[0], 1: full[1]}
 
 
+def expand_product(lattice, factors):
+    """The ExpSum of a product of sums, each a list of (coefficient, class)."""
+    terms = [(Fraction(1), CohClass.zero(lattice.rank))]
+    for factor in factors:
+        terms = [(a * b, k + l) for a, k in terms for b, l in factor]
+    return ExpSum.build(lattice, terms)
+
+
+def test_vanishing_order_walks_only_the_degrees_of_its_parity(monkeypatch):
+    # an even sum has no odd part and an odd sum no even part, so their walks
+    # skip those degrees; a sum of neither parity walks every degree
+    g, h = CohClass.unit(8, 0), CohClass.unit(8, 2)
+    sinh_g, sinh_h = [(1, g), (-1, -g)], [(1, h), (-1, -h)]
+    cases = [
+        (expand_product(H4, [sinh_g, sinh_h] * 2 + [sinh_g] * 2), 5, Parity.EVEN,
+         VanishingOrder.at_least(6), [0, 2, 4]),
+        (expand_product(H4, [sinh_g, sinh_h] * 2 + [sinh_g] * 2), 8, Parity.EVEN,
+         VanishingOrder.exact(6), [0, 2, 4, 6]),
+        (expand_product(H4, [sinh_g, sinh_h, [(1, g), (1, -g)]] * 2 + [sinh_h]), 7, Parity.ODD,
+         VanishingOrder.exact(5), [1, 3, 5]),
+        (expand_product(H4, [[(1, g), (-1, CohClass.zero(8))]] * 3 + [sinh_h]), 3, Parity.NEITHER,
+         VanishingOrder.at_least(4), [0, 1, 2, 3]),
+    ]
+    kernel = series._power_sums
+    for s, cap, sign, order, walked in cases:
+        degrees = []
+
+        def recording(columns, products, n, powers):
+            degrees.append(n)
+            return kernel(columns, products, n, powers)
+
+        monkeypatch.setattr(series, "_power_sums", recording)
+        assert parity(s) == sign
+        assert vanishing_order(s, cap) == order
+        assert degrees == walked
+        monkeypatch.undo()
+        low = min(map(sum, jet_expand(s, cap).coefficients), default=None)
+        assert order == (VanishingOrder.at_least(cap + 1) if low is None else VanishingOrder.exact(low))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exp_sums_over_h4())
+def test_parity_matches_the_termwise_table(s):
+    # parity pairs term i with term -1-i; the definition looks each -k up
+    table = {k.support: a for a, k in s.terms}
+    even = all(table.get((-k).support) == a for a, k in s.terms)
+    odd = all(table.get((-k).support) == -a for a, k in s.terms)
+    expected = (Parity.ZERO if s.is_zero() else Parity.EVEN if even
+                else Parity.ODD if odd else Parity.NEITHER)
+    assert parity(s) == expected
+
+
 H2_DIAG = IntegralLattice.from_blocks([HyperbolicBlock()] * 2 + [DiagonalBlock((1, -1, 2))])
 H2_DIAG_CLASSES = st.lists(st.integers(-2, 2), min_size=7, max_size=7)
 
@@ -540,6 +592,20 @@ def test_span_reduce_matches_rational_elimination(case):
     assert den == math.lcm(*(x.denominator for row in ref_rows for x in row))
     assert all(isinstance(x, int) for row in rows for x in row)
     assert [tuple(Fraction(x, den) for x in row) for row in rows] == ref_rows
+
+
+def test_span_reduce_reads_each_covector_once(monkeypatch):
+    # one elimination pass: pivots, repeats, multiples, dependent sums and
+    # the zero class each build their covector exactly once
+    g, h, u = CohClass.unit(8, 0), CohClass.unit(8, 2), CohClass.unit(8, 5)
+    classes = [CohClass.zero(8), 2 * g, g, g + h, -3 * h, u, g - h + u, 2 * g, -u]
+    read = []
+    cov = series.covector
+    monkeypatch.setattr(series, "covector", lambda lattice, c: read.append(c) or cov(lattice, c))
+    pivots, den, rows = _span_reduce(H4, classes)
+    assert read == classes
+    assert pivots == (2 * g, g + h, u) and den == 2  # g is half the pivot 2g
+    assert rows[:3] == [(0, 0, 0), (2, 0, 0), (1, 0, 0)]
 
 
 @pytest.mark.parametrize("call", [
