@@ -12,13 +12,13 @@ come from a sparse xgcd transform kernel.
 """
 
 from copy import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, tee
 from math import gcd, prod
 
 from .errors import DimensionMismatch, ParityError, PreconditionError
+from .record import record
 
 # E8 Cartan matrix: chain 0-1-2-3-4-5-6 with node 7 attached to node 4
 # (arm lengths 4, 2, 1 from the trivalent node).  Even, determinant 1.
@@ -38,7 +38,7 @@ _E8_COLUMNS = tuple(tuple((s, g) for s, g in enumerate(row) if g) for row in E8_
 _NEG_E8_COLUMNS = tuple(tuple((s, -g) for s, g in col) for col in _E8_COLUMNS)
 
 
-@dataclass(frozen=True)
+@record
 class HyperbolicBlock:
     """The rank-two block [[0,1],[1,0]]."""
 
@@ -47,7 +47,7 @@ class HyperbolicBlock:
     columns = (((1, 1),), ((0, 1),))
 
 
-@dataclass(frozen=True)
+@record
 class E8Block:
     sign: int = -1
     rank = 8
@@ -62,7 +62,7 @@ class E8Block:
         return _E8_COLUMNS if self.sign == 1 else _NEG_E8_COLUMNS
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalBlock:
     """The diagonal form with the given entries, a tuple of ints."""
 
@@ -84,7 +84,7 @@ class DiagonalBlock:
 Block = HyperbolicBlock | E8Block | DiagonalBlock
 
 
-@dataclass(frozen=True, init=False)
+@record
 class CohClass:
     """An integral cohomology class: its rank and its support, the nonzero
     coordinates in the fixed basis as (t, x) pairs sorted by t.  Equality,
@@ -153,7 +153,7 @@ class CohClass:
         return CohClass(tuple(1 if i == index else 0 for i in range(rank)))
 
 
-@dataclass(frozen=True)
+@record
 class IntegralLattice:
     """A lattice with a fixed basis; its block list is the source of truth."""
 
@@ -306,7 +306,7 @@ def integer_kernel(rows, n: int):
     return u[row:]
 
 
-@dataclass(frozen=True)
+@record
 class Sublattice:
     """A saturated sublattice, its basis in ambient coordinates.  Pairings
     are read lazily by entry(i, j); restricted_gram is the dense view."""
@@ -351,7 +351,7 @@ def orthogonal_complement(lattice: IntegralLattice, classes) -> Sublattice:
     return Sublattice(lattice, tuple(CohClass.from_support(lattice.rank, v.items()) for v in kernel))
 
 
-@dataclass(frozen=True)
+@record
 class HyperbolicPair:
     """Classes e1, e2 with e1.e1 = e2.e2 = 0 and e1.e2 = 1."""
 
@@ -501,7 +501,7 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     return None
 
 
-@dataclass(frozen=True)
+@record
 class AbundanceClasses:
     """The output of the abundance construction.
 

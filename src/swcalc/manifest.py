@@ -7,7 +7,6 @@ rejected in strict mode and collected as warnings in lenient mode.
 """
 
 import json
-from dataclasses import dataclass, field
 
 from .catalog import catalog_entry
 from .errors import ParseError, ValidationError
@@ -20,6 +19,7 @@ from .lattice import (
     IntegralLattice,
 )
 from .manifold import BasicClassEntry, FourManifold
+from .record import field, record
 
 SCHEMA_VERSION = 1
 
@@ -37,7 +37,7 @@ _KNOWN_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Manifest:
     name: str
     chi: int

@@ -1,7 +1,6 @@
 """The validated input datum: topology, intersection form, basic classes."""
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -17,9 +16,10 @@ from .lattice import (
     is_characteristic,
     orthogonal_complement,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class BasicClassEntry:
     """A basic class k together with its integer invariant value."""
 
@@ -27,7 +27,7 @@ class BasicClassEntry:
     sw: int
 
 
-@dataclass(frozen=True)
+@record
 class FourManifold:
     name: str
     chi: int
@@ -54,7 +54,7 @@ class FourManifold:
         return self._pairs[radius]
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     """One check; describe() builds its detail text, only when it is read."""
 
@@ -67,7 +67,7 @@ class CheckResult:
         return self.describe()
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     checks: tuple[CheckResult, ...]
 

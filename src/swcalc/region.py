@@ -1,8 +1,8 @@
 """SVG and ASCII renderings of the admissible-degree region."""
 
-from dataclasses import asdict
 from fractions import Fraction
 
+from .record import asdict
 from .relations import RegionDescription
 
 

@@ -12,7 +12,6 @@ delta < i(lam) gives an explicit finite formula, implemented here as an
 exact homogeneous polynomial.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -41,6 +40,7 @@ from .manifold import (
     holomorphic_euler,
     orthogonality_defect,
 )
+from .record import record
 from .series import Jet, power_sums, sw_series, twist, vanishing_order
 
 VERDICT_PASS = "pass"
@@ -65,7 +65,7 @@ def i_lambda(m: FourManifold, lam: CohClass) -> Fraction:
     return index_value(m.chi, m.sigma, square(m.form, lam))
 
 
-@dataclass(frozen=True)
+@record
 class LevelData:
     """Level and index bookkeeping for one (lam, delta) choice."""
 
@@ -131,7 +131,7 @@ def dvanish_applies(m: FourManifold, lam: CohClass, delta: int) -> bool:
     return delta < r_lambda(m, lam) and delta < i_lambda(m, lam)
 
 
-@dataclass(frozen=True)
+@record
 class RelationQuery:
     """Query for the degree-(delta-2m) invariant with m point insertions."""
 
@@ -258,7 +258,7 @@ def _verify_supplied_pair(m, lambda0, lambda1):
             )
 
 
-@dataclass(frozen=True)
+@record
 class SstEntry:
     d: int
     m: int
@@ -268,7 +268,7 @@ class SstEntry:
     relation_is_zero: bool
 
 
-@dataclass(frozen=True)
+@record
 class SstReport:
     verdict: str
     w: CohClass
@@ -389,7 +389,7 @@ def sst_check(
     )
 
 
-@dataclass(frozen=True)
+@record
 class DvanishEntry:
     d: int
     m: int
@@ -397,7 +397,7 @@ class DvanishEntry:
     value_is_zero: bool
 
 
-@dataclass(frozen=True)
+@record
 class DvanishReport:
     verdict: str
     manifold: str
@@ -501,7 +501,7 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass, radius: int = 3) -> Dvan
     )
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     applicable: bool
     b: int
@@ -563,7 +563,7 @@ def basic_class_bound(m: FourManifold, strict: bool = True) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Window:
     lam_min: int
     lam_max: int
@@ -571,7 +571,7 @@ class Window:
     delta_max: int
 
 
-@dataclass(frozen=True)
+@record
 class RegionDescription:
     """The admissible-degree picture in the (lam.lam, delta) plane."""
 

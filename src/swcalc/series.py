@@ -17,7 +17,6 @@ every Taylor coefficient that vanishing_order, power_sums and evaluate_along
 need; jet_expand is the independent Fraction route the tests compare it to.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -27,9 +26,10 @@ from operator import mul
 from .errors import DimensionMismatch, NonIntegralC, OddExponent, PreconditionError
 from .lattice import CohClass, IntegralLattice, covector, dot, pairing, square
 from .manifold import FourManifold, characteristic_number
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Direction:
     """A rational direction for h, given by Poincare-dual coordinates; it has
     a class's rank and support, so the lattice pairings take it."""
@@ -58,7 +58,7 @@ def _dense_order(support) -> tuple:
     return (*((1, -t, x) if x > 0 else (-1, t, x) for t, x in support), (0,))
 
 
-@dataclass(frozen=True)
+@record
 class ExpSum:
     """Merged exponential sum; terms are sorted by their classes' dense
     coordinates, and each keeps the first class object given for its support."""
@@ -72,9 +72,12 @@ class ExpSum:
         for coeff, k in pairs:
             if k.rank != ambient.rank:
                 raise DimensionMismatch("term class length does not match lattice rank")
-            merged.setdefault(k.support, [Fraction(0), k])[0] += Fraction(coeff)
+            if (entry := merged.get(k.support)) is None:
+                merged[k.support] = [coeff, k]
+            else:
+                entry[0] += coeff
         order = sorted(merged, key=_dense_order)
-        return ExpSum(ambient, tuple((a, k) for a, k in map(merged.get, order) if a != 0))
+        return ExpSum(ambient, tuple((Fraction(a), k) for a, k in map(merged.get, order) if a != 0))
 
     @staticmethod
     def constant(ambient: IntegralLattice, value) -> "ExpSum":
@@ -82,7 +85,7 @@ class ExpSum:
 
     @staticmethod
     def exponential(ambient: IntegralLattice, k: CohClass) -> "ExpSum":
-        return ExpSum.build(ambient, [(Fraction(1), k)])
+        return ExpSum.build(ambient, [(1, k)])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -95,7 +98,7 @@ class Parity(Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
+@record
 class VanishingOrder:
     """Result of a bounded vanishing-order search."""
 
@@ -121,7 +124,7 @@ class VanishingOrder:
         return self.value >= bound
 
 
-@dataclass(frozen=True)
+@record
 class Jet:
     """A truncated polynomial in the variables x_j = <variables[j], h>."""
 
@@ -389,7 +392,7 @@ def sw_series(m: FourManifold, w: CohClass) -> ExpSum:
                 f"w.w + k.w = {e} is odd for k = {list(entry.k.coords)}"
             )
         sign = -1 if (e // 2) % 2 else 1
-        pairs.append((Fraction(sign * entry.sw), entry.k))
+        pairs.append((sign * entry.sw, entry.k))
     return ExpSum.build(m.form, pairs)
 
 
@@ -399,7 +402,7 @@ def predicted_parity(m: FourManifold, w: CohClass) -> Parity:
     return Parity.EVEN if value % 2 == 0 else Parity.ODD
 
 
-@dataclass(frozen=True)
+@record
 class GaussianSeries:
     """prefactor * exp(quad_coeff * h.h) * core."""
 

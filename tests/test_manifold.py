@@ -1,6 +1,5 @@
 """Input validation and derived scalar invariants."""
 
-import dataclasses
 import random
 
 from swcalc.lattice import (
@@ -23,6 +22,7 @@ from swcalc.manifold import (
     holomorphic_euler_of,
     validate,
 )
+from swcalc.record import replace
 
 
 def failed_names(m):
@@ -36,7 +36,7 @@ def test_catalog_entries_validate(catalog):
 
 
 def test_k3_chi_corruption(catalog):
-    m = dataclasses.replace(catalog["K3"], chi=25)
+    m = replace(catalog["K3"], chi=25)
     names = failed_names(m)
     assert "euler_number" in names
     assert "chi_plus_sigma_mod_4" in names
@@ -45,14 +45,14 @@ def test_k3_chi_corruption(catalog):
 def test_k3_single_field_corruptions(catalog):
     k3 = catalog["K3"]
     mutations = (
-        dataclasses.replace(k3, chi=k3.chi + 4),     # euler_number
-        dataclasses.replace(k3, sigma=k3.sigma + 4),  # signature
-        dataclasses.replace(k3, sigma=k3.sigma + 1),  # mod 4 and signature
-        dataclasses.replace(k3, b_plus=k3.b_plus + 1),
-        dataclasses.replace(
+        replace(k3, chi=k3.chi + 4),     # euler_number
+        replace(k3, sigma=k3.sigma + 4),  # signature
+        replace(k3, sigma=k3.sigma + 1),  # mod 4 and signature
+        replace(k3, b_plus=k3.b_plus + 1),
+        replace(
             k3, basic_classes=(BasicClassEntry(CohClass((1,) + (0,) * 21), 1),)
         ),  # not characteristic, wrong square
-        dataclasses.replace(
+        replace(
             k3, basic_classes=(BasicClassEntry(CohClass.zero(22), 0),)
         ),  # sw = 0
     )
@@ -69,7 +69,7 @@ def test_conjugation_asymmetry_detected(catalog):
         BasicClassEntry(CohClass.zero(46), -2),
         BasicClassEntry(-f2, 2),
     )
-    m = dataclasses.replace(e4, basic_classes=entries)
+    m = replace(e4, basic_classes=entries)
     assert "conjugation_symmetry" in failed_names(m)
 
 
@@ -115,7 +115,7 @@ def test_non_simple_type_flagged():
 
 def test_duplicate_class_flagged(catalog):
     k3 = catalog["K3"]
-    m = dataclasses.replace(
+    m = replace(
         k3,
         basic_classes=(BasicClassEntry(CohClass.zero(22), 1),
                        BasicClassEntry(CohClass.zero(22), 1)),
@@ -160,7 +160,7 @@ def test_basic_class_count(catalog):
 
 def test_basic_class_count_negation_invariance(catalog):
     for m in catalog.values():
-        flipped = dataclasses.replace(
+        flipped = replace(
             m,
             basic_classes=tuple(
                 BasicClassEntry(-e.k, e.sw) for e in m.basic_classes
@@ -184,7 +184,7 @@ def test_validate_builds_details_only_when_rendered(catalog, monkeypatch):
             f"class {list(entry.k.coords)} is not characteristic")
 
     a, b = CohClass((1, 1) + (0,) * 20), CohClass((1,) + (0,) * 21)
-    k3 = dataclasses.replace(catalog["K3"], basic_classes=(
+    k3 = replace(catalog["K3"], basic_classes=(
         BasicClassEntry(a, 1), BasicClassEntry(b, 1), BasicClassEntry(a, 1)))
     details = {c["name"]: c["detail"] for c in validate(k3).to_list()}
     assert details["basic_classes[0].characteristic"] == f"class {list(a.coords)} is not characteristic"

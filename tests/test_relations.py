@@ -1,6 +1,5 @@
 """Depth/index parameters, relation formula, vanishing pipelines, region."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -52,6 +51,7 @@ from swcalc.relations import (
     region_data,
     sst_check,
 )
+from swcalc.record import replace
 from swcalc.catalog import _elliptic
 from swcalc.report import render
 from swcalc.series import Direction, jet_expand, sw_series, twist, vanishing_order
@@ -157,7 +157,7 @@ def test_dvanish_applies(catalog):
 
 
 def test_dvanish_applies_needs_conjecture(catalog):
-    e4 = dataclasses.replace(catalog["E4"], assume_conjecture=False)
+    e4 = replace(catalog["E4"], assume_conjecture=False)
     lam = 2 * unit(46, 2) - 4 * unit(46, 3)
     with pytest.raises(ConjectureNotAssumed):
         dvanish_applies(e4, lam, 3)
@@ -221,7 +221,7 @@ def test_dswrel_hypothesis_violations(catalog):
 
 
 def test_dswrel_needs_conjecture(catalog):
-    e4 = dataclasses.replace(catalog["E4"], assume_conjecture=False)
+    e4 = replace(catalog["E4"], assume_conjecture=False)
     u, v = unit(46, 2), unit(46, 3)
     with pytest.raises(ConjectureNotAssumed):
         dswrel_value(e4, RelationQuery(2 * u - v, 2 * u - 3 * v, 0, 0))
@@ -357,7 +357,7 @@ def test_sst_relation_values_match_jet_oracle_at_width_four(fixtures_dir):
     m = manifest.to_manifold()
     w = CohClass(manifest.w)
     heavy = {(2, -2, 2, -2), (-2, 2, -2, 2)}  # the signed generator coordinates
-    corrupted = dataclasses.replace(m, basic_classes=tuple(
+    corrupted = replace(m, basic_classes=tuple(
         BasicClassEntry(e.k, 3) if tuple(e.k.coords[i] for i in (2, 5, 10, 19)) in heavy else e
         for e in m.basic_classes
     ))
@@ -585,7 +585,7 @@ def test_sst_runs_no_relation_kernel_below_the_order(fixtures_dir, monkeypatch):
         assert sst_check(manifold, w_class).verdict == VERDICT_PASS
         assert kernel_degrees == [[]]
     heavy = {(2, -2, 2, -2), (-2, 2, -2, 2)}
-    corrupted = dataclasses.replace(m, basic_classes=tuple(
+    corrupted = replace(m, basic_classes=tuple(
         BasicClassEntry(e.k, 3) if tuple(e.k.coords[i] for i in (2, 5, 10, 19)) in heavy else e
         for e in m.basic_classes
     ))
@@ -602,7 +602,7 @@ def test_sst_not_characteristic(catalog):
 
 
 def test_sst_needs_conjecture(catalog):
-    e4 = dataclasses.replace(catalog["E4"], assume_conjecture=False)
+    e4 = replace(catalog["E4"], assume_conjecture=False)
     with pytest.raises(ConjectureNotAssumed):
         sst_check(e4, CohClass.zero(46))
 
@@ -615,7 +615,7 @@ def test_sst_corrupted_e4(fixtures_dir):
     assert validate(m).passed
     report = sst_check(m, CohClass.zero(46))
     assert report.verdict == VERDICT_FAIL
-    assert report.order == dataclasses.replace(report.order, kind="exact", value=0)
+    assert report.order == replace(report.order, kind="exact", value=0)
     assert not report.entries[0].relation_is_zero
 
 

@@ -203,6 +203,20 @@ def test_twist_examples():
     assert twist(shifted, lam, 1).terms == one.terms
 
 
+def test_build_merges_raw_coefficients_into_fractions():
+    """Int and Fraction coefficients merge per support into Fractions, a
+    support whose coefficients cancel is dropped, and each kept term holds
+    the first class object given for its support."""
+    first, again = CohClass((1, -2)), CohClass((1, -2))
+    s = ExpSum.build(H, [
+        (1, first), (Fraction(1, 2), F_H), (2, again), (-1, -F_H),
+        (Fraction(-1, 2), F_H), (1, -F_H), (2, CohClass((0, 1))),
+    ])
+    assert [(a, k.coords) for a, k in s.terms] == [(Fraction(2), (0, 1)), (Fraction(3), (1, -2))]
+    assert all(type(a) is Fraction for a, _ in s.terms)
+    assert s.terms[1][1] is first
+
+
 def test_twist_e3_series(catalog):
     e3 = catalog["E3"]
     f = CohClass((1, 1) + (0,) * 32)
