@@ -39,7 +39,6 @@ from .relations import (
     dvanish_applies,
     dvanish_theorem_check,
     i_lambda,
-    level_and_index,
     r_lambda,
     region_data,
     sst_check,

@@ -25,10 +25,6 @@ class NonIntegralC(SWCalcError):
     """The characteristic number is not an integer where one is required."""
 
 
-class LambdaNotOrthogonal(SWCalcError):
-    """The chosen class pairs nontrivially with a basic class."""
-
-
 class ConjectureNotAssumed(SWCalcError):
     """A relation operation was invoked with the multiplicity-conjecture flag unset."""
 

@@ -124,7 +124,7 @@ def parse_manifest(text: str, strict: bool = True) -> Manifest:
             raise ParseError(f"unknown fields: {sorted(unknown)}")
         warnings.append(f"ignoring unknown fields: {sorted(unknown)}")
 
-    version = raw.get("schema_version", SCHEMA_VERSION)
+    version = _want_int(raw.get("schema_version", SCHEMA_VERSION), "schema_version")
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}")
 

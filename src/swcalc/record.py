@@ -98,8 +98,3 @@ def replace(obj, **changes):
     """A copy of the record obj with the given fields changed, built by its
     constructor (so `__post_init__` checks run again)."""
     return obj.__class__(**{**{n: getattr(obj, n) for n in obj._fields}, **changes})
-
-
-def asdict(obj) -> dict:
-    """The record's fields as a dict from name to value, in field order."""
-    return {n: getattr(obj, n) for n in obj._fields}

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-from .record import asdict
 from .relations import RegionDescription
 
 
@@ -14,7 +13,8 @@ def region_to_dict(r: RegionDescription) -> dict:
         },
         "intersection": r.intersection,
         "triangle": r.triangle,
-        "window": asdict(r.window),
+        "window": {"lam_min": r.window.lam_min, "lam_max": r.window.lam_max,
+                   "delta_min": r.window.delta_min, "delta_max": r.window.delta_max},
         "congruences": {
             "delta_mod_4": r.delta_congruence,
             "lam_square_mod_4": r.lam_congruence,

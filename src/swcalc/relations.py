@@ -20,7 +20,6 @@ from .errors import (
     ConjectureNotAssumed,
     HypothesisViolation,
     InadmissibleParity,
-    LambdaNotOrthogonal,
     NonIntegralC,
     NotCharacteristic,
 )
@@ -65,54 +64,6 @@ def i_lambda(m: FourManifold, lam: CohClass) -> Fraction:
     return index_value(m.chi, m.sigma, square(m.form, lam))
 
 
-@record
-class LevelData:
-    """Level and index bookkeeping for one (lam, delta) choice."""
-
-    p1: int
-    p1_prime: int
-    level: Fraction
-    dirac_index: Fraction
-
-    @property
-    def level_is_integral(self) -> bool:
-        return self.level.denominator == 1
-
-
-def level_and_index(m: FourManifold, lam: CohClass, delta: int, k: CohClass) -> LevelData:
-    """Stratum level (delta - r)/4 and Dirac index (i - delta)/4 for lam.
-
-    Requires lam orthogonal to every basic class.  A non-integral level is
-    reported in the result, not raised; it signals an inadmissible
-    combination rather than bad input.
-    """
-    defect = orthogonality_defect(m, lam)
-    if defect is not None:
-        raise LambdaNotOrthogonal(
-            f"lam pairs nontrivially with basic class {list(defect.coords)}"
-        )
-    three_quarters = Fraction(3 * (m.chi + m.sigma), 4)
-    p1 = -delta - three_quarters
-    if p1.denominator != 1:
-        raise HypothesisViolation("chi_plus_sigma_mod_4", "3(chi+sigma)/4 not integral")
-    lam_sq = square(m.form, lam)
-    p1_prime = square(m.form, k - lam)
-    expected = 2 * m.chi + 3 * m.sigma + lam_sq
-    if p1_prime != expected:
-        raise HypothesisViolation(
-            "simple_type_orthogonality",
-            f"(k-lam).(k-lam) = {p1_prime}, expected {expected}",
-        )
-    r = depth_value(m.chi, m.sigma, lam_sq)
-    i = index_value(m.chi, m.sigma, lam_sq)
-    level = (delta - r) / 4
-    dirac = (i - delta) / 4
-    data = LevelData(int(p1), p1_prime, level, dirac)
-    assert Fraction(data.p1_prime) == data.p1 + 4 * data.level
-    assert data.level + data.dirac_index == (i - r) / 4
-    return data
-
-
 def _degree_rule_rhs(m: FourManifold, w_square: int) -> int:
     return -2 * w_square - 3 * (m.chi + m.sigma) // 2
 
@@ -153,8 +104,7 @@ class RelationQuery:
         return self.delta - 2 * self.m
 
 
-def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms,
-                     zero_below: int = 0) -> list[Jet]:
+def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms) -> list[Jet]:
     """dswrel_value for each point count in ms, sharing one preparation.
 
     The hypotheses, the sign base, the twist and the span reduction depend
@@ -162,11 +112,6 @@ def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms
     of sw * <k - lam, h>^(delta - 2m) is power_sums of the twisted series at
     degree delta - 2m, and each point count only rescales it by its signed
     power of two.
-
-    Lemma: given the checks below (k.lam = 0 for each basic class k, lam.lam
-    even), sw_series(m, w + lam) is (-1)^((2 w.lam + lam.lam)/2) sw_series(m, w),
-    and exp(-<lam, h>) is a unit of the power-series ring, so the twisted sum has
-    the order of sw_series(m, w): each degree below zero_below, a bound on it, is zero.
     """
     if not m.assume_conjecture:
         raise ConjectureNotAssumed(
@@ -204,7 +149,7 @@ def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms
     assert (lam_sq - 2 * lam_dot_w - (m.sigma - wsq)) % 8 == 0
 
     power_of_two = Fraction(2) ** int(1 - (c + delta) / 2)
-    sums = power_sums(twist(sw_series(m, w), lam, -1), {delta - 2 * mm for mm in ms}, zero_below)
+    sums = power_sums(twist(sw_series(m, w), lam, -1), {delta - 2 * mm for mm in ms})
     return [
         sums[delta - 2 * mm].scale(-power_of_two if (mm - 1 + sign_base) % 2 else power_of_two)
         for mm in ms
@@ -264,7 +209,6 @@ class SstEntry:
     m: int
     delta: int
     vanishing_applies: bool
-    relation_value: Jet
     relation_is_zero: bool
 
 
@@ -329,7 +273,15 @@ def sst_check(
     vanish to order at least c - 2.  The trace pins, for every m >= 0 with
     d = c - 4 - 2m >= 0, the vanishing branch for the square -(chi+sigma)
     class and the relation sum for the square -(chi+sigma)+4 class, which
-    must be zero: below the series' vanishing order it is read off the order.
+    must be zero.
+
+    Lemma: k.lambda1 = 0 for each basic class k (checked below), and
+    lambda1.lambda1 = 4 - (chi+sigma) is divisible by 4 since c is an
+    integer.  Hence sw_series(m, w + lambda1) is
+    (-1)^((2 w.lambda1 + lambda1.lambda1)/2) sw_series(m, w), and since
+    exp(-<lambda1, h>) is a unit of the power-series ring, the twisted sum
+    has the order of sw_series(m, w): each relation sum of degree below
+    that order is zero.  Only the degrees at or above it are computed.
     """
     if not m.assume_conjecture:
         raise ConjectureNotAssumed("the vanishing bound is conditional on the conjecture")
@@ -364,18 +316,15 @@ def sst_check(
             f" need ({c}, {c}) and ({c - 4}, {c + 4})"
         )
 
-    entries = []
-    all_zero = True
     delta = c_int - 4
     ms = range(delta // 2 + 1)  # every m >= 0 with d = delta - 2m >= 0
-    zero_below = delta + 1 if order.value is None else order.value  # None: the zero series
-    values = _relation_values(m, w + lambda1, lambda1, delta, ms, zero_below) if ms else []
+    below = delta + 1 if order.value is None else order.value  # None: the zero series
+    live = [mm for mm in ms if delta - 2 * mm >= below]
+    values = _relation_values(m, w + lambda1, lambda1, delta, live) if live else []
+    nonzero = {mm for mm, value in zip(live, values) if not value.is_zero()}
     applies = delta < r0 and delta < i0  # the vanishing branch for lambda0
-    for mm, value in zip(ms, values):
-        d = delta - 2 * mm
-        is_zero = value.is_zero()
-        all_zero = all_zero and is_zero
-        entries.append(SstEntry(d, mm, delta, applies, value, is_zero))
+    entries = [SstEntry(delta - 2 * mm, mm, delta, applies, mm not in nonzero) for mm in ms]
+    all_zero = not nonzero
 
     ok = order.satisfies(required) and all_zero
     if not order.satisfies(required):
@@ -595,9 +544,6 @@ class RegionDescription:
 
     def i_at(self, lam_square) -> Fraction:
         return lam_square + self.intercept_i
-
-    def contains(self, lam_square, delta) -> bool:
-        return delta < self.r_at(lam_square) and delta < self.i_at(lam_square)
 
 
 def default_window(m: FourManifold) -> Window:

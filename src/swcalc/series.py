@@ -264,13 +264,11 @@ def _power_sums(columns, products, n, powers):
         prods[j + 1:] = [list(map(mul, prods[j + 1], front[j]))] * (m - j)
 
 
-def power_sums(s: ExpSum, degrees, zero_below=0) -> dict[int, Jet]:
+def power_sums(s: ExpSum, degrees) -> dict[int, Jet]:
     """{d: sum_i a_i <K_i, h>^d} for each d in degrees, over the span pivots.
 
     This is d! times the degree-d Taylor part of the sum: the coefficient of
     x^alpha is d!/alpha! times the kernel's integer sum, divided by A * D^d.
-    The caller vouches that s vanishes to order >= zero_below: each degree
-    below it is the zero Jet over the pivots, and only the rest run the kernel.
     """
     pivots, den, den_a, coeffs, columns = _integer_terms(s)
     powers = []
@@ -278,7 +276,7 @@ def power_sums(s: ExpSum, degrees, zero_below=0) -> dict[int, Jet]:
         d: Jet(s.ambient, pivots, {
             alpha: Fraction(factorial(d) // prod(map(factorial, alpha)) * v, den_a * den**d)
             for alpha, v in _power_sums(columns, coeffs, d, powers) if v
-        } if d >= zero_below else {}, d)
+        }, d)
         for d in degrees
     }
 

@@ -103,11 +103,21 @@ def test_bad_block_and_syntax_errors():
     assert e.value.line == 1
 
 
-def test_schema_version_rejected():
+def test_schema_version_rejected(capsys, tmp_path):
+    # True and 1.0 both equal 1 in Python, and are still not the integer 1
     base = json.loads(serialize_manifest(load_catalog("K3")))
-    base["schema_version"] = 99
-    with pytest.raises(ParseError):
-        parse_manifest(json.dumps(base))
+    p = tmp_path / "versioned.json"
+    for version, message in ((99, "unsupported schema_version 99"),
+                             (True, "schema_version: expected an integer, got True"),
+                             (1.0, "schema_version: expected an integer, got 1.0")):
+        base["schema_version"] = version
+        with pytest.raises(ParseError) as e:
+            parse_manifest(json.dumps(base))
+        assert str(e.value) == message
+        p.write_text(json.dumps(base))
+        code, out, err = run_cli(capsys, "validate", str(p))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_cli_catalog_list(capsys):

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swcalc.manifold as manifold_module
 import swcalc.relations as relations
@@ -16,7 +18,6 @@ from swcalc.errors import (
     ConjectureNotAssumed,
     HypothesisViolation,
     InadmissibleParity,
-    LambdaNotOrthogonal,
     NotCharacteristic,
 )
 from swcalc.lattice import (
@@ -26,7 +27,9 @@ from swcalc.lattice import (
     HyperbolicBlock,
     E8Block,
     IntegralLattice,
+    block_signature,
     characteristic_vector,
+    is_characteristic,
     pairing,
     square,
 )
@@ -46,7 +49,6 @@ from swcalc.relations import (
     dvanish_theorem_check,
     i_lambda,
     index_value,
-    level_and_index,
     r_lambda,
     region_data,
     sst_check,
@@ -54,7 +56,7 @@ from swcalc.relations import (
 from swcalc.record import replace
 from swcalc.catalog import _elliptic
 from swcalc.report import render
-from swcalc.series import Direction, jet_expand, sw_series, twist, vanishing_order
+from swcalc.series import Direction, jet_expand, sw_series, twist
 
 H = IntegralLattice.from_blocks([HyperbolicBlock()])
 
@@ -101,27 +103,6 @@ def test_depth_equals_index_iff_central_square():
         sq = rng.randint(-40, 40)
         equal = depth_value(chi, sigma, sq) == index_value(chi, sigma, sq)
         assert equal == (sq == -(chi + sigma))
-
-
-def test_level_and_index_e4(catalog):
-    e4 = catalog["E4"]
-    k = CohClass((2,) + (0,) * 45)
-    u, v = unit(46, 2), unit(46, 3)
-    lam16 = 2 * u - 4 * v
-    data = level_and_index(e4, lam16, 4, k)
-    assert data.level == 0 and data.dirac_index == 0
-    assert data.level_is_integral
-    lam12 = 2 * u - 3 * v
-    data = level_and_index(e4, lam12, 0, k)
-    assert data.level == 0 and data.dirac_index == 2
-    assert data.p1_prime == data.p1 + 4 * data.level
-
-
-def test_level_and_index_orthogonality_error(catalog):
-    e4 = catalog["E4"]
-    k = CohClass((2,) + (0,) * 45)
-    with pytest.raises(LambdaNotOrthogonal):
-        level_and_index(e4, unit(46, 1), 0, k)
 
 
 def test_degree_admissible_k3(catalog):
@@ -238,6 +219,42 @@ def test_dswrel_inadmissible_parity():
         dswrel_value(m, RelationQuery(w, lam, 1, 0))
 
 
+@st.composite
+def characteristic_shifts(draw):
+    """A unimodular block lattice (H, +-E8, diagonal +-1 blocks), a
+    characteristic class c and a class lam of even square on it."""
+    block = st.one_of(
+        st.just(HyperbolicBlock()),
+        st.sampled_from([E8Block(1), E8Block(-1)]),
+        st.lists(st.sampled_from([1, -1]), min_size=1, max_size=3).map(
+            lambda entries: DiagonalBlock(tuple(entries))),
+    )
+    form = IntegralLattice.from_blocks(draw(st.lists(block, min_size=1, max_size=4)))
+    coords = st.lists(st.integers(-3, 3), min_size=form.rank, max_size=form.rank)
+    c = characteristic_vector(form) + 2 * CohClass(tuple(draw(coords)))
+    lam = CohClass(tuple(draw(coords)))
+    if square(form, lam) % 2:
+        lam = 2 * lam
+    return form, c, lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(characteristic_shifts())
+def test_relation_sign_base_congruences(case):
+    # the congruences _relation_values asserts about its sign base, which
+    # python -O strips there: for w - lam characteristic and lam.lam even,
+    # sigma - w.w is even and lam.lam/2 - lam.w = (sigma - w.w)/2 (mod 2)
+    form, c, lam = case
+    w = c + lam
+    sigma = block_signature(form)
+    assert is_characteristic(form, w - lam)
+    assert (square(form, w - lam) - sigma) % 8 == 0  # van der Blij
+    wsq, lam_sq, lam_dot_w = square(form, w), square(form, lam), pairing(form, lam, w)
+    assert (sigma - wsq) % 2 == 0
+    assert (lam_sq // 2 - lam_dot_w - (sigma - wsq) // 2) % 2 == 0
+    assert (lam_sq - 2 * lam_dot_w - (sigma - wsq)) % 8 == 0
+
+
 def jet_oracle(m, w, lam, delta, mm):
     """Relation value recomputed through the twisted-jet route."""
     c = characteristic_number(m)
@@ -348,9 +365,11 @@ def test_wide_fixture_is_the_built_manifest(fixtures_dir):
 
 
 def test_sst_relation_values_match_jet_oracle_at_width_four(fixtures_dir):
-    # every relation polynomial of sst on the width-4 fixture, and on a copy
-    # whose +-(2,2,2,2) classes carry sw 3 so that the sums no longer vanish,
-    # equals the twisted-jet route coefficient for coefficient
+    # every relation sum of sst on the width-4 fixture, and on a copy whose
+    # +-(2,2,2,2) classes carry sw 3 so that the sums no longer vanish, is
+    # zero exactly when the twisted-jet route says so; on the copy the
+    # relation polynomials at sst's lambda1 equal that route coefficient
+    # for coefficient
     from swcalc.manifold import validate
 
     manifest = parse_manifest((fixtures_dir / "wide_e10_2222.json").read_text())
@@ -368,10 +387,14 @@ def test_sst_relation_values_match_jet_oracle_at_width_four(fixtures_dir):
         assert [e.m for e in report.entries] == [0, 1, 2, 3]
         for e in report.entries:
             oracle = jet_oracle(manifold, w + report.lambda1, report.lambda1, e.delta, e.m)
-            assert len(e.relation_value.variables) == 5  # four generators and lambda1
-            assert e.relation_value.variables == oracle.variables
-            assert e.relation_value.coefficients == oracle.coefficients
-            assert e.relation_is_zero == (verdict == VERDICT_PASS)
+            assert e.relation_is_zero == oracle.is_zero() == (verdict == VERDICT_PASS)
+            if verdict == VERDICT_FAIL:
+                value = dswrel_value(
+                    manifold, RelationQuery(w + report.lambda1, report.lambda1, e.delta, e.m)
+                )
+                assert len(value.variables) == 5  # four generators and lambda1
+                assert value.variables == oracle.variables
+                assert value.coefficients == oracle.coefficients
 
 
 def test_dswrel_oracle_with_fractional_span_rows():
@@ -560,39 +583,40 @@ def test_sw_series_shifted_by_an_orthogonal_even_class_changes_by_one_sign(catal
 
 
 def test_sst_runs_no_relation_kernel_below_the_order(fixtures_dir, monkeypatch):
-    # sst may skip the kernel only for degrees below the twisted sum's own
-    # vanishing order, and must skip it for every one of them: on the
-    # passing data no degree is left, on the sw-3 copy the kernel still runs
-    # and finds the nonzero sums
-    kernel_degrees = []
-    compute = relations.power_sums
+    # sst computes a relation sum only at the degrees at or above the
+    # series' vanishing order, where the lemma says nothing: on the passing
+    # data no degree is left, so it twists nothing and runs no kernel; on the
+    # sw-3 copy the order is 0, every degree is computed, and the sums are
+    # nonzero
+    calls = []
+    compute = relations._relation_values
 
-    def guarded(s, degrees, zero_below=0):
-        order = vanishing_order(s, max(degrees) + 1)
-        below = max(degrees) + 1 if order.value is None else order.value
-        assert zero_below <= below
-        asked = sorted(d for d in degrees if d >= zero_below)
-        assert all(d >= below for d in asked), (asked, order)
-        kernel_degrees.append(asked)
-        return compute(s, degrees, zero_below)
+    def recording(m, w, lam, delta, ms):
+        calls.append(sorted(delta - 2 * mm for mm in ms))
+        return compute(m, w, lam, delta, ms)
 
-    monkeypatch.setattr(relations, "power_sums", guarded)
+    def refused(*args):
+        raise AssertionError("a passing sst computed a relation sum")
+
     manifest = parse_manifest((fixtures_dir / "wide_e10_2222.json").read_text())
     m, w = manifest.to_manifold(), CohClass(manifest.w)
     e20 = parse_manifest(json.dumps(_elliptic(20))).to_manifold()
-    for manifold, w_class in ((m, w), (e20, characteristic_vector(e20.form))):
-        kernel_degrees.clear()
-        assert sst_check(manifold, w_class).verdict == VERDICT_PASS
-        assert kernel_degrees == [[]]
+    with monkeypatch.context() as patch:
+        for name in ("_relation_values", "twist", "power_sums"):
+            patch.setattr(relations, name, refused)
+        for manifold, w_class in ((m, w), (e20, characteristic_vector(e20.form))):
+            report = sst_check(manifold, w_class)
+            assert report.verdict == VERDICT_PASS
+            assert report.entries and all(e.relation_is_zero for e in report.entries)
+    monkeypatch.setattr(relations, "_relation_values", recording)
     heavy = {(2, -2, 2, -2), (-2, 2, -2, 2)}
     corrupted = replace(m, basic_classes=tuple(
         BasicClassEntry(e.k, 3) if tuple(e.k.coords[i] for i in (2, 5, 10, 19)) in heavy else e
         for e in m.basic_classes
     ))
-    kernel_degrees.clear()
     report = sst_check(corrupted, w)
     assert report.verdict == VERDICT_FAIL
-    assert kernel_degrees == [[0, 2, 4, 6]]
+    assert calls == [[0, 2, 4, 6]]
     assert not any(e.relation_is_zero for e in report.entries)
 
 
@@ -695,6 +719,23 @@ def test_dvanish_k3_trivial(catalog):
     assert report.admissible_d == ()
 
 
+def test_inline_vanishing_rules_match_dvanish_applies(catalog):
+    # sst and dvanish test delta < r and delta < i inline; both copies agree
+    # with the public rule at every entry they report
+    seen = set()
+    for m in catalog.values():
+        w = characteristic_vector(m.form)
+        sst = sst_check(m, w)
+        for e in sst.entries:
+            assert e.vanishing_applies == dvanish_applies(m, sst.lambda0, e.delta)
+            seen.add(("sst", e.vanishing_applies))
+        dv = dvanish_theorem_check(m, w)
+        for e in dv.entries:
+            assert (e.route == "vanishing") == dvanish_applies(m, dv.lam, e.d)
+            seen.add(("dvanish", e.route))
+    assert {("sst", True), ("dvanish", "vanishing"), ("dvanish", "relation")} <= seen
+
+
 def test_bound_e6(catalog):
     report = basic_class_bound(catalog["E6"])
     assert report.applicable
@@ -727,8 +768,9 @@ def test_region_k3(catalog):
     w0 = CohClass.zero(22)
     region = region_data(k3, w0)
     assert region.intersection == (-8, 2)
-    assert region.contains(-8, 1)
-    assert not region.contains(-8, 2)
+    lam8 = 2 * unit(22, 0) - 2 * unit(22, 1)  # square -8, at the intersection
+    assert dvanish_applies(k3, lam8, 1)
+    assert not dvanish_applies(k3, lam8, 2)
     assert region.triangle == (
         (Fraction(-10), Fraction(0)), (Fraction(-8), Fraction(2)), (Fraction(-6), Fraction(0))
     )

@@ -392,28 +392,6 @@ def test_power_sums_match_the_jet_route(s, n):
     assert value.coefficients == jet.homogeneous_part(n).scale(math.factorial(n)).coefficients
 
 
-@settings(max_examples=100, deadline=None)
-@given(exp_sums_over_h4())
-def test_power_sums_at_a_vouched_order_match_the_kernel(s):
-    # degrees below the sum's own order come back as the kernel's zero Jets,
-    # over the same pivots, and the degrees from the order on are unchanged
-    order = vanishing_order(s, 6)
-    zero_below = 7 if order.value is None else order.value
-    assert power_sums(s, range(7), zero_below) == power_sums(s, range(7))
-
-
-def test_power_sums_below_the_order_run_no_kernel(catalog, monkeypatch):
-    s = sw_series(catalog["E4"], CohClass.zero(46))  # exact order 2
-    full = power_sums(s, {0, 1, 2})
-    assert full[0].is_zero() and full[1].is_zero() and not full[2].is_zero()
-
-    def kernel(*args):
-        raise AssertionError("power-sum kernel run below the vouched order")
-
-    monkeypatch.setattr(series, "_power_sums", kernel)
-    assert power_sums(s, {0, 1}, 2) == {0: full[0], 1: full[1]}
-
-
 def expand_product(lattice, factors):
     """The ExpSum of a product of sums, each a list of (coefficient, class)."""
     terms = [(Fraction(1), CohClass.zero(lattice.rank))]
