@@ -101,12 +101,16 @@ class CohClass:
                                                       compress(coords, coords))))
 
     @staticmethod
+    def _of(rank: int, support: tuple) -> "CohClass":
+        """The class with the given support, already sorted by t and nonzero."""
+        c = object.__new__(CohClass)
+        c.__dict__.update(rank=rank, support=support)
+        return c
+
+    @staticmethod
     def from_support(rank: int, support) -> "CohClass":
         """The class with the given (t, x) pairs, t distinct and below rank."""
-        c = object.__new__(CohClass)
-        object.__setattr__(c, "rank", rank)
-        object.__setattr__(c, "support", tuple(sorted((t, x) for t, x in support if x)))
-        return c
+        return CohClass._of(rank, tuple(sorted((t, x) for t, x in support if x)))
 
     @cached_property
     def coords(self) -> tuple[int, ...]:
@@ -170,7 +174,12 @@ class IntegralLattice:
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
         """The squares x.x of the basis vectors, read off the columns."""
-        return tuple(dict(col).get(t, 0) for t, col in enumerate(self.columns))
+        out = [0] * self.rank
+        for t, col in enumerate(self.columns):
+            for s, g in col:
+                if s == t:
+                    out[t] = g
+        return tuple(out)
 
     @cached_property
     def odd_diagonal(self) -> frozenset[int]:
@@ -189,7 +198,7 @@ class IntegralLattice:
         out = []
         offset = 0
         for b in self.blocks:
-            out += (tuple((offset + s, g) for s, g in col) for col in b.columns)
+            out += [tuple([(offset + s, g) for s, g in col]) for col in b.columns]
             offset += b.rank
         return tuple(out)
 
@@ -315,13 +324,22 @@ class Sublattice:
     basis: tuple[CohClass, ...]
 
     @cached_property
-    def covectors(self) -> tuple[dict, ...]:
-        """covector(ambient, b_i) for each basis class, built once."""
-        return tuple(covector(self.ambient, b) for b in self.basis)
+    def covectors(self) -> dict[int, dict]:
+        """covector(ambient, b_i) by basis index i, each filled the first
+        time basis_covector(i) needs it.  Threads that race on one i fill
+        equal values."""
+        return {}
+
+    def basis_covector(self, i: int) -> dict:
+        """G.b_i, built on first use."""
+        gb = self.covectors.get(i)
+        if gb is None:
+            gb = self.covectors[i] = covector(self.ambient, self.basis[i])
+        return gb
 
     def entry(self, i: int, j: int) -> int:
         """The pairing b_i . b_j."""
-        return dot(self.covectors[i], self.basis[j])
+        return dot(self.basis_covector(i), self.basis[j])
 
     @cached_property
     def restricted_gram(self) -> tuple[tuple[int, ...], ...]:
@@ -345,10 +363,12 @@ def _distinct_directions(rows):
 
 def orthogonal_complement(lattice: IntegralLattice, classes) -> Sublattice:
     """The saturated sublattice {x : x.s == 0 for all s in classes}, its
-    basis classes built from the sparse kernel rows."""
+    basis classes built from the sparse kernel rows, whose entries are
+    all nonzero."""
     rows = _distinct_directions(covector(lattice, s) for s in classes)
-    kernel = integer_kernel(rows, lattice.rank)
-    return Sublattice(lattice, tuple(CohClass.from_support(lattice.rank, v.items()) for v in kernel))
+    n = lattice.rank
+    return Sublattice(lattice, tuple(CohClass._of(n, tuple(sorted(v.items())))
+                                     for v in integer_kernel(rows, n)))
 
 
 @record
@@ -439,6 +459,45 @@ def _isotropic_vectors(gram, radius: int):
                 break
 
 
+def _literal_pair(sub: Sublattice) -> HyperbolicPair | None:
+    """(b_i, x*b_j) for the first i < j, in lexicographic order, with
+    b_i.b_i = b_j.b_j = 0 and x = b_i.b_j = +-1: a literal hyperbolic block
+    of the restricted pairing, or None.
+
+    The walk takes i upward and skips each i with b_i.b_i != 0.  For an
+    isotropic i, b_i.b_j = 0 for every j whose support misses the keys of
+    G.b_i, so only the j > i whose support meets them are candidates; an
+    index from each coordinate to the basis classes holding it gives them.
+    They are read in ascending order, and the first with |b_i.b_j| = 1 and
+    b_j isotropic is returned.  Every skipped (i, j) fails the test, so this
+    is the first hit of the scan over all isotropic (i, j) in lexicographic
+    order.  Each square is computed once; G.b_i is built only for the i
+    whose square is read, so the cost is the index plus what the walk
+    touches, not a covector per basis class.
+    """
+    basis = sub.basis
+    squares = [None] * len(basis)
+
+    def isotropic(i):
+        if squares[i] is None:
+            squares[i] = sub.entry(i, i)
+        return squares[i] == 0
+
+    holders = {}
+    for j, b in enumerate(basis):
+        for t, _ in b.support:
+            holders.setdefault(t, []).append(j)
+    for i, b in enumerate(basis):
+        if not isotropic(i):
+            continue
+        gb = sub.basis_covector(i)
+        for j in sorted({j for s in gb for j in holders.get(s, ()) if j > i}):
+            x = dot(gb, basis[j])
+            if abs(x) == 1 and isotropic(j):
+                return HyperbolicPair(b, x * basis[j])
+    return None
+
+
 def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | None:
     """Search the sublattice for a hyperbolic pair, ambient coordinates.
 
@@ -455,9 +514,10 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     entry (a rank-2 lattice holds a pair iff it is H; Milnor-Husemoller,
     ch. I).
 
-    The block scan reads only the diagonal and the entries between
-    zero-diagonal basis vectors; the dense restricted Gram is built only
-    for the proofs of absence and the box.
+    The block scan (_literal_pair) builds G.b_i only for the basis
+    classes it reaches and pairs each only with the classes its support
+    can reach; the dense restricted Gram is built only for the proofs of
+    absence and the box.
 
     The enumeration is lazy: isotropic vectors and their covectors G.v are
     generated in that order only as far as some scan has reached, and kept
@@ -472,13 +532,10 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     """
     if radius < 1:
         raise PreconditionError("radius must be at least 1")
+    pair = _literal_pair(sub)
+    if pair is not None:
+        return pair
     k = len(sub.basis)
-    isotropic = [i for i in range(k) if sub.entry(i, i) == 0]
-    for a, i in enumerate(isotropic):
-        for j in isotropic[a + 1:]:
-            x = sub.entry(i, j)
-            if abs(x) == 1:
-                return HyperbolicPair(sub.basis[i], x * sub.basis[j])
     g = sub.restricted_gram
     if _minor_gcd(g) != 1 or _definiteness(g) is not None:
         return None

@@ -28,6 +28,7 @@ from swcalc.lattice import (
     Sublattice,
     _distinct_directions,
     _isotropic_vectors,
+    _literal_pair,
     _minor_gcd,
     _xgcd,
     characteristic_vector,
@@ -661,6 +662,25 @@ def test_literal_block_hit_leaves_the_dense_gram_unbuilt(catalog):
     assert "restricted_gram" not in sub.__dict__
 
 
+def test_e40_literal_pair_reads_three_covectors(monkeypatch):
+    # rank 478: the block scan builds G.b_i only for the classes it reaches
+    # (the pair sits at basis indices 1 and 2), not one per basis class
+    m = parse_manifest(json.dumps(_elliptic(40))).to_manifold()
+    sub = orthogonal_complement(m.form, basic_class_set(m))
+    assert len(sub.basis) == 477
+    calls = []
+    built = lattice.covector
+    monkeypatch.setattr(lattice, "covector", lambda *args: calls.append(args) or built(*args))
+    pair = find_hyperbolic_pair(sub, 3)
+    monkeypatch.undo()
+    assert pair == HyperbolicPair(sub.basis[1], sub.basis[2])
+    assert len(calls) <= 3
+    assert "restricted_gram" not in sub.__dict__
+    assert sub.covectors
+    for i, gb in sub.covectors.items():
+        assert gb == covector(m.form, sub.basis[i])
+
+
 def test_find_pair_rejects_definite_forms_fast():
     neg = IntegralLattice.from_blocks([E8Block(-1), E8Block(-1)])
     sub = orthogonal_complement(neg, [])
@@ -749,6 +769,13 @@ def reference_pair_search(g, radius):
     return None
 
 
+def first_literal_block(g):
+    """The first (i, j), i < j, in row order of the dense Gram g with
+    g[i][i] = g[j][j] = 0 and |g[i][j]| = 1, or None."""
+    return next(((i, j) for i in range(len(g)) for j in range(i + 1, len(g))
+                 if g[i][i] == 0 and g[j][j] == 0 and abs(g[i][j]) == 1), None)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_symmetric_grams().filter(lambda g: len(g) >= 2), st.integers(1, 2))
 def test_minor_gcd_never_proves_absence_where_the_box_finds_a_pair(g, radius):
@@ -790,10 +817,11 @@ def test_find_pair_matches_the_full_box_reference(blocks, n_classes, radius, dat
     sub = orthogonal_complement(lat, classes)
     pair = find_hyperbolic_pair(sub, radius)
     g = sub.restricted_gram
-    literal = any(g[i][i] == 0 and g[j][j] == 0 and abs(g[i][j]) == 1
-                  for i in range(len(g)) for j in range(i + 1, len(g)))
-    if literal:
+    literal = first_literal_block(g)
+    if literal is not None:
         event("literal hyperbolic block")
+        i, j = literal
+        assert pair == HyperbolicPair(sub.basis[i], g[i][j] * sub.basis[j])
         return
     hit = reference_pair_search(g, radius)
     event("box search: " + ("exhausted" if hit is None else "found"))
@@ -805,6 +833,21 @@ def test_find_pair_matches_the_full_box_reference(blocks, n_classes, radius, dat
         return sum((c * b for c, b in zip(v, sub.basis)), CohClass.zero(lat.rank))
 
     assert pair == HyperbolicPair(*map(to_ambient, hit))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_indefinite_blocks, st.data())
+def test_literal_pair_is_the_first_block_of_the_dense_gram(blocks, data):
+    # any list of classes will do as the basis here, so several isotropic
+    # b_j can pair to +-1 with one b_i and the order of the scan shows
+    lat = IntegralLattice.from_blocks(blocks)
+    coords = st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=lat.rank, max_size=lat.rank)
+    basis = tuple(CohClass(tuple(c)) for c in data.draw(st.lists(coords, min_size=1, max_size=6)))
+    g = Sublattice(lat, basis).restricted_gram
+    hit = first_literal_block(g)
+    event("literal hyperbolic block" if hit else "no literal block")
+    expected = None if hit is None else HyperbolicPair(basis[hit[0]], g[hit[0]][hit[1]] * basis[hit[1]])
+    assert _literal_pair(Sublattice(lat, basis)) == expected
 
 
 K3_PAIR = HyperbolicPair(CohClass((1, 0)), CohClass((0, 1)))

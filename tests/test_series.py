@@ -1,6 +1,5 @@
 """Exponential sums, jets, vanishing orders, parity, Gaussian twisting."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
