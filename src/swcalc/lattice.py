@@ -174,12 +174,7 @@ class IntegralLattice:
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
         """The squares x.x of the basis vectors, read off the columns."""
-        out = [0] * self.rank
-        for t, col in enumerate(self.columns):
-            for s, g in col:
-                if s == t:
-                    out[t] = g
-        return tuple(out)
+        return tuple(dict(col).get(t, 0) for t, col in enumerate(self.columns))
 
     @cached_property
     def odd_diagonal(self) -> frozenset[int]:
@@ -198,7 +193,7 @@ class IntegralLattice:
         out = []
         offset = 0
         for b in self.blocks:
-            out += [tuple([(offset + s, g) for s, g in col]) for col in b.columns]
+            out += (tuple((offset + s, g) for s, g in col) for col in b.columns)
             offset += b.rank
         return tuple(out)
 
@@ -471,9 +466,11 @@ def _literal_pair(sub: Sublattice) -> HyperbolicPair | None:
     They are read in ascending order, and the first with |b_i.b_j| = 1 and
     b_j isotropic is returned.  Every skipped (i, j) fails the test, so this
     is the first hit of the scan over all isotropic (i, j) in lexicographic
-    order.  Each square is computed once; G.b_i is built only for the i
-    whose square is read, so the cost is the index plus what the walk
-    touches, not a covector per basis class.
+    order.  Each square is computed once, and G.b_i is built only for the i
+    the walk reaches.  The index costs a step per support entry of the
+    basis but spares a pairing per class for each isotropic b_i with no
+    partner: the first complement class of every catalog E(n) is one, as
+    it pairs to zero with the whole basis.
     """
     basis = sub.basis
     squares = [None] * len(basis)
@@ -514,9 +511,8 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     entry (a rank-2 lattice holds a pair iff it is H; Milnor-Husemoller,
     ch. I).
 
-    The block scan (_literal_pair) builds G.b_i only for the basis
-    classes it reaches and pairs each only with the classes its support
-    can reach; the dense restricted Gram is built only for the proofs of
+    The block scan (_literal_pair) builds G.b_i only for the basis classes
+    it reaches; the dense restricted Gram is built only for the proofs of
     absence and the box.
 
     The enumeration is lazy: isotropic vectors and their covectors G.v are

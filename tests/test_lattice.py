@@ -664,17 +664,24 @@ def test_literal_block_hit_leaves_the_dense_gram_unbuilt(catalog):
 
 def test_e40_literal_pair_reads_three_covectors(monkeypatch):
     # rank 478: the block scan builds G.b_i only for the classes it reaches
-    # (the pair sits at basis indices 1 and 2), not one per basis class
+    # (the pair sits at basis indices 1 and 2), not one per basis class.
+    # b_0 is isotropic and pairs to zero with the whole basis, so a scan
+    # of every j > 0 would read 476 pairings before reaching i = 1; the
+    # scan reads only the classes that G.b_i reaches
     m = parse_manifest(json.dumps(_elliptic(40))).to_manifold()
     sub = orthogonal_complement(m.form, basic_class_set(m))
     assert len(sub.basis) == 477
-    calls = []
-    built = lattice.covector
+    assert all(sub.entry(0, j) == 0 for j in range(477))
+    sub = Sublattice(sub.ambient, sub.basis)
+    calls, dots = [], []
+    built, paired = lattice.covector, lattice.dot
     monkeypatch.setattr(lattice, "covector", lambda *args: calls.append(args) or built(*args))
+    monkeypatch.setattr(lattice, "dot", lambda *args: dots.append(args) or paired(*args))
     pair = find_hyperbolic_pair(sub, 3)
     monkeypatch.undo()
     assert pair == HyperbolicPair(sub.basis[1], sub.basis[2])
     assert len(calls) <= 3
+    assert len(dots) <= 8
     assert "restricted_gram" not in sub.__dict__
     assert sub.covectors
     for i, gb in sub.covectors.items():
