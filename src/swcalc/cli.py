@@ -12,18 +12,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+# series, relations and region run on first use (see swcalc/__init__.py): a
+# command reaches them through the module objects, never through names bound here.
+from . import region, relations, series
 from .catalog import catalog_names
 from .errors import AbundanceUndetermined, ParseError, SWCalcError
-from .lattice import CohClass, characteristic_vector
+from .lattice import CohClass, characteristic_vector, construct_abundance_classes
 from .manifest import load_catalog, parse_manifest, serialize_manifest
 from .manifold import (basic_class_count, c1_squared, characteristic_number, holomorphic_euler,
                        validate)
-from .relations import (VERDICT_FAIL, VERDICT_PASS, VERDICT_PASS_VACUOUS, VERDICT_UNDETERMINED,
-                        RelationQuery, Window, basic_class_bound, construct_abundance_classes,
-                        dswrel_value, dvanish_theorem_check, region_data, sst_check)
-from .region import region_to_ascii, region_to_dict, region_to_svg
-from .report import render
-from .series import Direction, evaluate_along, parity, predicted_parity, sw_series, witten_series
+from .report import (VERDICT_FAIL, VERDICT_PASS, VERDICT_PASS_VACUOUS, VERDICT_UNDETERMINED,
+                     render)
 
 RADIUS_ENV = "SWCALC_RADIUS"
 
@@ -70,18 +69,18 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _parse_direction(text: str, rank: int) -> Direction:
-    return Direction.of(_parse_vector(text, rank, "rationals", _rational))
+def _parse_direction(text: str, rank: int) -> "series.Direction":
+    return series.Direction.of(_parse_vector(text, rank, "rationals", _rational))
 
 
-def _parse_window(text: str) -> Window:
+def _parse_window(text: str) -> "relations.Window":
     try:
         parts = [int(x) for x in text.split(":")]
     except ValueError:
         raise UsageError(f"window must be LMIN:LMAX:DMIN:DMAX, got {text!r}") from None
     if len(parts) != 4 or parts[0] > parts[1] or parts[2] > parts[3]:
         raise UsageError(f"window must be LMIN:LMAX:DMIN:DMAX, got {text!r}")
-    return Window(*parts)
+    return relations.Window(*parts)
 
 
 def _load(path_or_name: str, lenient: bool):
@@ -129,7 +128,7 @@ def _resolve_w(args, manifest, manifold) -> CohClass:
 
 def cmd_invariants(args, manifest, manifold) -> dict:
     w = _resolve_w(args, manifest, manifold)
-    series = sw_series(manifold, w)
+    sums = series.sw_series(manifold, w)
     return {
         "verdict": VERDICT_PASS,
         "c": characteristic_number(manifold),
@@ -139,8 +138,8 @@ def cmd_invariants(args, manifest, manifold) -> dict:
         "identity_c_equals_chi_h_minus_c1_squared": True,
         "w": w,
         "parity": {
-            "predicted": predicted_parity(manifold, w).value,
-            "series": parity(series).value,
+            "predicted": series.predicted_parity(manifold, w).value,
+            "series": series.parity(sums).value,
         },
     }
 
@@ -167,15 +166,16 @@ def cmd_sst(args, manifest, manifold) -> dict:
     w = _resolve_w(args, manifest, manifold)
     lambda0, lambda1 = (None if t is None else _parse_coords(t, manifold.form.rank)
                         for t in (args.lambda0, args.lambda1))
-    return sst_check(manifold, w, lambda0, lambda1, radius=_default_radius(args)).to_dict()
+    radius = _default_radius(args)
+    return relations.sst_check(manifold, w, lambda0, lambda1, radius=radius).to_dict()
 
 
 def cmd_relate(args, manifest, manifold) -> dict:
     rank = manifold.form.rank
     w = _parse_coords(args.w, rank)
     lam = _parse_coords(args.lam, rank)
-    query = RelationQuery(w, lam, args.delta, args.m)
-    value = dswrel_value(manifold, query)
+    query = relations.RelationQuery(w, lam, args.delta, args.m)
+    value = relations.dswrel_value(manifold, query)
     fields = {
         "verdict": VERDICT_PASS,
         "query": {"w": w, "lambda": lam, "delta": args.delta, "m": args.m, "d": query.d},
@@ -192,27 +192,27 @@ def cmd_witten(args, manifest, manifold) -> dict:
         raise UsageError(f"--order must be nonnegative, got {args.order}")
     w = _resolve_w(args, manifest, manifold)
     direction = _parse_direction(args.direction, manifold.form.rank)
-    series = witten_series(manifold, w)
+    twisted = series.witten_series(manifold, w)
     return {
         "verdict": VERDICT_PASS,
         "w": w,
         "direction": direction.coords,
         "order": args.order,
-        "prefactor": series.prefactor,
-        "quad_coeff": series.quad_coeff,
-        "coefficients": evaluate_along(series, direction, args.order),
+        "prefactor": twisted.prefactor,
+        "quad_coeff": twisted.quad_coeff,
+        "coefficients": series.evaluate_along(twisted, direction, args.order),
     }
 
 
 def cmd_region(args, manifest, manifold):
     w = _resolve_w(args, manifest, manifold)
     window = None if args.window is None else _parse_window(args.window)
-    description = region_data(manifold, w, window)
+    description = relations.region_data(manifold, w, window)
     if args.format == "svg":
-        return region_to_svg(description)
+        return region.region_to_svg(description)
     if args.format == "ascii":
-        return region_to_ascii(description)
-    return {"verdict": VERDICT_PASS, "w": w, "region": region_to_dict(description)}
+        return region.region_to_ascii(description)
+    return {"verdict": VERDICT_PASS, "w": w, "region": region.region_to_dict(description)}
 
 
 def cmd_catalog(args):
@@ -238,7 +238,7 @@ COMMANDS = {
             (_W, ("--lambda0", {"help": "override the square -(chi+sigma) class"}),
              ("--lambda1", {"help": "override the square -(chi+sigma)+4 class"}), _RADIUS)),
     "dvanish": ("degree-sweep vanishing pipeline",
-                lambda args, manifest, manifold: dvanish_theorem_check(
+                lambda args, manifest, manifold: relations.dvanish_theorem_check(
                     manifold, _resolve_w(args, manifest, manifold), radius=_default_radius(args),
                 ).to_dict(),
                 (_W, _RADIUS)),
@@ -258,7 +258,7 @@ COMMANDS = {
                              "help": "highest Taylor degree along the direction (>= 0)"}))),
     "bound": ("basic-class count bound",
               lambda args, manifest, manifold:
-                  basic_class_bound(manifold, strict=not args.non_strict).to_dict(),
+                  relations.basic_class_bound(manifold, strict=not args.non_strict).to_dict(),
               (("--non-strict", {"action": "store_true",
                                  "help": "decide by b >= c/2 instead of b > c/2"}),)),
     "region": ("admissible-degree region figure", cmd_region,
