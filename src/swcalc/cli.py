@@ -268,19 +268,23 @@ COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=()) -> _Parser:
+    """The parser; for argv that starts with a subcommand, only its subparser."""
     parser = _Parser(prog="swcalc", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
+    only = argv[0] if argv and argv[0] in (*COMMANDS, "catalog") else None
     for name, (help, _, options) in COMMANDS.items():
-        p = sub.add_parser(name, help=help, description=help)
-        p.add_argument("file", metavar="FILE", help="manifest path or catalog name")
-        p.add_argument("--lenient", action="store_true",
-                       help="warn on unknown manifest fields instead of rejecting them")
-        for flag, spec in options:
-            p.add_argument(flag, **spec)
-    p = sub.add_parser("catalog", help="list or show built-in manifests")
-    p.add_argument("action", choices=("list", "show"))
-    p.add_argument("name", nargs="?")
+        if only in (None, name):
+            p = sub.add_parser(name, help=help, description=help)
+            p.add_argument("file", metavar="FILE", help="manifest path or catalog name")
+            p.add_argument("--lenient", action="store_true",
+                           help="warn on unknown manifest fields instead of rejecting them")
+            for flag, spec in options:
+                p.add_argument(flag, **spec)
+    if only in (None, "catalog"):
+        p = sub.add_parser("catalog", help="list or show built-in manifests")
+        p.add_argument("action", choices=("list", "show"))
+        p.add_argument("name", nargs="?")
     return parser
 
 
@@ -308,7 +312,8 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     head = {}
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv).parse_args(argv)
         if args.cmd == "catalog":
             fields = cmd_catalog(args)
         else:

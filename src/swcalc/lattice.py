@@ -199,12 +199,22 @@ class IntegralLattice:
 
 
 def covector(lattice: IntegralLattice, c) -> dict:
-    """G.c as {s: (G.c)_s} over its nonzero entries, walked over c's support;
-    c is a class or a rational series.Direction, which has both."""
+    """G.c as {s: (G.c)_s}, c a class or a series.Direction.  It is kept on c
+    as (lattice, G.c) and read back in one tuple load for the same lattice
+    object, so threads never mix two lattices' values; readers must not mutate it."""
     if c.rank != lattice.rank:
         raise DimensionMismatch(
-            f"vector length {c.rank} does not match lattice rank {lattice.rank}"
-        )
+            f"vector length {c.rank} does not match lattice rank {lattice.rank}")
+    memo = c.__dict__.get("_covector")
+    if memo is not None and memo[0] is lattice:
+        return memo[1]
+    gc = _gram_apply(lattice, c)
+    c.__dict__["_covector"] = lattice, gc
+    return gc
+
+
+def _gram_apply(lattice: IntegralLattice, c) -> dict:
+    """G.c built from the block columns, walked over c's support."""
     out: dict = {}
     columns = lattice.columns
     for t, x in c.support:
@@ -253,12 +263,10 @@ def characteristic_vector(lattice: IntegralLattice) -> CohClass:
     return CohClass.from_support(lattice.rank, ((i, 1) for i in lattice.odd_diagonal))
 
 
-def is_characteristic(lattice: IntegralLattice, c: CohClass, gc=None) -> bool:
+def is_characteristic(lattice: IntegralLattice, c: CohClass) -> bool:
     """True iff c.x = x.x (mod 2) for every basis vector x: the odd entries
-    of G.c are those of the diagonal.  A caller that holds gc = G.c passes it."""
-    if gc is None:
-        gc = covector(lattice, c)
-    return {s for s, y in gc.items() if y & 1} == lattice.odd_diagonal
+    of G.c are those of the diagonal."""
+    return {s for s, y in covector(lattice, c).items() if y & 1} == lattice.odd_diagonal
 
 
 def _xgcd(a: int, b: int):

@@ -2,7 +2,7 @@
 
 from collections.abc import Callable
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .lattice import (
     CohClass,
@@ -67,13 +67,64 @@ class CheckResult:
         return self.describe()
 
 
+# The checks on the topology and the form, in order: name, test, detail.
+_FORM_CHECKS = (
+    ("b_plus", lambda m: m.b_plus > 1, lambda m: f"b_plus = {m.b_plus}, must exceed 1"),
+    ("euler_number", lambda m: m.chi == 2 + m.form.rank,
+     lambda m: f"chi = {m.chi}, form rank = {m.form.rank}, need chi = 2 + rank"),
+    ("chi_plus_sigma_mod_4", lambda m: (m.chi + m.sigma) % 4 == 0,
+     lambda m: f"chi + sigma = {m.chi + m.sigma}, must be 0 mod 4"),
+    ("signature", lambda m: m.sigma == 2 * m.b_plus - m.form.rank,
+     lambda m: f"sigma = {m.sigma}, expected {2 * m.b_plus - m.form.rank} from b_plus and rank"),
+    ("form_signature", lambda m: m.sigma == block_signature(m.form),
+     lambda m: f"sigma = {m.sigma}, block form signature {block_signature(m.form)}"),
+    ("unimodular", lambda m: abs(block_determinant(m.form)) == 1,
+     lambda m: f"block form determinant {block_determinant(m.form)}, must be 1 or -1"),
+)
+
+
 @record
 class ValidationReport:
-    checks: tuple[CheckResult, ...]
+    """validate's facts in check order, which passed reads; the CheckResults
+    are built from them on first read.  classes: per basic class, its facts
+    (sw nonzero, length[, distinct, characteristic, simple type]) and k.k;
+    unpaired: (k, sw, required, found) for the first class without partner."""
+
+    manifold: FourManifold
+    head: tuple[bool, ...]
+    classes: tuple[tuple[tuple[bool, ...], int | None], ...]
+    unpaired: tuple | None
 
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return all(self.head) and all(all(f) for f, _ in self.classes) and self.unpaired is None
+
+    @cached_property
+    def checks(self) -> tuple[CheckResult, ...]:
+        m = self.manifold
+        out = [CheckResult(name, ok, partial(text, m))
+               for (name, _, text), ok in zip(_FORM_CHECKS, self.head)]
+        for idx, (entry, (facts, sq)) in enumerate(zip(m.basic_classes, self.classes)):
+            label, k = f"basic_classes[{idx}]", entry.k
+            sw_ok, length_ok, *rest = facts
+            out.append(CheckResult(f"{label}.sw_nonzero", sw_ok, lambda: "sw must be nonzero"))
+            out.append(CheckResult(f"{label}.coords_length", length_ok, str if length_ok else
+                                   lambda r=k.rank: f"coords length {r} != rank {m.form.rank}"))
+            if rest:
+                distinct, characteristic, simple_type = rest
+                if not distinct:
+                    out.append(CheckResult(f"{label}.distinct", False,
+                                           lambda k=k: f"duplicate class {list(k.coords)}"))
+                out.append(CheckResult(f"{label}.characteristic", characteristic,
+                                       lambda k=k: f"class {list(k.coords)} is not characteristic"))
+                out.append(CheckResult(f"{label}.sw_simple_type", simple_type, lambda sq=sq:
+                                       f"k.k = {sq}, simple type requires {c1_squared(m)}"))
+        if self.head[2]:
+            k, sw, required, found = self.unpaired or (None,) * 4
+            out.append(CheckResult("conjugation_symmetry", k is None, lambda: "" if k is None else (
+                f"entry ({list(k.coords)}, {sw}) needs partner "
+                f"({list((-k).coords)}, {required}), found {found}")))
+        return tuple(out)
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.ok)
@@ -85,62 +136,29 @@ class ValidationReport:
 
 def validate(m: FourManifold) -> ValidationReport:
     """Run every internal-consistency check; failures are reported, not raised."""
-    checks = []
-
-    def check(name, ok, describe=str):
-        checks.append(CheckResult(name, bool(ok), describe))
-
-    rank = m.form.rank
-    check("b_plus", m.b_plus > 1, lambda: f"b_plus = {m.b_plus}, must exceed 1")
-    check("euler_number", m.chi == 2 + rank,
-          lambda: f"chi = {m.chi}, form rank = {rank}, need chi = 2 + rank")
-    mod4_ok = (m.chi + m.sigma) % 4 == 0
-    check("chi_plus_sigma_mod_4", mod4_ok,
-          lambda: f"chi + sigma = {m.chi + m.sigma}, must be 0 mod 4")
-    check("signature", m.sigma == 2 * m.b_plus - rank,
-          lambda: f"sigma = {m.sigma}, expected {2 * m.b_plus - rank} from b_plus and rank")
-    form_sig = block_signature(m.form)
-    check("form_signature", m.sigma == form_sig,
-          lambda: f"sigma = {m.sigma}, block form signature {form_sig}")
-    det = block_determinant(m.form)
-    check("unimodular", abs(det) == 1,
-          lambda: f"block form determinant {det}, must be 1 or -1")
-
-    st = 2 * m.chi + 3 * m.sigma
+    rank, st = m.form.rank, c1_squared(m)
+    classes = []
     seen = {}  # support -> (class, sw), first entry per class
-    for idx, entry in enumerate(m.basic_classes):
-        label, k = f"basic_classes[{idx}]", entry.k
-        check(f"{label}.sw_nonzero", entry.sw != 0, lambda: "sw must be nonzero")
-        if k.rank != rank:
-            check(f"{label}.coords_length", False, lambda r=k.rank: f"coords length {r} != rank {rank}")
-            continue
-        check(f"{label}.coords_length", True)
-        if k.support in seen:
-            check(f"{label}.distinct", False, lambda k=k: f"duplicate class {list(k.coords)}")
-        else:
-            seen[k.support] = k, entry.sw
-        gk = covector(m.form, k)
-        check(f"{label}.characteristic", is_characteristic(m.form, k, gk),
-              lambda k=k: f"class {list(k.coords)} is not characteristic")
-        sq = dot(gk, k)
-        check(f"{label}.sw_simple_type", sq == st,
-              lambda sq=sq: f"k.k = {sq}, simple type requires {st}")
-
-    if mod4_ok:
-        eps = -1 if ((m.chi + m.sigma) // 4) % 2 else 1
-        ok = True
-        detail = ""
-        for k, sw in seen.values():
-            neg = -k
-            partner = seen.get(neg.support, (None, None))[1]
-            if partner != eps * sw:
-                ok = False
-                detail = (f"entry ({list(k.coords)}, {sw}) needs partner "
-                          f"({list(neg.coords)}, {eps * sw}), found {partner}")
+    for entry in m.basic_classes:
+        k, sq = entry.k, None
+        facts = entry.sw != 0, k.rank == rank
+        if facts[1]:
+            distinct = k.support not in seen
+            if distinct:
+                seen[k.support] = k, entry.sw
+            sq = dot(covector(m.form, k), k)
+            facts += distinct, is_characteristic(m.form, k), sq == st
+        classes.append((facts, sq))
+    head = tuple(test(m) for _, test, _ in _FORM_CHECKS)
+    unpaired = None
+    if head[2]:
+        sign = -1 if ((m.chi + m.sigma) // 4) % 2 else 1
+        for support, (k, sw) in seen.items():
+            found = seen.get(tuple((t, -x) for t, x in support), (None, None))[1]
+            if found != sign * sw:
+                unpaired = k, sw, sign * sw, found
                 break
-        check("conjugation_symmetry", ok, lambda: detail)
-
-    return ValidationReport(tuple(checks))
+    return ValidationReport(m, head, tuple(classes), unpaired)
 
 
 def characteristic_number_of(chi: int, sigma: int) -> Fraction:

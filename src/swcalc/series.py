@@ -192,8 +192,7 @@ def _span_reduce(lattice: IntegralLattice, classes):
     scaled = []  # (mu, e) with mu * covector(k) = sum_s e[s] * covector(pivots[s])
     for k in classes:
         tag = n + len(pivots)
-        v = covector(lattice, k)
-        v[tag] = 1
+        v = {**covector(lattice, k), tag: 1}
         for row, pc in echelon:
             f = v.get(pc)
             if f:

@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -909,3 +911,38 @@ def test_abundance_classes_random_property():
         else:
             assert (-cs) % 8 == 4
             assert square(K3FORM, ac.lambda_even) == -cs + 4
+
+
+def test_covector_memo_is_per_lattice():
+    # one class paired in two lattices of one rank gets each lattice's own
+    # G.c, in any order and from any thread; an equal lattice object builds
+    # anew.  Four threads over two cores, switching every microsecond,
+    # replace the memo under each other's reads.
+    a = IntegralLattice.from_blocks([HyperbolicBlock(), DiagonalBlock((1, -1))])
+    b = IntegralLattice.from_blocks([DiagonalBlock((1, 2, 3, -1))])
+    c = CohClass((1, 2, 0, -1))
+    want = {id(a): {0: 2, 1: 1, 3: 1}, id(b): {0: 1, 1: 4, 3: 1}}
+    for lat in (a, b, a, a, b):
+        assert covector(lat, c) == want[id(lat)]
+        assert covector(lat, c) is covector(lat, c)
+    twin = IntegralLattice(a.blocks)
+    assert covector(twin, c) == want[id(a)] and c.__dict__["_covector"][0] is twin
+    wrong = []
+
+    def pair_often(lat):
+        for _ in range(2000):
+            if covector(lat, c) != want[id(lat)]:
+                wrong.append(lat)
+
+    threads = [threading.Thread(target=pair_often, args=(lat,)) for lat in (a, b, a, b)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong

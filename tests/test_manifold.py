@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from swcalc.lattice import (
     CohClass,
     DiagonalBlock,
@@ -9,9 +12,15 @@ from swcalc.lattice import (
     HyperbolicBlock,
     IntegralLattice,
     block_determinant,
+    block_signature,
+    covector,
+    dot,
+    is_characteristic,
 )
+from swcalc.manifest import load_catalog, parse_manifest
 from swcalc.manifold import (
     BasicClassEntry,
+    CheckResult,
     FourManifold,
     basic_class_count,
     c1_squared,
@@ -192,3 +201,125 @@ def test_validate_builds_details_only_when_rendered(catalog, monkeypatch):
     assert details["basic_classes[2].distinct"] == f"duplicate class {list(a.coords)}"
     assert details["basic_classes[0].sw_simple_type"] == "k.k = 2, simple type requires 0"
     assert details["basic_classes[1].sw_simple_type"] == "k.k = 0, simple type requires 0"
+
+
+def reference_validate(m):
+    """The eager validate, the oracle of the one in swcalc.manifold: it
+    builds every check record, label and detail closure as it runs."""
+    checks = []
+
+    def check(name, ok, describe=str):
+        checks.append(CheckResult(name, bool(ok), describe))
+
+    rank = m.form.rank
+    check("b_plus", m.b_plus > 1, lambda: f"b_plus = {m.b_plus}, must exceed 1")
+    check("euler_number", m.chi == 2 + rank,
+          lambda: f"chi = {m.chi}, form rank = {rank}, need chi = 2 + rank")
+    mod4_ok = (m.chi + m.sigma) % 4 == 0
+    check("chi_plus_sigma_mod_4", mod4_ok,
+          lambda: f"chi + sigma = {m.chi + m.sigma}, must be 0 mod 4")
+    check("signature", m.sigma == 2 * m.b_plus - rank,
+          lambda: f"sigma = {m.sigma}, expected {2 * m.b_plus - rank} from b_plus and rank")
+    form_sig = block_signature(m.form)
+    check("form_signature", m.sigma == form_sig,
+          lambda: f"sigma = {m.sigma}, block form signature {form_sig}")
+    det = block_determinant(m.form)
+    check("unimodular", abs(det) == 1,
+          lambda: f"block form determinant {det}, must be 1 or -1")
+
+    st = 2 * m.chi + 3 * m.sigma
+    seen = {}  # support -> (class, sw), first entry per class
+    for idx, entry in enumerate(m.basic_classes):
+        label, k = f"basic_classes[{idx}]", entry.k
+        check(f"{label}.sw_nonzero", entry.sw != 0, lambda: "sw must be nonzero")
+        if k.rank != rank:
+            check(f"{label}.coords_length", False, lambda r=k.rank: f"coords length {r} != rank {rank}")
+            continue
+        check(f"{label}.coords_length", True)
+        if k.support in seen:
+            check(f"{label}.distinct", False, lambda k=k: f"duplicate class {list(k.coords)}")
+        else:
+            seen[k.support] = k, entry.sw
+        gk = covector(m.form, k)
+        check(f"{label}.characteristic", is_characteristic(m.form, k),
+              lambda k=k: f"class {list(k.coords)} is not characteristic")
+        sq = dot(gk, k)
+        check(f"{label}.sw_simple_type", sq == st,
+              lambda sq=sq: f"k.k = {sq}, simple type requires {st}")
+
+    if mod4_ok:
+        eps = -1 if ((m.chi + m.sigma) // 4) % 2 else 1
+        ok = True
+        detail = ""
+        for k, sw in seen.values():
+            neg = -k
+            partner = seen.get(neg.support, (None, None))[1]
+            if partner != eps * sw:
+                ok = False
+                detail = (f"entry ({list(k.coords)}, {sw}) needs partner "
+                          f"({list(neg.coords)}, {eps * sw}), found {partner}")
+                break
+        check("conjugation_symmetry", ok, lambda: detail)
+    return tuple(checks)
+
+
+CATALOG = {name: load_catalog(name).to_manifold() for name in ("K3", "E3", "E4", "E5", "E6")}
+
+
+@st.composite
+def corrupted_manifolds(draw):
+    """A catalog manifold, as it is or with one field corrupted."""
+    m = CATALOG[draw(st.sampled_from(sorted(CATALOG)))]
+    entries = list(m.basic_classes)
+    kind = draw(st.sampled_from(("none", "sw_sign", "sw_zero", "drop", "duplicate", "chi",
+                                 "sigma", "b_plus", "wrong_length", "shifted_class")))
+    i = draw(st.integers(0, len(entries) - 1))
+    delta = draw(st.integers(-5, 5).filter(bool))
+    if kind == "sw_sign":
+        entries[i] = BasicClassEntry(entries[i].k, -entries[i].sw)
+    elif kind == "sw_zero":
+        entries[i] = BasicClassEntry(entries[i].k, 0)
+    elif kind == "drop":
+        del entries[i]
+    elif kind == "duplicate":
+        entries.insert(draw(st.integers(0, len(entries))), entries[i])
+    elif kind in ("chi", "sigma", "b_plus"):
+        return replace(m, **{kind: getattr(m, kind) + delta})
+    elif kind == "wrong_length":
+        coords = entries[i].k.coords
+        k = CohClass(coords + (delta,) if delta > 0 else coords[:delta])
+        entries.insert(i, BasicClassEntry(k, entries[i].sw))
+    elif kind == "shifted_class":
+        t = draw(st.integers(0, m.form.rank - 1))
+        entries[i] = BasicClassEntry(entries[i].k + delta * CohClass.unit(m.form.rank, t),
+                                     entries[i].sw)
+    return replace(m, basic_classes=tuple(entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_manifolds())
+def test_validate_matches_the_eager_reference(m):
+    # the facts-first validate against the eager one: the same verdict, the
+    # same failing names and the same report entries, details included
+    ref = reference_validate(m)
+    report = validate(m)
+    assert report.passed == all(c.ok for c in ref)
+    assert [c.name for c in report.failures()] == [c.name for c in ref if not c.ok]
+    assert report.to_list() == [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in ref]
+
+
+def test_passing_validate_builds_no_check_record(fixtures_dir, monkeypatch):
+    # 81 basic classes: a passing validate records facts only; the check
+    # records are built when the report is rendered, once
+    m = parse_manifest((fixtures_dir / "wide_e10_2222.json").read_text()).to_manifold()
+    built = []
+    init = CheckResult.__init__
+    monkeypatch.setattr(CheckResult, "__init__",
+                        lambda self, *args: built.append(args[0]) or init(self, *args))
+    report = validate(m)
+    assert report.passed and not built and "checks" not in vars(report)
+    entries = report.to_list()
+    assert len(m.basic_classes) == 81
+    assert built == [e["name"] for e in entries] and len(entries) == 6 + 4 * 81 + 1
+    report.to_list()
+    assert len(built) == len(entries)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swcalc.lattice as lattice_module
 import swcalc.manifold as manifold_module
 import swcalc.relations as relations
 from swcalc.errors import (
@@ -797,3 +798,19 @@ def test_region_e4_window(catalog):
             if (2 * delta + 24) % 8 == 0 and (lam_sq + 32) % 4 == 0:
                 expected.append((lam_sq, delta))
     assert list(region.marked) == expected
+
+
+def test_one_pass_builds_each_basic_class_covector_once(fixtures_dir, monkeypatch):
+    # validate, the complement's constraint rows and the series' span
+    # reduction all pair the same 81 class objects in the same form: each
+    # G.k is built once, counted where it is built, not where it is read
+    m = parse_manifest((fixtures_dir / "wide_e10_2222.json").read_text()).to_manifold()
+    built = []
+    apply = lattice_module._gram_apply
+    monkeypatch.setattr(lattice_module, "_gram_apply",
+                        lambda lattice, c: built.append(c) or apply(lattice, c))
+    w = characteristic_vector(m.form)
+    assert manifold_module.validate(m).passed
+    assert sst_check(m, w).verdict == dvanish_theorem_check(m, w).verdict == VERDICT_PASS
+    assert len(m.basic_classes) == 81
+    assert [sum(c is e.k for c in built) for e in m.basic_classes] == [1] * 81

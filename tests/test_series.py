@@ -16,6 +16,7 @@ from swcalc.lattice import (
     E8Block,
     HyperbolicBlock,
     IntegralLattice,
+    covector,
     find_hyperbolic_pair,
     orthogonal_complement,
 )
@@ -661,3 +662,15 @@ def test_witten_series_non_integral_c():
     m = FourManifold("frac", 1, 0, 1, H, ())
     with pytest.raises(NonIntegralC):
         witten_series(m, CohClass.zero(2))
+
+
+def test_span_reduce_leaves_the_stored_covectors_unchanged():
+    # _span_reduce tags a copy of each covector; the one kept on the class,
+    # which every later reader gets, is left as it was
+    g, h = CohClass.unit(8, 0), CohClass.unit(8, 2)
+    classes = [2 * g, g + h, g, -h, CohClass.zero(8)]
+    stored = [covector(H4, k) for k in classes]
+    before = [dict(v) for v in stored]
+    _span_reduce(H4, classes)
+    assert [covector(H4, k) for k in classes] == before
+    assert all(covector(H4, k) is v for k, v in zip(classes, stored))
