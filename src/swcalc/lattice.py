@@ -236,7 +236,7 @@ def block_determinant(lattice: IntegralLattice) -> int:
 
 def dot(ga: dict, b) -> int:
     """The pairing a.b from ga = covector(lattice, a): ga read over b's
-    support, so a caller that pairs one class with many builds ga once."""
+    support, so a caller that pairs one class with many looks ga up once."""
     return sum(ga.get(t, 0) * x for t, x in b.support)
 
 
@@ -326,23 +326,9 @@ class Sublattice:
     ambient: IntegralLattice
     basis: tuple[CohClass, ...]
 
-    @cached_property
-    def covectors(self) -> dict[int, dict]:
-        """covector(ambient, b_i) by basis index i, each filled the first
-        time basis_covector(i) needs it.  Threads that race on one i fill
-        equal values."""
-        return {}
-
-    def basis_covector(self, i: int) -> dict:
-        """G.b_i, built on first use."""
-        gb = self.covectors.get(i)
-        if gb is None:
-            gb = self.covectors[i] = covector(self.ambient, self.basis[i])
-        return gb
-
     def entry(self, i: int, j: int) -> int:
         """The pairing b_i . b_j."""
-        return dot(self.basis_covector(i), self.basis[j])
+        return pairing(self.ambient, self.basis[i], self.basis[j])
 
     @cached_property
     def restricted_gram(self) -> tuple[tuple[int, ...], ...]:
@@ -495,7 +481,7 @@ def _literal_pair(sub: Sublattice) -> HyperbolicPair | None:
     for i, b in enumerate(basis):
         if not isotropic(i):
             continue
-        gb = sub.basis_covector(i)
+        gb = covector(sub.ambient, b)
         for j in sorted({j for s in gb for j in holders.get(s, ()) if j > i}):
             x = dot(gb, basis[j])
             if abs(x) == 1 and isotropic(j):

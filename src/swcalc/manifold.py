@@ -1,8 +1,7 @@
 """The validated input datum: topology, intersection form, basic classes."""
 
-from collections.abc import Callable
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 from .lattice import (
     CohClass,
@@ -15,6 +14,7 @@ from .lattice import (
     find_hyperbolic_pair,
     is_characteristic,
     orthogonal_complement,
+    square,
 )
 from .record import record
 
@@ -56,15 +56,11 @@ class FourManifold:
 
 @record
 class CheckResult:
-    """One check; describe() builds its detail text, only when it is read."""
+    """One check and its detail text."""
 
     name: str
     ok: bool
-    describe: Callable[[], str] = str
-
-    @property
-    def detail(self) -> str:
-        return self.describe()
+    detail: str
 
 
 # The checks on the topology and the form, in order: name, test, detail.
@@ -85,10 +81,10 @@ _FORM_CHECKS = (
 
 @record
 class ValidationReport:
-    """validate's facts in check order, which passed reads; the CheckResults
-    are built from them on first read.  classes: per basic class, its facts
-    (sw nonzero, length[, distinct, characteristic, simple type]) and k.k;
-    unpaired: (k, sw, required, found) for the first class without partner."""
+    """validate's facts in check order, which passed reads; the CheckResults,
+    details included, are built from them on first read.  classes: per basic
+    class, its facts (sw nonzero, length[, distinct, characteristic, simple
+    type]) and k.k; unpaired: (k, sw, required, found) of the first unpaired class."""
 
     manifold: FourManifold
     head: tuple[bool, ...]
@@ -101,27 +97,27 @@ class ValidationReport:
 
     @cached_property
     def checks(self) -> tuple[CheckResult, ...]:
-        m = self.manifold
-        out = [CheckResult(name, ok, partial(text, m))
+        m, st = self.manifold, c1_squared(self.manifold)
+        out = [CheckResult(name, ok, text(m))
                for (name, _, text), ok in zip(_FORM_CHECKS, self.head)]
         for idx, (entry, (facts, sq)) in enumerate(zip(m.basic_classes, self.classes)):
             label, k = f"basic_classes[{idx}]", entry.k
             sw_ok, length_ok, *rest = facts
-            out.append(CheckResult(f"{label}.sw_nonzero", sw_ok, lambda: "sw must be nonzero"))
-            out.append(CheckResult(f"{label}.coords_length", length_ok, str if length_ok else
-                                   lambda r=k.rank: f"coords length {r} != rank {m.form.rank}"))
+            out.append(CheckResult(f"{label}.sw_nonzero", sw_ok, "sw must be nonzero"))
+            out.append(CheckResult(f"{label}.coords_length", length_ok, "" if length_ok else
+                                   f"coords length {k.rank} != rank {m.form.rank}"))
             if rest:
                 distinct, characteristic, simple_type = rest
                 if not distinct:
                     out.append(CheckResult(f"{label}.distinct", False,
-                                           lambda k=k: f"duplicate class {list(k.coords)}"))
+                                           f"duplicate class {list(k.coords)}"))
                 out.append(CheckResult(f"{label}.characteristic", characteristic,
-                                       lambda k=k: f"class {list(k.coords)} is not characteristic"))
-                out.append(CheckResult(f"{label}.sw_simple_type", simple_type, lambda sq=sq:
-                                       f"k.k = {sq}, simple type requires {c1_squared(m)}"))
+                                       f"class {list(k.coords)} is not characteristic"))
+                out.append(CheckResult(f"{label}.sw_simple_type", simple_type,
+                                       f"k.k = {sq}, simple type requires {st}"))
         if self.head[2]:
             k, sw, required, found = self.unpaired or (None,) * 4
-            out.append(CheckResult("conjugation_symmetry", k is None, lambda: "" if k is None else (
+            out.append(CheckResult("conjugation_symmetry", k is None, "" if k is None else (
                 f"entry ({list(k.coords)}, {sw}) needs partner "
                 f"({list((-k).coords)}, {required}), found {found}")))
         return tuple(out)
@@ -146,7 +142,7 @@ def validate(m: FourManifold) -> ValidationReport:
             distinct = k.support not in seen
             if distinct:
                 seen[k.support] = k, entry.sw
-            sq = dot(covector(m.form, k), k)
+            sq = square(m.form, k)
             facts += distinct, is_characteristic(m.form, k), sq == st
         classes.append((facts, sq))
     head = tuple(test(m) for _, test, _ in _FORM_CHECKS)

@@ -9,8 +9,6 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from swcalc.cli import main
 from swcalc.lattice import (
     CohClass,

@@ -674,20 +674,26 @@ def test_e40_literal_pair_reads_three_covectors(monkeypatch):
     sub = orthogonal_complement(m.form, basic_class_set(m))
     assert len(sub.basis) == 477
     assert all(sub.entry(0, j) == 0 for j in range(477))
-    sub = Sublattice(sub.ambient, sub.basis)
-    calls, dots = [], []
-    built, paired = lattice.covector, lattice.dot
-    monkeypatch.setattr(lattice, "covector", lambda *args: calls.append(args) or built(*args))
+    # a fresh complement: its basis classes keep no covector yet
+    sub = orthogonal_complement(m.form, basic_class_set(m))
+    builds, dots = [], []
+    apply, paired = lattice._gram_apply, lattice.dot
+
+    def build(form, c):
+        builds.append((c, apply(form, c)))
+        return builds[-1][1]
+
+    monkeypatch.setattr(lattice, "_gram_apply", build)
     monkeypatch.setattr(lattice, "dot", lambda *args: dots.append(args) or paired(*args))
     pair = find_hyperbolic_pair(sub, 3)
     monkeypatch.undo()
     assert pair == HyperbolicPair(sub.basis[1], sub.basis[2])
-    assert len(calls) <= 3
+    assert 0 < len(builds) <= 3
     assert len(dots) <= 8
     assert "restricted_gram" not in sub.__dict__
-    assert sub.covectors
-    for i, gb in sub.covectors.items():
-        assert gb == covector(m.form, sub.basis[i])
+    for c, gb in builds:
+        assert any(c is b for b in sub.basis)
+        assert covector(m.form, c) is gb
 
 
 def test_find_pair_rejects_definite_forms_fast():

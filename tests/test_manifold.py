@@ -205,11 +205,11 @@ def test_validate_builds_details_only_when_rendered(catalog, monkeypatch):
 
 def reference_validate(m):
     """The eager validate, the oracle of the one in swcalc.manifold: it
-    builds every check record, label and detail closure as it runs."""
+    builds every check record, label and detail as it runs."""
     checks = []
 
     def check(name, ok, describe=str):
-        checks.append(CheckResult(name, bool(ok), describe))
+        checks.append(CheckResult(name, bool(ok), describe()))
 
     rank = m.form.rank
     check("b_plus", m.b_plus > 1, lambda: f"b_plus = {m.b_plus}, must exceed 1")
