@@ -4,17 +4,19 @@ Everything here runs over plain Python integers (arbitrary precision) or
 exact rationals; no floating point.  A lattice is a list of standard
 blocks: the rank-two hyperbolic block, the E8 form with a sign, and
 diagonal blocks.  The block list is the source of truth: the form acts
-only through the block Gram columns, walked over the support of a class.
-A class likewise is its rank and support (its nonzero coordinates); the
-dense Gram and a class's dense coordinates are derived views.  The
-characteristic vector is the diagonal mod 2, and orthogonal complements
-come from a sparse xgcd transform kernel.
+only through Gram columns, each read off the block holding it, walked over
+the support of a class.  A class likewise is its rank and support (its
+nonzero coordinates); dense Grams and coordinates are derived views.  An
+orthogonal complement costs its constraints' support, not the rank: its
+sparse xgcd kernel touches only that, and its basis classes are built on read.
 """
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from copy import copy
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, compress, tee
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations, compress, tee
 from math import gcd, prod
 
 from .errors import DimensionMismatch, ParityError, PreconditionError
@@ -33,9 +35,8 @@ E8_GRAM = (
     (0, 0, 0, 0, -1, 0, 0, 2),
 )
 
-# The columns of E8_GRAM and of its negative as nonzero (s, g) pairs.
+# The columns of E8_GRAM as nonzero (s, g) pairs.
 _E8_COLUMNS = tuple(tuple((s, g) for s, g in enumerate(row) if g) for row in E8_GRAM)
-_NEG_E8_COLUMNS = tuple(tuple((s, -g) for s, g in col) for col in _E8_COLUMNS)
 
 
 @record
@@ -44,7 +45,9 @@ class HyperbolicBlock:
 
     rank = 2
     determinant = -1
-    columns = (((1, 1),), ((0, 1),))
+
+    def column(self, i: int):  # column i of the block Gram as its nonzero (s, g)
+        return ((1 - i, 1),)
 
 
 @record
@@ -57,9 +60,8 @@ class E8Block:
         if self.sign not in (1, -1):
             raise ValueError(f"E8 sign must be +1 or -1, got {self.sign}")
 
-    @property
-    def columns(self):
-        return _E8_COLUMNS if self.sign == 1 else _NEG_E8_COLUMNS
+    def column(self, i: int):
+        return tuple((s, self.sign * g) for s, g in _E8_COLUMNS[i])
 
 
 @record
@@ -76,9 +78,12 @@ class DiagonalBlock:
     def determinant(self) -> int:
         return prod(self.entries)
 
+    def column(self, i: int):
+        return ((i, self.entries[i]),) if self.entries[i] else ()
+
     @property
     def columns(self):
-        return tuple(((i, e),) if e else () for i, e in enumerate(self.entries))
+        return tuple(map(self.column, range(self.rank)))
 
 
 Block = HyperbolicBlock | E8Block | DiagonalBlock
@@ -154,7 +159,9 @@ class CohClass:
 
     @staticmethod
     def unit(rank: int, index: int) -> "CohClass":
-        return CohClass(tuple(1 if i == index else 0 for i in range(rank)))
+        if not 0 <= index < rank:
+            raise DimensionMismatch(f"unit index {index} is outside [0, {rank})")
+        return CohClass._of(rank, ((index, 1),))
 
 
 @record
@@ -168,34 +175,54 @@ class IntegralLattice:
         return IntegralLattice(tuple(blocks))
 
     @cached_property
-    def rank(self) -> int:
-        return sum(b.rank for b in self.blocks)
+    def _starts(self) -> tuple[int, ...]:  # each block's offset, then the rank
+        return tuple(accumulate((b.rank for b in self.blocks), initial=0))
 
     @cached_property
-    def diagonal(self) -> tuple[int, ...]:
-        """The squares x.x of the basis vectors, read off the columns."""
-        return tuple(dict(col).get(t, 0) for t, col in enumerate(self.columns))
+    def rank(self) -> int:
+        return self._starts[-1]
+
+    @cached_property
+    def _columns(self) -> dict:
+        return {}
+
+    def column(self, t: int) -> tuple[tuple[int, int], ...]:
+        """Column t of the Gram as its nonzero (s, G_st): the column of the
+        block holding t, shifted by its offset and kept per t."""
+        col = self._columns.get(t)
+        if col is None:
+            k = bisect_right(self._starts, t) - 1
+            start = self._starts[k]
+            col = self._columns.setdefault(
+                t, tuple((start + s, g) for s, g in self.blocks[k].column(t - start)))
+        return col
 
     @cached_property
     def odd_diagonal(self) -> frozenset[int]:
-        return frozenset(i for i, d in enumerate(self.diagonal) if d & 1)
+        return frozenset(start + i for start, b in zip(self._starts, self.blocks)
+                         for i in _block_diagonal(b)[1])
+
+    # columns, diagonal and gram are derived views; only tests read them.
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(map(self.column, range(self.rank)))
+
+    @cached_property
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(dict(col).get(t, 0) for t, col in enumerate(self.columns))
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        """The dense Gram, row t read off column t (G is symmetric)."""
         n = self.rank
         return tuple(tuple(col.get(s, 0) for s in range(n)) for col in map(dict, self.columns))
 
-    @cached_property
-    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Column t of the Gram as its nonzero (s, G_st): the block columns,
-        shifted by the block offsets.  This is how the form acts."""
-        out = []
-        offset = 0
-        for b in self.blocks:
-            out += (tuple((offset + s, g) for s, g in col) for col in b.columns)
-            offset += b.rank
-        return tuple(out)
+
+@lru_cache(maxsize=64)
+def _block_diagonal(block) -> tuple[int, tuple[int, ...]]:
+    """(signature, odd positions) of a block, read off its columns once per
+    block value; the signature is the signed count of the diagonal entries."""
+    diagonal = [dict(block.column(i)).get(i, 0) for i in range(block.rank)]
+    return sum((d > 0) - (d < 0) for d in diagonal), tuple(i for i, d in enumerate(diagonal) if d & 1)
 
 
 def covector(lattice: IntegralLattice, c) -> dict:
@@ -203,8 +230,7 @@ def covector(lattice: IntegralLattice, c) -> dict:
     as (lattice, G.c) and read back in one tuple load for the same lattice
     object, so threads never mix two lattices' values; readers must not mutate it."""
     if c.rank != lattice.rank:
-        raise DimensionMismatch(
-            f"vector length {c.rank} does not match lattice rank {lattice.rank}")
+        raise DimensionMismatch(f"vector length {c.rank} does not match lattice rank {lattice.rank}")
     memo = c.__dict__.get("_covector")
     if memo is not None and memo[0] is lattice:
         return memo[1]
@@ -214,19 +240,18 @@ def covector(lattice: IntegralLattice, c) -> dict:
 
 
 def _gram_apply(lattice: IntegralLattice, c) -> dict:
-    """G.c built from the block columns, walked over c's support."""
+    """G.c built from the Gram columns, walked over c's support."""
     out: dict = {}
-    columns = lattice.columns
+    column = lattice.column
     for t, x in c.support:
-        for s, g in columns[t]:
+        for s, g in column(t):
             out[s] = out.get(s, 0) + g * x
     return {s: y for s, y in out.items() if y}
 
 
 def block_signature(lattice: IntegralLattice) -> int:
-    """Signature of the form: for every block type it is the signed count
-    of the diagonal entries (H has (0, 0), sign*E8 has eight 2*sign)."""
-    return sum((d > 0) - (d < 0) for d in lattice.diagonal)
+    """Signature of the form: the sum of the block signatures."""
+    return sum(_block_diagonal(b)[0] for b in lattice.blocks)
 
 
 def block_determinant(lattice: IntegralLattice) -> int:
@@ -253,13 +278,9 @@ def square(lattice: IntegralLattice, a: CohClass) -> int:
 
 def characteristic_vector(lattice: IntegralLattice) -> CohClass:
     """A class c with c.x = x.x (mod 2) for every basis vector x: the
-    diagonal mod 2.
-
-    H and +-E8 have even diagonals and contribute zero; a diagonal block
-    gives c_i = d_i mod 2.  This is the solution of the mod-2 system with
-    free variables set to zero, and the system is always solvable, since
-    x -> x.x is linear mod 2 and vanishes on the radical.
-    """
+    diagonal mod 2, zero on H and +-E8.  It solves the mod-2 system with
+    the free variables zero; the system is always solvable, since x -> x.x
+    is linear mod 2 and vanishes on the radical."""
     return CohClass.from_support(lattice.rank, ((i, 1) for i in lattice.odd_diagonal))
 
 
@@ -285,27 +306,26 @@ def _xgcd(a: int, b: int):
 def integer_kernel(rows, n: int):
     """A saturated basis for {x in Z^n : r.x == 0 for every r in rows}.
 
-    Each row is a sparse {j: x} dict of nonzero entries, j < n, and so is
-    each kernel row returned.  The rows, read as columns, are
-    row-echelonised by xgcd steps, tracking only the unimodular transform
-    u; the rows of u past the rank map every row to zero and span the
-    kernel.  Saturation is automatic for kernels of integer maps.
+    Each row is a sparse {j: x} dict of nonzero entries, j < n.  The rows,
+    read as columns, are row-echelonised by xgcd steps, tracking only the
+    unimodular transform u; its rows r..n-1, r the rank, span the kernel
+    (saturated, as for any integer map).  a and u are dicts over the rows'
+    support and the r swap targets, the only rows the steps touch; any other
+    row p of u is {p: 1}.  Returns r and u's touched rows p >= r, {p: {j: x}}.
     """
-    a = [{} for _ in range(n)]
+    a = {}
     for c, r in enumerate(rows):
         for j, x in r.items():
-            a[j][c] = x
-    u = [{i: 1} for i in range(n)]
+            a.setdefault(j, {})[c] = x
+    u = {j: {j: 1} for j in a}
     row = 0
     for col in range(len(rows)):
-        pivot = next((i for i in range(row, n) if col in a[i]), None)
-        if pivot is None:
+        hits = sorted(i for i, v in a.items() if i >= row and col in v)
+        if not hits:
             continue
-        for t in (a, u):
-            t[row], t[pivot] = t[pivot], t[row]
-        for i in range(row + 1, n):
-            if col not in a[i]:
-                continue
+        for t, blank in ((a, {}), (u, {row: 1})):
+            t[row], t[hits[0]] = t[hits[0]], t.get(row, blank)
+        for i in hits[1:]:
             p, q = a[row][col], a[i][col]
             x, y, g = _xgcd(p, q)
             pg, qg = p // g, q // g
@@ -315,16 +335,39 @@ def integer_kernel(rows, n: int):
                 t[row] = {j: z for j in keys if (z := x * r.get(j, 0) + y * s.get(j, 0))}
                 t[i] = {j: z for j in keys if (z := pg * s.get(j, 0) - qg * r.get(j, 0))}
         row += 1
-    return u[row:]
+    return row, {p: v for p, v in u.items() if p >= row}
+
+
+class _Kernel(Sequence):
+    """Rows start..rank-1 of an integer_kernel transform as classes: rows
+    holds the touched rows as {j: x}, any other row p is the unit class at
+    p.  Class i is built on first read and is that object on every later
+    read, as the covector memo needs (setdefault keeps one under races)."""
+
+    def __init__(self, rank: int, start: int, rows: dict):
+        self.rank, self.start, self.rows, self._built = rank, start, rows, {}
+
+    def __len__(self) -> int:
+        return self.rank - self.start
+
+    def __getitem__(self, i: int) -> CohClass:
+        c = self._built.get(i)
+        if c is None:
+            p = self.start + range(len(self))[i]
+            row = self.rows.get(p)
+            c = self._built.setdefault(p - self.start, CohClass.unit(self.rank, p) if row is None
+                                       else CohClass._of(self.rank, tuple(sorted(row.items()))))
+        return c
 
 
 @record
 class Sublattice:
-    """A saturated sublattice, its basis in ambient coordinates.  Pairings
-    are read lazily by entry(i, j); restricted_gram is the dense view."""
+    """A saturated sublattice, its basis (a tuple, or a complement's _Kernel)
+    in ambient coordinates.  Pairings are read lazily by entry(i, j);
+    restricted_gram is the dense view."""
 
     ambient: IntegralLattice
-    basis: tuple[CohClass, ...]
+    basis: Sequence[CohClass]
 
     def entry(self, i: int, j: int) -> int:
         """The pairing b_i . b_j."""
@@ -336,28 +379,11 @@ class Sublattice:
         return tuple(tuple(self.entry(i, j) for j in range(k)) for i in range(k))
 
 
-def _distinct_directions(rows):
-    """The sparse rows without zero rows and without rows parallel to an
-    earlier one (equal after dividing by the gcd and fixing the sign of the
-    first entry).  A column of integer_kernel in the rational span of
-    earlier ones finds no pivot, so dropping these leaves its basis as is."""
-    out = {}
-    for r in rows:
-        if r:
-            items = sorted(r.items())
-            g = gcd(*r.values()) * (1 if items[0][1] > 0 else -1)
-            out.setdefault(tuple((j, x // g) for j, x in items), r)
-    return list(out.values())
-
-
 def orthogonal_complement(lattice: IntegralLattice, classes) -> Sublattice:
     """The saturated sublattice {x : x.s == 0 for all s in classes}, its
-    basis classes built from the sparse kernel rows, whose entries are
-    all nonzero."""
-    rows = _distinct_directions(covector(lattice, s) for s in classes)
-    n = lattice.rank
-    return Sublattice(lattice, tuple(CohClass._of(n, tuple(sorted(v.items())))
-                                     for v in integer_kernel(rows, n)))
+    basis a _Kernel: it costs the constraints' support, not the rank."""
+    rows = [covector(lattice, s) for s in classes]
+    return Sublattice(lattice, _Kernel(lattice.rank, *integer_kernel(rows, lattice.rank)))
 
 
 @record
@@ -371,30 +397,19 @@ class HyperbolicPair:
 def _definiteness(gram):
     """Exact sign of a symmetric matrix: 'positive', 'negative' or None.
 
-    Symmetric Gaussian elimination over the rationals; a zero pivot means
-    the form is not definite (possibly degenerate), which is all the
-    caller needs to know.
+    Symmetric Gaussian elimination over the rationals: a zero pivot, or one
+    of the other sign than the first, means the form is not definite.
     """
-    n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
-    signs = set()
-    for k in range(n):
-        p = a[k][k]
-        if p == 0:
+    for k, row in enumerate(a):
+        if row[k] == 0 or (row[k] > 0) != (a[0][0] > 0):
             return None
-        signs.add(1 if p > 0 else -1)
-        if len(signs) > 1:
-            return None
-        for i in range(k + 1, n):
-            f = a[i][k] / p
+        for lower in a[k + 1:]:
+            f = lower[k] / row[k]
             if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    if signs == {1}:
-        return "positive"
-    if signs == {-1}:
-        return "negative"
-    return None
+                for j in range(k, len(a)):
+                    lower[j] -= f * row[j]
+    return None if not a else "positive" if a[0][0] > 0 else "negative"
 
 
 def _minor_gcd(gram) -> int:
@@ -405,8 +420,7 @@ def _minor_gcd(gram) -> int:
     combination of 2x2 minors of G: their gcd divides 1.  With k < 2 there
     is no minor, and the gcd of nothing is 0.
     """
-    k = len(gram)
-    d = 0
+    k, d = len(gram), 0
     for i, j in combinations(range(k), 2):
         gi, gj = gram[i], gram[j]
         for s, t in combinations(range(k), 2):
@@ -455,34 +469,37 @@ def _literal_pair(sub: Sublattice) -> HyperbolicPair | None:
 
     The walk takes i upward and skips each i with b_i.b_i != 0.  For an
     isotropic i, b_i.b_j = 0 for every j whose support misses the keys of
-    G.b_i, so only the j > i whose support meets them are candidates; an
-    index from each coordinate to the basis classes holding it gives them.
-    They are read in ascending order, and the first with |b_i.b_j| = 1 and
-    b_j isotropic is returned.  Every skipped (i, j) fails the test, so this
-    is the first hit of the scan over all isotropic (i, j) in lexicographic
-    order.  Each square is computed once, and G.b_i is built only for the i
-    the walk reaches.  The index costs a step per support entry of the
-    basis but spares a pairing per class for each isotropic b_i with no
-    partner: the first complement class of every catalog E(n) is one, as
-    it pairs to zero with the whole basis.
+    G.b_i, so only the j > i whose support meets them are candidates: the
+    touched rows holding a key, from an index over their supports, and the
+    unit class at a key, found by arithmetic (a tuple basis is read as all
+    touched rows).  They are read in ascending order, and the first with
+    |b_i.b_j| = 1 and b_j isotropic is returned.  Every skipped (i, j) fails
+    the test, so this is the first hit of the scan over all isotropic (i, j)
+    in lexicographic order.  Each square is computed once, and a class and
+    its G.b_i are built only for the i the walk reaches, so on a complement
+    the scan costs the constraints' support, not the rank.
     """
     basis = sub.basis
-    squares = [None] * len(basis)
+    start, rows = ((basis.start, basis.rows) if isinstance(basis, _Kernel)
+                   else (0, {i: dict(b.support) for i, b in enumerate(basis)}))
+    holders = {}
+    for p, row in rows.items():
+        for t in row:
+            holders.setdefault(t, []).append(p - start)
+    squares = {}
 
     def isotropic(i):
-        if squares[i] is None:
+        if i not in squares:
             squares[i] = sub.entry(i, i)
         return squares[i] == 0
 
-    holders = {}
-    for j, b in enumerate(basis):
-        for t, _ in b.support:
-            holders.setdefault(t, []).append(j)
     for i, b in enumerate(basis):
         if not isotropic(i):
             continue
         gb = covector(sub.ambient, b)
-        for j in sorted({j for s in gb for j in holders.get(s, ()) if j > i}):
+        near = {j for s in gb for j in holders.get(s, ())}
+        near.update(s - start for s in gb if s not in rows and 0 <= s - start < len(basis))
+        for j in sorted(j for j in near if j > i):
             x = dot(gb, basis[j])
             if abs(x) == 1 and isotropic(j):
                 return HyperbolicPair(b, x * basis[j])
@@ -492,22 +509,17 @@ def _literal_pair(sub: Sublattice) -> HyperbolicPair | None:
 def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | None:
     """Search the sublattice for a hyperbolic pair, ambient coordinates.
 
-    Strategy: if the restricted pairing exhibits a literal hyperbolic
-    block between two basis vectors, return that pair at once.  Otherwise
-    enumerate primitive isotropic vectors e with basis coordinates in
-    [-radius, radius] (lexicographic order, most negative first) and for
-    each look for an isotropic f with e.f = 1 in the same order; the
-    first hit wins.  Definite forms are rejected without enumeration, and
+    A literal hyperbolic block between two basis vectors is returned at
+    once.  Otherwise it enumerates isotropic vectors e with basis
+    coordinates in [-radius, radius] (lexicographic order, most negative
+    first) and for each looks for an isotropic f with e.f = 1 in the same
+    order; the first hit wins.  Definite forms are rejected without enumeration, and
     so is every sublattice that provably holds no pair: one whose 2x2
     restricted minors have a gcd other than 1 (by Cauchy-Binet it divides
     det H = -1; this covers rank below 2, a common factor of all pairings
     and a rank-2 determinant other than -1), or rank 2 with an odd diagonal
     entry (a rank-2 lattice holds a pair iff it is H; Milnor-Husemoller,
-    ch. I).
-
-    The block scan (_literal_pair) builds G.b_i only for the basis classes
-    it reaches; the dense restricted Gram is built only for the proofs of
-    absence and the box.
+    ch. I).  The dense restricted Gram is built only for these and the box.
 
     The enumeration is lazy: isotropic vectors and their covectors G.v are
     generated in that order only as far as some scan has reached, and kept
@@ -515,21 +527,18 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
     skipped without an f-scan, since no f can reach e.f = 1; a
     non-primitive e is one of them.  The cost grows with the number of
     candidates scanned before the first hit; when no pair exists it is
-    still the whole box, (2*radius+1)^k candidates.
-
-    Past the proofs of absence, returning None never proves that no pair
-    exists; it only means the bounded search was exhausted.
+    still the whole box, (2*radius+1)^k candidates.  Past the proofs of
+    absence, None only means the bounded search was exhausted.
     """
     if radius < 1:
         raise PreconditionError("radius must be at least 1")
     pair = _literal_pair(sub)
     if pair is not None:
         return pair
-    k = len(sub.basis)
     g = sub.restricted_gram
     if _minor_gcd(g) != 1 or _definiteness(g) is not None:
         return None
-    if k == 2 and (g[0][0] | g[1][1]) & 1:
+    if len(g) == 2 and (g[0][0] | g[1][1]) & 1:
         return None
 
     # origin stays at the first vector; each scan is a copy of it, and the
@@ -550,14 +559,10 @@ def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | N
 
 @record
 class AbundanceClasses:
-    """The output of the abundance construction.
-
-    lambda0 and lambda1 are congruent mod 2 with squares -(chi+sigma) and
-    -(chi+sigma)+4.  lambda_even has all-even coordinates (it is twice a
-    class of the same sublattice) and carries the square selected by
-    -(chi+sigma) mod 8: the first square when that residue is 0, the
-    second when it is 4.
-    """
+    """The output of the abundance construction: lambda0 and lambda1 are
+    congruent mod 2 with squares -(chi+sigma) and -(chi+sigma)+4;
+    lambda_even, twice a class of the same sublattice, has the first square
+    when -(chi+sigma) = 0 mod 8 and the second when it is 4."""
 
     lambda0: CohClass
     lambda1: CohClass
@@ -578,10 +583,5 @@ def construct_abundance_classes(pair: HyperbolicPair, chi: int, sigma: int) -> A
         raise ParityError(f"chi + sigma = {chi + sigma} is not divisible by 4")
     h = (chi + sigma) // 4
     e1, e2 = pair.e1, pair.e2
-    lambda0 = e1 + (-2 * h) * e2
-    lambda1 = e1 + (2 - 2 * h) * e2
-    if h % 2 == 0:
-        lambda_even = 2 * e1 + (-h) * e2
-    else:
-        lambda_even = 2 * e1 + (1 - h) * e2
-    return AbundanceClasses(lambda0, lambda1, lambda_even)
+    return AbundanceClasses(e1 + (-2 * h) * e2, e1 + (2 - 2 * h) * e2,
+                            2 * e1 + (1 - h if h % 2 else -h) * e2)

@@ -28,7 +28,6 @@ from swcalc.lattice import (
     HyperbolicPair,
     IntegralLattice,
     Sublattice,
-    _distinct_directions,
     _isotropic_vectors,
     _literal_pair,
     _minor_gcd,
@@ -186,6 +185,15 @@ def test_pairing_examples():
     assert pairing(H, e1, e2) == 1
     assert pairing(K3FORM, CohClass((1,) * 22), CohClass.zero(22)) == 0
     assert square(H, CohClass((2, -3))) == -12
+
+
+def test_unit_class_is_its_support_and_checks_its_index():
+    assert CohClass.unit(3, 2).support == ((2, 1),)
+    assert CohClass.unit(3, 0) == CohClass((1, 0, 0)) and CohClass.unit(3, 1).coords == (0, 1, 0)
+    # an index outside [0, rank) names no coordinate
+    for index in (5, 3, -1):
+        with pytest.raises(DimensionMismatch, match=rf"unit index {index} is outside \[0, 3\)"):
+            CohClass.unit(3, index)
 
 
 def test_pairing_dimension_mismatch():
@@ -451,16 +459,29 @@ def test_diagonal_block_columns_are_rank_linear():
     assert lat.columns[2:4] == (((2, 1),), ((3, 1),))
 
 
-def test_e40_pipelines_leave_the_dense_views_unbuilt():
-    # rank 478: validation, sst and dvanish read pairings through the block
-    # columns only; neither the ambient nor the restricted Gram is built
-    m = parse_manifest(json.dumps(_elliptic(40))).to_manifold()
-    assert m.form.rank == 478 and validate(m).passed
+def pipelines_leave_the_dense_views_unbuilt(n):
+    # validation, sst and dvanish read pairings through the columns they
+    # touch, one at a time; neither the ambient nor the restricted Gram, nor
+    # the full column table or the diagonal, is built.  The complement builds
+    # its basis classes on read, and the pair search reads three of them.
+    m = parse_manifest(json.dumps(_elliptic(n))).to_manifold()
+    assert m.form.rank == 12 * n - 2 and validate(m).passed
     w = characteristic_vector(m.form)
     assert sst_check(m, w).verdict == "pass"
     assert dvanish_theorem_check(m, w).verdict == "pass"
-    assert "gram" not in m.form.__dict__
+    assert not {"gram", "columns", "diagonal"} & m.form.__dict__.keys()
     assert "restricted_gram" not in m.complement.__dict__
+    assert len(m.complement.basis) == 12 * n - 3
+    assert len(m.complement.basis._built) <= 4
+
+
+def test_e40_pipelines_leave_the_dense_views_unbuilt():
+    pipelines_leave_the_dense_views_unbuilt(40)
+
+
+def test_e320_pipelines_leave_the_dense_views_unbuilt():
+    # rank 3838: the complement has 3,837 basis classes
+    pipelines_leave_the_dense_views_unbuilt(320)
 
 
 def test_length_checks_keep_their_messages():
@@ -484,9 +505,11 @@ def test_restricted_gram_on_non_unit_basis():
             assert sub.restricted_gram[i][j] == pairing(lat, bi, bj)
 
 
-def dense_rows(rows, n):
-    """Sparse {j: x} kernel rows as length-n lists."""
-    return [[v.get(j, 0) for j in range(n)] for v in rows]
+def dense_rows(kernel, n):
+    """integer_kernel's (r, touched rows) as the kernel rows r..n-1, length-n
+    lists; an untouched row p is the unit vector at p."""
+    r, touched = kernel
+    return [[touched.get(p, {p: 1}).get(j, 0) for j in range(n)] for p in range(r, n)]
 
 
 def test_integer_kernel_empty_constraints():
@@ -547,12 +570,28 @@ def constraint_matrices(draw):
     return rows, n
 
 
+def distinct_directions(rows):
+    """The sparse rows without zero rows and without rows parallel to an
+    earlier one (equal after dividing by the gcd and fixing the sign of the
+    first entry)."""
+    out = {}
+    for r in rows:
+        if r:
+            items = sorted(r.items())
+            g = gcd(*r.values()) * (1 if items[0][1] > 0 else -1)
+            out.setdefault(tuple((j, x // g) for j, x in items), r)
+    return list(out.values())
+
+
 @settings(max_examples=200, deadline=None)
 @given(constraint_matrices())
 def test_dropping_parallel_constraint_rows_keeps_the_kernel(case):
+    # the complement passes every constraint row to integer_kernel, the n - 1
+    # parallel rows of E(n) included: a column in the rational span of
+    # earlier ones finds no pivot, so it leaves the kernel as it is
     mat, n = case
     rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
-    kept = _distinct_directions(rows)
+    kept = distinct_directions(rows)
     event(f"{len(rows) - len(kept)} rows dropped")
     assert all(any(r is k for r in rows) for k in kept)
     assert integer_kernel(kept, n) == integer_kernel(rows, n)
@@ -850,14 +889,32 @@ def test_find_pair_matches_the_full_box_reference(blocks, n_classes, radius, dat
     assert pair == HyperbolicPair(*map(to_ambient, hit))
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_indefinite_blocks, st.data())
-def test_literal_pair_is_the_first_block_of_the_dense_gram(blocks, data):
-    # any list of classes will do as the basis here, so several isotropic
-    # b_j can pair to +-1 with one b_i and the order of the scan shows
-    lat = IntegralLattice.from_blocks(blocks)
-    coords = st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=lat.rank, max_size=lat.rank)
-    basis = tuple(CohClass(tuple(c)) for c in data.draw(st.lists(coords, min_size=1, max_size=6)))
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.data())
+def test_literal_pair_is_the_first_block_of_the_dense_gram(complement, data):
+    # The basis is either any list of classes, so several isotropic b_j can
+    # pair to +-1 with one b_i and the order of the scan shows, or the
+    # complement of 0-3 classes in a form that may be degenerate, its basis
+    # classes built on read and its scan reading unit classes by arithmetic.
+    # The complement's basis is the reference kernel, row for row, and the
+    # scan finds on it what it finds on the same classes given as a tuple.
+    if complement:
+        lat = IntegralLattice.from_blocks(data.draw(block_lists.filter(
+            lambda bs: sum(b.rank for b in bs) <= 12)))
+        coords = st.lists(st.integers(-2, 2), min_size=lat.rank, max_size=lat.rank)
+        classes = [CohClass(tuple(c)) for c in data.draw(st.lists(coords, max_size=3))]
+        sub = orthogonal_complement(lat, classes)
+        found = _literal_pair(sub)
+        rows = [[sum(g * x for g, x in zip(row, k.coords)) for row in lat.gram] for k in classes]
+        assert [list(b.coords) for b in sub.basis] == reference_kernel(rows, lat.rank)
+        assert all(b is sub.basis[i] for i, b in enumerate(sub.basis))
+        basis = tuple(sub.basis)
+        assert found == _literal_pair(Sublattice(lat, basis))
+        event(f"complement of {len(classes)} classes")
+    else:
+        lat = IntegralLattice.from_blocks(data.draw(small_indefinite_blocks))
+        coords = st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=lat.rank, max_size=lat.rank)
+        basis = tuple(CohClass(tuple(c)) for c in data.draw(st.lists(coords, min_size=1, max_size=6)))
     g = Sublattice(lat, basis).restricted_gram
     hit = first_literal_block(g)
     event("literal hyperbolic block" if hit else "no literal block")
@@ -917,6 +974,40 @@ def test_abundance_classes_random_property():
         else:
             assert (-cs) % 8 == 4
             assert square(K3FORM, ac.lambda_even) == -cs + 4
+
+
+def test_complement_basis_classes_are_one_object_across_threads():
+    # a complement builds basis class i on first read, and the covector memo
+    # on it needs every read to return that one object.  Four threads over
+    # two cores, switching every microsecond, read every class of fresh
+    # complements, each starting at its own offset, so they race to build.
+    m = parse_manifest(json.dumps(_elliptic(40))).to_manifold()
+    classes = basic_class_set(m)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            sub = orthogonal_complement(m.form, classes)
+            k = len(sub.basis)
+            start = threading.Barrier(4)
+            reads = [{} for _ in range(4)]
+
+            def read_all(out, shift):
+                start.wait()
+                for i in range(k):
+                    j = (i + shift) % k
+                    out[j] = sub.basis[j]
+
+            threads = [threading.Thread(target=read_all, args=(out, 7 * n))
+                       for n, out in enumerate(reads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert all(r[j] is reads[0][j] for r in reads for j in range(k))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_covector_memo_is_per_lattice():
