@@ -468,24 +468,20 @@ def _literal_pair(sub: Sublattice) -> HyperbolicPair | None:
     of the restricted pairing, or None.
 
     The walk takes i upward and skips each i with b_i.b_i != 0.  For an
-    isotropic i, b_i.b_j = 0 for every j whose support misses the keys of
-    G.b_i, so only the j > i whose support meets them are candidates: the
-    touched rows holding a key, from an index over their supports, and the
-    unit class at a key, found by arithmetic (a tuple basis is read as all
-    touched rows).  They are read in ascending order, and the first with
-    |b_i.b_j| = 1 and b_j isotropic is returned.  Every skipped (i, j) fails
-    the test, so this is the first hit of the scan over all isotropic (i, j)
+    isotropic i, b_i.b_j = 0 for every unit class b_j whose coordinate
+    misses the keys of G.b_i, so the candidates j > i are every touched
+    row and the unit class at each key, found by arithmetic (a tuple basis
+    is read as all touched rows).  They are read in ascending order, and
+    the first with |b_i.b_j| = 1 and b_j isotropic is returned.  Every
+    skipped (i, j) fails the test, and so does a touched row that misses
+    G.b_i, so this is the first hit of the scan over all isotropic (i, j)
     in lexicographic order.  Each square is computed once, and a class and
     its G.b_i are built only for the i the walk reaches, so on a complement
     the scan costs the constraints' support, not the rank.
     """
     basis = sub.basis
     start, rows = ((basis.start, basis.rows) if isinstance(basis, _Kernel)
-                   else (0, {i: dict(b.support) for i, b in enumerate(basis)}))
-    holders = {}
-    for p, row in rows.items():
-        for t in row:
-            holders.setdefault(t, []).append(p - start)
+                   else (0, range(len(basis))))
     squares = {}
 
     def isotropic(i):
@@ -497,7 +493,7 @@ def _literal_pair(sub: Sublattice) -> HyperbolicPair | None:
         if not isotropic(i):
             continue
         gb = covector(sub.ambient, b)
-        near = {j for s in gb for j in holders.get(s, ())}
+        near = {p - start for p in rows}
         near.update(s - start for s in gb if s not in rows and 0 <= s - start < len(basis))
         for j in sorted(j for j in near if j > i):
             x = dot(gb, basis[j])

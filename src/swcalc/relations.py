@@ -24,8 +24,8 @@ from .errors import (
     NotCharacteristic,
 )
 from .lattice import (
+    AbundanceClasses,
     CohClass,
-    HyperbolicPair,
     construct_abundance_classes,
     is_characteristic,
     pairing,
@@ -169,22 +169,30 @@ def dswrel_value(m: FourManifold, q: RelationQuery) -> Jet:
     return _relation_values(m, q.w, q.lam, q.delta, (q.m,))[0]
 
 
-def _resolve_pair(m: FourManifold, radius: int) -> HyperbolicPair:
+def _opening(m: FourManifold, w: CohClass, what: str, mod8: bool) -> Fraction:
+    """The hypotheses sst and dvanish share, in order: the conjecture flag,
+    w characteristic (and w.w = sigma mod 8 when mod8), c integral; returns c."""
+    if not m.assume_conjecture:
+        raise ConjectureNotAssumed(f"the vanishing {what} is conditional on the conjecture")
+    if not is_characteristic(m.form, w):
+        raise NotCharacteristic(f"w = {list(w.coords)} is not an integral lift of w2")
+    if mod8 and (square(m.form, w) - m.sigma) % 8 != 0:
+        raise NotCharacteristic(
+            f"w.w = {square(m.form, w)} is not congruent to sigma = {m.sigma} mod 8"
+        )
+    c = characteristic_number(m)
+    if c.denominator != 1:
+        raise NonIntegralC(f"characteristic number {c} is not an integer")
+    return c
+
+
+def _abundance_classes(m: FourManifold, radius: int) -> AbundanceClasses:
     pair = m.hyperbolic_pair(radius)
     if pair is None:
         raise AbundanceUndetermined(
             f"no hyperbolic pair found in the basic-class complement at radius {radius}"
         )
-    return pair
-
-
-def _require_characteristic(m: FourManifold, w: CohClass, with_mod8: bool):
-    if not is_characteristic(m.form, w):
-        raise NotCharacteristic(f"w = {list(w.coords)} is not an integral lift of w2")
-    if with_mod8 and (square(m.form, w) - m.sigma) % 8 != 0:
-        raise NotCharacteristic(
-            f"w.w = {square(m.form, w)} is not congruent to sigma = {m.sigma} mod 8"
-        )
+    return construct_abundance_classes(pair, m.chi, m.sigma)
 
 
 def _verify_supplied_pair(m, lambda0, lambda1):
@@ -284,12 +292,7 @@ def sst_check(
     has the order of sw_series(m, w): each relation sum of degree below
     that order is zero.  Only the degrees at or above it are computed.
     """
-    if not m.assume_conjecture:
-        raise ConjectureNotAssumed("the vanishing bound is conditional on the conjecture")
-    _require_characteristic(m, w, with_mod8=True)
-    c = characteristic_number(m)
-    if c.denominator != 1:
-        raise NonIntegralC(f"characteristic number {c} is not an integer")
+    c = _opening(m, w, "bound", mod8=True)
     notes = []
     if c - 3 < 0:
         return SstReport(
@@ -304,8 +307,7 @@ def sst_check(
     if (lambda0 is None) != (lambda1 is None):
         raise HypothesisViolation("lambda_pair_supplied_together", "")
     if lambda0 is None:
-        pair = _resolve_pair(m, radius)
-        classes = construct_abundance_classes(pair, m.chi, m.sigma)
+        classes = _abundance_classes(m, radius)
         lambda0, lambda1 = classes.lambda0, classes.lambda1
     _verify_supplied_pair(m, lambda0, lambda1)
 
@@ -398,21 +400,14 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass, radius: int = 3) -> Dvan
     branch and d = c-4 is settled by the explicit relation sum, which is
     asserted to vanish.
     """
-    if not m.assume_conjecture:
-        raise ConjectureNotAssumed("the vanishing sweep is conditional on the conjecture")
-    _require_characteristic(m, w, with_mod8=False)
-    c = characteristic_number(m)
-    if c.denominator != 1:
-        raise NonIntegralC(f"characteristic number {c} is not an integer")
+    c = _opening(m, w, "sweep", mod8=False)
     c_int = int(c)
     case = (-(m.chi + m.sigma)) % 8
     if case not in (0, 4):
         raise HypothesisViolation("chi_plus_sigma_mod_4", f"-(chi+sigma) = {case} mod 8")
     case_label = f"-(chi+sigma) = {case} (mod 8)"
 
-    pair = _resolve_pair(m, radius)
-    classes = construct_abundance_classes(pair, m.chi, m.sigma)
-    lam = classes.lambda_even
+    lam = _abundance_classes(m, radius).lambda_even
     lam_sq = square(m.form, lam)
     expected_sq = -(m.chi + m.sigma) if case == 0 else -(m.chi + m.sigma) + 4
     if lam_sq != expected_sq or not lam.is_even():
@@ -428,24 +423,18 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass, radius: int = 3) -> Dvan
     admissible = [d for d in range(0, max(d_max + 1, 0)) if degree_admissible(m, w, d)]
     entries = []
     notes = []
-    all_ok = True
-    for d in admissible:
+    for d in admissible:  # the route depends on d alone: one choice per degree
         ms = range(d // 2 + 1)
-        values = _relation_values(m, w + lam, lam, d, ms) if d == r else None
-        for mm in ms:
-            if d < r and d < i:
-                entries.append(DvanishEntry(d, mm, "vanishing", True))
-            elif d == r:
-                value = values[mm]
-                is_zero = value.is_zero()
-                entries.append(DvanishEntry(d, mm, "relation", is_zero))
-                all_ok = all_ok and is_zero
-            else:
-                entries.append(DvanishEntry(d, mm, "uncovered", False))
-                notes.append(f"degree d = {d} not covered by either branch")
-                all_ok = False
+        if d < r and d < i:
+            entries += [DvanishEntry(d, mm, "vanishing", True) for mm in ms]
+        elif d == r:
+            values = _relation_values(m, w + lam, lam, d, ms)
+            entries += [DvanishEntry(d, mm, "relation", v.is_zero()) for mm, v in zip(ms, values)]
+        else:
+            entries += [DvanishEntry(d, mm, "uncovered", False) for mm in ms]
+            notes += [f"degree d = {d} not covered by either branch"] * len(ms)
     return DvanishReport(
-        VERDICT_PASS if all_ok else VERDICT_FAIL,
+        VERDICT_PASS if all(e.value_is_zero for e in entries) else VERDICT_FAIL,
         m.name, w, c, case, case_label, lam, lam_sq, r, i,
         d_max, tuple(admissible), w_shift_sign, tuple(entries), tuple(notes),
     )

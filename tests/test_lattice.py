@@ -708,7 +708,7 @@ def test_e40_literal_pair_reads_three_covectors(monkeypatch):
     # (the pair sits at basis indices 1 and 2), not one per basis class.
     # b_0 is isotropic and pairs to zero with the whole basis, so a scan
     # of every j > 0 would read 476 pairings before reaching i = 1; the
-    # scan reads only the classes that G.b_i reaches
+    # scan reads only the touched rows and the unit classes that G.b_i reaches
     m = parse_manifest(json.dumps(_elliptic(40))).to_manifold()
     sub = orthogonal_complement(m.form, basic_class_set(m))
     assert len(sub.basis) == 477

@@ -704,6 +704,77 @@ def test_dvanish_e5_relation_route(catalog):
     assert [(e.d, e.m, e.route) for e in report.entries] == [(1, 0, "relation")]
 
 
+def test_dvanish_e5_failing_relation_route(catalog):
+    # E(5) with the sw of +-f doubled: classes (3, 1), (1, -6), (-1, 6),
+    # (-3, -1) in multiples of f.  The data still validates, but the
+    # relation sum at d = c - 4 = 1 is nonzero, so dvanish fails on the
+    # relation route without a note, and sst fails at exact order 1
+    from swcalc.manifold import validate
+
+    e5 = catalog["E5"]
+    m = replace(e5, basic_classes=tuple(
+        BasicClassEntry(e.k, 2 * e.sw if abs(e.sw) == 3 else e.sw) for e in e5.basic_classes
+    ))
+    assert [(e.k.coords[0], e.sw) for e in m.basic_classes] == [(3, 1), (1, -6), (-1, 6), (-3, -1)]
+    assert validate(m).passed
+    f = CohClass((1, 1) + (0,) * 56)
+    report = dvanish_theorem_check(m, f)
+    assert report.verdict == VERDICT_FAIL
+    assert [(e.d, e.m, e.route, e.value_is_zero) for e in report.entries] == [
+        (1, 0, "relation", False)
+    ]
+    assert report.notes == ()
+    sst = sst_check(m, f)
+    assert sst.verdict == VERDICT_FAIL
+    assert (sst.order.kind, sst.order.value) == ("exact", 1)
+
+
+def test_dvanish_uncovered_degrees_fail_with_one_note_each():
+    # H + H + <1> with no basic classes: lambda_even = 2e - 4f has square
+    # -16 and (r, i) = (1, 9), so the admissible d = 4 is neither below both
+    # nor equal to r; each of its three point counts is uncovered
+    form = IntegralLattice.from_blocks([HyperbolicBlock(), HyperbolicBlock(), DiagonalBlock((1,))])
+    m = FourManifold("uncovered", 60, -40, 9, form, ())
+    report = dvanish_theorem_check(m, CohClass((0, 0, 0, 0, 1)))
+    assert report.verdict == VERDICT_FAIL
+    assert (report.r, report.i, report.admissible_d) == (1, 9, (0, 4))
+    assert [(e.d, e.m, e.route, e.value_is_zero) for e in report.entries] == [
+        (0, 0, "vanishing", True),
+        (4, 0, "uncovered", False),
+        (4, 1, "uncovered", False),
+        (4, 2, "uncovered", False),
+    ]
+    assert report.notes == ("degree d = 4 not covered by either branch",) * 3
+
+
+def test_dvanish_compares_r_and_i_a_few_times_per_degree(monkeypatch):
+    # the route depends on the degree alone, so dvanish compares r and i at
+    # most three times per admissible degree, plus the relation route's two
+    # hypothesis checks, not once per (d, m): about c^2/4 comparisons
+    compared = []
+
+    def counting(op):
+        def compare(self, other):
+            compared.append(op.__name__)
+            return op(self, other)
+        return compare
+
+    ops = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+    Counted = type("Counted", (Fraction,), {
+        "__hash__": Fraction.__hash__, **{op: counting(getattr(Fraction, op)) for op in ops},
+    })
+    for name in ("r_lambda", "i_lambda"):
+        rule = getattr(relations, name)
+        monkeypatch.setattr(relations, name, lambda m, lam, rule=rule: Counted(rule(m, lam)))
+    for n, relation_entries in ((40, 0), (41, 19)):
+        m = parse_manifest(json.dumps(_elliptic(n))).to_manifold()
+        compared.clear()
+        report = dvanish_theorem_check(m, characteristic_vector(m.form))
+        assert report.verdict == VERDICT_PASS
+        assert sum(e.route == "relation" for e in report.entries) == relation_entries
+        assert 0 < len(compared) <= 3 * len(report.admissible_d) + 2
+
+
 def test_dvanish_checks_lambda_even_explicitly(catalog, monkeypatch):
     u, v = unit(46, 2), unit(46, 3)
     for bad in (u - 2 * v, 2 * u - 2 * v):  # odd; even but of square -8, not -16
