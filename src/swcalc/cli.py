@@ -17,7 +17,7 @@ from pathlib import Path
 from . import region, relations, series
 from .catalog import catalog_names
 from .errors import AbundanceUndetermined, ParseError, SWCalcError
-from .lattice import CohClass, characteristic_vector, construct_abundance_classes
+from .lattice import DEFAULT_RADIUS, CohClass, characteristic_vector, construct_abundance_classes
 from .manifest import load_catalog, parse_manifest, serialize_manifest
 from .manifold import (basic_class_count, c1_squared, characteristic_number, holomorphic_euler,
                        validate)
@@ -109,7 +109,7 @@ def _default_radius(args) -> int:
         except ValueError:
             raise UsageError(f"{RADIUS_ENV} must be an integer, got {env!r}") from None
     else:
-        return 3
+        return DEFAULT_RADIUS
     if radius < 1:
         raise UsageError(f"{source} must be at least 1, got {radius}")
     return radius
@@ -225,7 +225,7 @@ def cmd_catalog(args):
 
 _W = ("--w", {"help": "integral class, comma-separated coordinates "
                       "(default: the manifest's w, else a characteristic vector)"})
-_RADIUS = ("--radius", {"type": int, "help": f"pair search radius (default 3 or ${RADIUS_ENV})"})
+_RADIUS = ("--radius", {"type": int, "help": f"pair search radius (default {DEFAULT_RADIUS} or ${RADIUS_ENV})"})
 
 # name -> (help, command, options after FILE and --lenient); argparse keeps
 # this order.  The validate report is built in main.

@@ -502,7 +502,10 @@ def _literal_pair(sub: Sublattice) -> HyperbolicPair | None:
     return None
 
 
-def find_hyperbolic_pair(sub: Sublattice, radius: int = 3) -> HyperbolicPair | None:
+DEFAULT_RADIUS = 3  # the pair search's box radius when none is given
+
+
+def find_hyperbolic_pair(sub: Sublattice, radius: int = DEFAULT_RADIUS) -> HyperbolicPair | None:
     """Search the sublattice for a hyperbolic pair, ambient coordinates.
 
     A literal hyperbolic block between two basis vectors is returned at

@@ -54,18 +54,13 @@ def region_to_svg(r: RegionDescription) -> str:
         f'<rect width="{w}" height="{h}" fill="white"/>',
     ]
 
-    def line_points(slope, intercept):
-        # clip the line delta = slope*lam + intercept to the window
-        pts = []
-        for lam in (r.window.lam_min, r.window.lam_max):
-            pts.append((Fraction(lam), slope * lam + intercept))
-        return pts
-
+    x1, x2 = r.window.lam_min, r.window.lam_max
     for slope, intercept, label in (
         (-1, r.intercept_r, "delta = r"),
         (1, r.intercept_i, "delta = i"),
     ):
-        (x1, y1), (x2, y2) = line_points(slope, intercept)
+        # the line delta = slope*lam + intercept, clipped to the window
+        y1, y2 = slope * x1 + intercept, slope * x2 + intercept
         parts.append(
             f'<line x1="{_fmt(_sx(r, x1))}" y1="{_fmt(_sy(r, y1))}" '
             f'x2="{_fmt(_sx(r, x2))}" y2="{_fmt(_sy(r, y2))}" '
@@ -120,9 +115,9 @@ def region_to_ascii(r: RegionDescription) -> str:
         cells = []
         for lam in range(r.window.lam_min, r.window.lam_max + 1):
             ch = "."
-            if r.r_at(lam) == delta:
+            if -lam + r.intercept_r == delta:
                 ch = "\\"
-            if r.i_at(lam) == delta:
+            if lam + r.intercept_i == delta:
                 ch = "X" if ch == "\\" else "/"
             if (lam, delta) in marked:
                 ch = "o" if (lam, delta) in white else "*"

@@ -24,6 +24,7 @@ from .errors import (
     NotCharacteristic,
 )
 from .lattice import (
+    DEFAULT_RADIUS,
     AbundanceClasses,
     CohClass,
     construct_abundance_classes,
@@ -65,13 +66,16 @@ def i_lambda(m: FourManifold, lam: CohClass) -> Fraction:
     return index_value(m.chi, m.sigma, square(m.form, lam))
 
 
-def _degree_rule_rhs(m: FourManifold, w_square: int) -> int:
-    return -2 * w_square - 3 * (m.chi + m.sigma) // 2
+def _degree_residue(m: FourManifold, w: CohClass) -> int | None:
+    """The residue mod 4 of the deltas that the mod-8 degree rule admits, or None:
+    2*delta = rhs (mod 8) holds exactly when rhs is even and delta = rhs/2 (mod 4)."""
+    rhs = -2 * square(m.form, w) - 3 * (m.chi + m.sigma) // 2
+    return None if rhs % 2 else rhs // 2 % 4
 
 
 def degree_admissible(m: FourManifold, w: CohClass, delta: int) -> bool:
     """Mod-8 degree rule: 2*delta = -2*w.w - (3/2)(chi+sigma) (mod 8)."""
-    return (2 * delta - _degree_rule_rhs(m, square(m.form, w))) % 8 == 0
+    return delta % 4 == _degree_residue(m, w)
 
 
 def dvanish_applies(m: FourManifold, lam: CohClass, delta: int) -> bool:
@@ -274,7 +278,7 @@ def sst_check(
     w: CohClass,
     lambda0: CohClass | None = None,
     lambda1: CohClass | None = None,
-    radius: int = 3,
+    radius: int = DEFAULT_RADIUS,
 ) -> SstReport:
     """Test the superconformal vanishing bound and replay its derivation.
 
@@ -356,14 +360,11 @@ class DvanishReport:
     w: CohClass
     c: Fraction
     case_mod_8: int
-    case_label: str
     lam: CohClass
     lam_square: int
     r: Fraction
     i: Fraction
-    d_max: int
     admissible_d: tuple[int, ...]
-    w_shift_sign: int
     entries: tuple[DvanishEntry, ...]
     notes: tuple[str, ...]
 
@@ -373,15 +374,15 @@ class DvanishReport:
             "manifold": self.manifold,
             "w": self.w,
             "case_mod_8": self.case_mod_8,
-            "case": self.case_label,
+            "case": f"-(chi+sigma) = {self.case_mod_8} (mod 8)",
             "c": self.c,
             "lambda": self.lam,
             "lambda_square": self.lam_square,
             "r_lambda": self.r,
             "i_lambda": self.i,
-            "d_max": self.d_max,
+            "d_max": int(self.c) - 1,
             "admissible_d": self.admissible_d,
-            "w_shift_sign": self.w_shift_sign,
+            "w_shift_sign": -1 if self.lam_square // 4 % 2 else 1,
             "entries": [
                 {"d": e.d, "m": e.m, "route": e.route, "value": "0" if e.value_is_zero else "nonzero"}
                 for e in self.entries
@@ -391,7 +392,8 @@ class DvanishReport:
         return {"verdict": self.verdict, "trace": trace, "notes": self.notes}
 
 
-def dvanish_theorem_check(m: FourManifold, w: CohClass, radius: int = 3) -> DvanishReport:
+def dvanish_theorem_check(m: FourManifold, w: CohClass,
+                          radius: int = DEFAULT_RADIUS) -> DvanishReport:
     """Replay the degree-sweep vanishing argument for all d <= c - 1.
 
     Splits on -(chi+sigma) mod 8.  In the 0 case a single all-even class
@@ -401,11 +403,9 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass, radius: int = 3) -> Dvan
     asserted to vanish.
     """
     c = _opening(m, w, "sweep", mod8=False)
-    c_int = int(c)
     case = (-(m.chi + m.sigma)) % 8
     if case not in (0, 4):
         raise HypothesisViolation("chi_plus_sigma_mod_4", f"-(chi+sigma) = {case} mod 8")
-    case_label = f"-(chi+sigma) = {case} (mod 8)"
 
     lam = _abundance_classes(m, radius).lambda_even
     lam_sq = square(m.form, lam)
@@ -417,10 +417,8 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass, radius: int = 3) -> Dvan
         )
     r = r_lambda(m, lam)
     i = i_lambda(m, lam)
-    w_shift_sign = -1 if (lam_sq // 4) % 2 else 1
-
-    d_max = c_int - 1
-    admissible = [d for d in range(0, max(d_max + 1, 0)) if degree_admissible(m, w, d)]
+    # chi + sigma = 0 mod 4 here, so the rule's right side is even
+    admissible = range(_degree_residue(m, w), int(c), 4)
     entries = []
     notes = []
     for d in admissible:  # the route depends on d alone: one choice per degree
@@ -435,8 +433,7 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass, radius: int = 3) -> Dvan
             notes += [f"degree d = {d} not covered by either branch"] * len(ms)
     return DvanishReport(
         VERDICT_PASS if all(e.value_is_zero for e in entries) else VERDICT_FAIL,
-        m.name, w, c, case, case_label, lam, lam_sq, r, i,
-        d_max, tuple(admissible), w_shift_sign, tuple(entries), tuple(notes),
+        m.name, w, c, case, lam, lam_sq, r, i, tuple(admissible), tuple(entries), tuple(notes),
     )
 
 
@@ -514,10 +511,6 @@ class Window:
 class RegionDescription:
     """The admissible-degree picture in the (lam.lam, delta) plane."""
 
-    chi: int
-    sigma: int
-    c: Fraction
-    w_square: int
     w_characteristic: bool
     intercept_r: Fraction  # r(lam.lam) = -lam.lam + intercept_r
     intercept_i: Fraction  # i(lam.lam) =  lam.lam + intercept_i
@@ -528,12 +521,6 @@ class RegionDescription:
     lam_congruence: int    # marked squares are this value mod 4
     marked: tuple[tuple[int, int], ...]
     white: tuple[tuple[int, int], ...]
-
-    def r_at(self, lam_square) -> Fraction:
-        return -lam_square + self.intercept_r
-
-    def i_at(self, lam_square) -> Fraction:
-        return lam_square + self.intercept_i
 
 
 def default_window(m: FourManifold) -> Window:
@@ -550,27 +537,19 @@ def region_data(m: FourManifold, w: CohClass, window: Window | None = None) -> R
     intercept_r = depth_value(m.chi, m.sigma, 0)
     intercept_i = index_value(m.chi, m.sigma, 0)
     intersection = (-(m.chi + m.sigma), c)
-    triangle = (
-        (intercept_r, Fraction(0)),
-        (Fraction(intersection[0]), c),
-        (-intercept_i, Fraction(0)),
-    )
-    wsq = square(m.form, w)
+    # vertices left foot, apex, right foot: the feet are where the r- and
+    # i-lines meet delta = 0, and the apex lies midway between them
+    left, right = sorted((intercept_r, -intercept_i))
+    triangle = ((left, Fraction(0)), (Fraction(intersection[0]), c), (right, Fraction(0)))
     w_char = is_characteristic(m.form, w)
-    rhs = _degree_rule_rhs(m, wsq)
-    delta_cong = (rhs // 2) % 4 if rhs % 2 == 0 else -1
-    lam_cong = (wsq - m.sigma) % 4
-    deltas = [d for d in range(window.delta_min, window.delta_max + 1)
-              if degree_admissible(m, w, d)]
+    residue = _degree_residue(m, w)
+    lam_cong = (square(m.form, w) - m.sigma) % 4
+    deltas = () if residue is None else range(
+        window.delta_min + (residue - window.delta_min) % 4, window.delta_max + 1, 4)
     lam_sqs = range(window.lam_min + (lam_cong - window.lam_min) % 4, window.lam_max + 1, 4)
-    marked = [(lam_sq, delta) for lam_sq in lam_sqs for delta in deltas]
-    white = [(lam_sq, delta) for lam_sq in lam_sqs if w_char and lam_sq % 8 == 0
-             for delta in deltas]
-    # the r-line passes through (intercept_r, 0): triangle vertex order is
-    # left foot, apex, right foot
-    tri = tuple(sorted(triangle, key=lambda p: p[0]))
+    marked = tuple((lam_sq, delta) for lam_sq in lam_sqs for delta in deltas)
+    white = tuple(p for p in marked if w_char and p[0] % 8 == 0)
     return RegionDescription(
-        m.chi, m.sigma, c, wsq, w_char, intercept_r, intercept_i,
-        intersection, tri, window, delta_cong, lam_cong,
-        tuple(marked), tuple(white),
+        w_char, intercept_r, intercept_i, intersection, triangle, window,
+        -1 if residue is None else residue, lam_cong, marked, white,
     )

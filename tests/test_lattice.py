@@ -922,6 +922,16 @@ def test_literal_pair_is_the_first_block_of_the_dense_gram(complement, data):
     assert _literal_pair(Sublattice(lat, basis)) == expected
 
 
+def test_literal_pair_takes_the_first_partner_j():
+    # On H + H (coordinates e1, f1, e2, f2) the basis e1, f1, f1 + e2 is
+    # isotropic and b0 pairs to 1 with both b1 and b2: the scan in ascending
+    # j returns (b0, b1), where a descending one would return (b0, b2).
+    e1, f1, f1_e2 = CohClass((1, 0, 0, 0)), CohClass((0, 1, 0, 0)), CohClass((0, 1, 1, 0))
+    sub = Sublattice(IntegralLattice.from_blocks([HyperbolicBlock()] * 2), (e1, f1, f1_e2))
+    assert [sub.entry(i, j) for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2))] == [0, 0, 0, 1, 1]
+    assert _literal_pair(sub) == HyperbolicPair(e1, f1)
+
+
 K3_PAIR = HyperbolicPair(CohClass((1, 0)), CohClass((0, 1)))
 
 

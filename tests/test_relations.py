@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import swcalc.lattice as lattice_module
@@ -125,6 +125,39 @@ def test_degree_admissible_e4_odd_w(catalog):
     w = 2 * unit(46, 0) - unit(46, 1)  # w.w = -4
     admissible = [d for d in range(9) if degree_admissible(e4, w, d)]
     assert admissible == [0, 4, 8]
+
+
+def written_out_degree_rule(m, w, d):
+    """The mod-8 degree rule 2d = -2 w.w - 3(chi+sigma)/2 (mod 8) written
+    out: the oracle for the residue that relations reads it off."""
+    return (2 * d + 2 * square(m.form, w) + 3 * (m.chi + m.sigma) // 2) % 8 == 0
+
+
+# H + <1>: w = (a, b, c) has w.w = 2ab + c^2, of the parity of c, and is
+# characteristic exactly when a and b are even and c is odd
+H1 = IntegralLattice.from_blocks([HyperbolicBlock(), DiagonalBlock((1,))])
+h1_classes = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).map(CohClass)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-40, 40), st.integers(-40, 40), h1_classes, st.integers(-12, 12))
+def test_degree_admissible_is_the_written_out_rule(chi, sigma, w, d):
+    m = FourManifold("any", chi, sigma, 1, H1, ())  # not validated
+    event(f"chi + sigma = {(chi + sigma) % 4} mod 4, w.w = {square(H1, w) % 2} mod 2")
+    assert degree_admissible(m, w, d) == written_out_degree_rule(m, w, d)
+
+
+def test_dvanish_degrees_are_the_rule_over_0_to_c_minus_1(catalog):
+    form = IntegralLattice.from_blocks([HyperbolicBlock(), HyperbolicBlock(), DiagonalBlock((1,))])
+    cases = [(m, characteristic_vector(m.form)) for m in catalog.values()]
+    cases.append((FourManifold("uncovered", 60, -40, 9, form, ()), CohClass((0, 0, 0, 0, 1))))
+    counts = []
+    for m, w in cases:
+        c = int(characteristic_number(m))
+        expected = tuple(d for d in range(c) if written_out_degree_rule(m, w, d))
+        assert dvanish_theorem_check(m, w).admissible_d == expected
+        counts.append(len(expected))
+    assert counts == [0, 0, 1, 1, 1, 2]
 
 
 def test_dvanish_applies(catalog):
@@ -869,6 +902,38 @@ def test_region_e4_window(catalog):
             if (2 * delta + 24) % 8 == 0 and (lam_sq + 32) % 4 == 0:
                 expected.append((lam_sq, delta))
     assert list(region.marked) == expected
+
+
+windows = st.builds(
+    lambda lam_min, lam_width, delta_min, delta_width: Window(
+        lam_min, lam_min + lam_width, delta_min, delta_min + delta_width),
+    st.integers(-30, 10), st.integers(0, 20), st.integers(-10, 10), st.integers(0, 12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-40, 40), st.integers(-40, 40), h1_classes, st.booleans(), windows)
+def test_region_points_are_the_grid_filter(chi, sigma, w, make_characteristic, window):
+    # random windows (negative deltas and single rows among them) and w
+    # characteristic or not, against a brute-force filter of the grid
+    if make_characteristic:
+        w = CohClass((2 * w.coords[0], 2 * w.coords[1], 2 * w.coords[2] + 1))
+    m = FourManifold("any", chi, sigma, 1, H1, ())  # not validated
+    region = region_data(m, w, window)
+    w_char = is_characteristic(H1, w)
+    event(f"characteristic: {w_char}, single row: {window.delta_min == window.delta_max}")
+    grid = [
+        (lam_sq, delta)
+        for lam_sq in range(window.lam_min, window.lam_max + 1)
+        for delta in range(window.delta_min, window.delta_max + 1)
+    ]
+    marked = [(lam_sq, delta) for lam_sq, delta in grid
+              if written_out_degree_rule(m, w, delta) and (lam_sq - square(H1, w) + sigma) % 4 == 0]
+    assert list(region.marked) == marked
+    assert list(region.white) == [p for p in marked if w_char and p[0] % 8 == 0]
+    residues = {delta % 4 for delta in range(-8, 8) if written_out_degree_rule(m, w, delta)}
+    assert len(residues) <= 1
+    assert region.delta_congruence == (residues.pop() if residues else -1)
 
 
 def test_one_pass_builds_each_basic_class_covector_once(fixtures_dir, monkeypatch):
