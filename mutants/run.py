@@ -2,8 +2,7 @@
 
 Run from anywhere:
 
-    python3 mutants/run.py           # every entry
-    python3 mutants/run.py NAME ...  # the named entries only
+    python3 mutants/run.py
 
 An entry names a file, an exact text in it, the replacement and the tests
 that must catch it.  The runner first runs every named test on an unmutated
@@ -15,9 +14,11 @@ unmutated package.  Hypothesis runs with one fixed seed, so a kill that
 rests on a property test is reproducible.
 
 An entry is killed when pytest reports a failed test (exit code 1).  The run
-fails when an entry survives, when pytest ends any other way, or when an
-entry's text does not occur exactly once in its file: a refactor that moves
-the code must rewrite the entry, not drop it silently.
+fails when an entry survives, when pytest ends any other way, when an entry's
+tests take longer than TIMEOUT_FACTOR times the unmutated run of all the
+tests (a mutant that loops forever is a failure of the run, not a kill), or
+when an entry's text does not occur exactly once in its file: a refactor that
+moves the code must rewrite the entry, not drop it silently.
 
 A change that adds a guard adds the mutation that the guard catches here.
 """
@@ -32,6 +33,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_FACTOR = 3
 
 
 class Mutant(NamedTuple):
@@ -99,9 +101,10 @@ MUTANTS = (
 )
 
 
-def run_tests(tests, mutant=None) -> tuple[int, float]:
+def run_tests(tests, mutant=None, timeout=None) -> tuple[int, float]:
     """pytest -x over tests in a fresh copy of the tree, with mutant applied;
-    its exit code and wall time."""
+    its exit code and wall time.  Raises subprocess.TimeoutExpired after
+    timeout seconds."""
     with tempfile.TemporaryDirectory(prefix="swcalc-mutant-") as tmp:
         work = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis", ".pytest_cache")
@@ -121,37 +124,38 @@ def run_tests(tests, mutant=None) -> tuple[int, float]:
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
              "--hypothesis-seed=0", *tests],
             cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=timeout,
         )
         return done.returncode, time.perf_counter() - start
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+def main() -> int:
+    tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     code, seconds = run_tests(tests)
     print(f"baseline  exit {code}  {seconds:5.1f} s  {' '.join(tests)}")
     if code != 0:
         print("the unmutated tree fails its tests; no kill would mean anything", file=sys.stderr)
         return 1
+    limit = TIMEOUT_FACTOR * seconds
     bad = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         try:
-            code, seconds = run_tests(mutant.tests, mutant)
+            code, seconds = run_tests(mutant.tests, mutant, limit)
         except LookupError as missing:
             print(f"stale     {missing}")
+            bad.append(mutant.name)
+            continue
+        except subprocess.TimeoutExpired:
+            print(f"timeout   {limit:5.1f} s  {mutant.name}  ({' '.join(mutant.tests)})")
             bad.append(mutant.name)
             continue
         verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"exit {code}")
         print(f"{verdict:<9} {seconds:5.1f} s  {mutant.name}  ({' '.join(mutant.tests)})")
         if code != 1:
             bad.append(mutant.name)
-    print(f"{len(chosen) - len(bad)} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
