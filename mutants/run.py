@@ -70,7 +70,10 @@ MUTANTS = (
            ("tests/test_series.py",)),
     Mutant("sw-series-sign-forced-to-1", "src/swcalc/series.py",
            "sign = -1 if (e // 2) % 2 else 1", "sign = 1",
-           ("tests/test_relations.py",)),
+           ("tests/test_series.py",)),
+    Mutant("span-reduce-tags-kept-covector", "src/swcalc/series.py",
+           "v = {**covector(lattice, k), tag: 1}", "v = covector(lattice, k); v[tag] = 1",
+           ("tests/test_series.py",)),
     Mutant("covector-memo-any-lattice", "src/swcalc/lattice.py",
            "if memo is not None and memo[0] is lattice:", "if memo is not None:",
            ("tests/test_lattice.py",)),
@@ -87,6 +90,20 @@ MUTANTS = (
     Mutant("odometer-form-step-undoubled", "src/swcalc/lattice.py",
            "q += d * (2 * gv[t] + d * gram[t][t])", "q += d * (gv[t] + d * gram[t][t])",
            ("tests/test_lattice.py",)),
+    Mutant("pair-search-f-scan-after-every-e", "src/swcalc/lattice.py",
+           "if gcd(*cov) != 1:", "if gcd(*cov) == 0:",
+           ("tests/test_lattice.py::test_find_pair_skips_e_with_non_primitive_covector",)),
+    Mutant("characteristic-vector-reads-every-column", "src/swcalc/lattice.py",
+           "((i, 1) for i in lattice.odd_diagonal)",
+           "((i, 1) for i in range(lattice.rank) if dict(lattice.column(i)).get(i, 0) & 1)",
+           ("tests/test_lattice.py",)),
+    Mutant("validate-passed-builds-checks", "src/swcalc/manifold.py",
+           "return all(self.head) and all(all(f) for f, _ in self.classes) and self.unpaired is None",
+           "return all(c.ok for c in self.checks)",
+           ("tests/test_manifold.py",)),
+    Mutant("deferred-run-without-lock", "src/swcalc/__init__.py",
+           "with _LOADING:", "if True:",
+           ("tests/test_lazy_imports.py",)),
     Mutant("record-hash-first-field-only", "src/swcalc/record.py",
            "return hash(key(self))", "return hash(key(self)[:1])",
            ("tests/test_record.py",)),

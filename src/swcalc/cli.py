@@ -7,7 +7,6 @@ usage, parse or precondition errors.
 """
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,8 +22,6 @@ from .manifold import (basic_class_count, c1_squared, characteristic_number, hol
                        validate)
 from .report import (VERDICT_FAIL, VERDICT_PASS, VERDICT_PASS_VACUOUS, VERDICT_UNDETERMINED,
                      render)
-
-RADIUS_ENV = "SWCALC_RADIUS"
 
 _EXIT_BY_VERDICT = {
     VERDICT_PASS: 0,
@@ -100,19 +97,11 @@ def _load(path_or_name: str, lenient: bool):
 
 
 def _default_radius(args) -> int:
-    env = os.environ.get(RADIUS_ENV)
-    if args.radius is not None:
-        radius, source = args.radius, "--radius"
-    elif env:
-        try:
-            radius, source = int(env), RADIUS_ENV
-        except ValueError:
-            raise UsageError(f"{RADIUS_ENV} must be an integer, got {env!r}") from None
-    else:
+    if args.radius is None:
         return DEFAULT_RADIUS
-    if radius < 1:
-        raise UsageError(f"{source} must be at least 1, got {radius}")
-    return radius
+    if args.radius < 1:
+        raise UsageError(f"--radius must be at least 1, got {args.radius}")
+    return args.radius
 
 
 def _resolve_w(args, manifest, manifold) -> CohClass:
@@ -225,7 +214,7 @@ def cmd_catalog(args):
 
 _W = ("--w", {"help": "integral class, comma-separated coordinates "
                       "(default: the manifest's w, else a characteristic vector)"})
-_RADIUS = ("--radius", {"type": int, "help": f"pair search radius (default {DEFAULT_RADIUS} or ${RADIUS_ENV})"})
+_RADIUS = ("--radius", {"type": int, "help": f"pair search radius (default {DEFAULT_RADIUS})"})
 
 # name -> (help, command, options after FILE and --lenient); argparse keeps
 # this order.  The validate report is built in main.

@@ -6,8 +6,8 @@ blocks: the rank-two hyperbolic block, the E8 form with a sign, and
 diagonal blocks.  The block list is the source of truth: the form acts
 only through Gram columns, each read off the block holding it, walked over
 the support of a class.  A class likewise is its rank and support (its
-nonzero coordinates); dense Grams and coordinates are derived views.  An
-orthogonal complement costs its constraints' support, not the rank: its
+nonzero coordinates); the only dense views are `restricted_gram` and `coords`.
+An orthogonal complement costs its constraints' support, not the rank: its
 sparse xgcd kernel touches only that, and its basis classes are built on read.
 """
 
@@ -80,10 +80,6 @@ class DiagonalBlock:
 
     def column(self, i: int):
         return ((i, self.entries[i]),) if self.entries[i] else ()
-
-    @property
-    def columns(self):
-        return tuple(map(self.column, range(self.rank)))
 
 
 Block = HyperbolicBlock | E8Block | DiagonalBlock
@@ -201,20 +197,6 @@ class IntegralLattice:
     def odd_diagonal(self) -> frozenset[int]:
         return frozenset(start + i for start, b in zip(self._starts, self.blocks)
                          for i in _block_diagonal(b)[1])
-
-    # columns, diagonal and gram are derived views; only tests read them.
-    @cached_property
-    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(map(self.column, range(self.rank)))
-
-    @cached_property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(dict(col).get(t, 0) for t, col in enumerate(self.columns))
-
-    @cached_property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        n = self.rank
-        return tuple(tuple(col.get(s, 0) for s in range(n)) for col in map(dict, self.columns))
 
 
 @lru_cache(maxsize=64)

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from swcalc.lattice import E8_GRAM, E8Block, HyperbolicBlock
 from swcalc.manifest import load_catalog
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -17,3 +18,25 @@ def catalog():
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES
+
+
+def dense_block_gram(blocks):
+    """Block-diagonal Gram matrix from E8_GRAM and the block entries: the
+    dense reference of the form, built apart from the block columns."""
+    pieces = []
+    for b in blocks:
+        if isinstance(b, HyperbolicBlock):
+            pieces.append([[0, 1], [1, 0]])
+        elif isinstance(b, E8Block):
+            pieces.append([[b.sign * x for x in row] for row in E8_GRAM])
+        else:
+            pieces.append([[e if i == j else 0 for j in range(len(b.entries))]
+                           for i, e in enumerate(b.entries)])
+    n = sum(len(p) for p in pieces)
+    gram = [[0] * n for _ in range(n)]
+    offset = 0
+    for p in pieces:
+        for i, row in enumerate(p):
+            gram[offset + i][offset:offset + len(row)] = row
+        offset += len(p)
+    return gram

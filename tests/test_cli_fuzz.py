@@ -104,8 +104,7 @@ def _assert_exits_cleanly(argv, capsys):
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=argvs())
-def test_cli_argv_fuzz_exits_cleanly(argv, capsys, monkeypatch):
-    monkeypatch.delenv("SWCALC_RADIUS", raising=False)
+def test_cli_argv_fuzz_exits_cleanly(argv, capsys):
     _assert_exits_cleanly(argv, capsys)
 
 
@@ -153,8 +152,7 @@ def near_valid_manifests(draw):
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=near_valid_manifests(), data=st.data())
-def test_cli_manifest_fuzz_exits_cleanly(case, data, capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("SWCALC_RADIUS", raising=False)
+def test_cli_manifest_fuzz_exits_cleanly(case, data, capsys, tmp_path):
     text, rank = case
     path = tmp_path / "fuzz.json"
     path.write_text(text)

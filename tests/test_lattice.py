@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import threading
+from copy import copy
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -42,6 +43,8 @@ from swcalc.lattice import (
     pairing,
     square,
 )
+
+from conftest import dense_block_gram
 
 H = IntegralLattice.from_blocks([HyperbolicBlock()])
 DIAG11 = IntegralLattice.from_blocks([DiagonalBlock((1, -1))])
@@ -176,8 +179,8 @@ def test_block_assembly():
         [HyperbolicBlock(), DiagonalBlock((3,)), E8Block(1)]
     )
     assert lat.rank == 11
-    assert lat.gram[0][1] == 1 and lat.gram[2][2] == 3 and lat.gram[3][3] == 2
-    assert lat.gram[1][2] == 0
+    assert lat.column(0) == ((1, 1),) and lat.column(1) == ((0, 1),)
+    assert lat.column(2) == ((2, 3),) and lat.column(3) == ((3, 2), (4, -1))
 
 
 def test_pairing_examples():
@@ -247,9 +250,9 @@ gf2_block_lists = st.lists(
 @settings(max_examples=80, deadline=None)
 @given(gf2_block_lists)
 def test_characteristic_vector_matches_the_dense_solve(blocks):
-    lat = IntegralLattice.from_blocks(blocks)
-    oracle = _solve_gf2(lat.gram, lat.diagonal)
-    assert characteristic_vector(lat).coords == tuple(oracle)
+    g = dense_block_gram(blocks)
+    oracle = _solve_gf2(g, [g[i][i] for i in range(len(g))])
+    assert characteristic_vector(IntegralLattice.from_blocks(blocks)).coords == tuple(oracle)
 
 
 def test_gf2_solver_detects_inconsistency():
@@ -267,7 +270,7 @@ def test_is_characteristic_examples():
 def test_orthogonal_complement_empty_set_is_full_lattice():
     sub = orthogonal_complement(K3FORM, [])
     assert len(sub.basis) == 22
-    assert sub.restricted_gram == K3FORM.gram
+    assert [list(row) for row in sub.restricted_gram] == dense_block_gram(K3FORM.blocks)
 
 
 def test_orthogonal_complement_of_isotropic_generator():
@@ -283,13 +286,14 @@ def test_orthogonal_complement_of_zero_class():
 
 def test_orthogonal_complement_properties():
     rng = random.Random(7)
+    gram = dense_block_gram(K3FORM.blocks)
     for _ in range(20):
         classes = [
             CohClass(tuple(rng.randint(-3, 3) for _ in range(22)))
             for _ in range(rng.randint(1, 3))
         ]
         sub = orthogonal_complement(K3FORM, classes)
-        rank = rational_rank([[sum(g * x for g, x in zip(row, s.coords)) for row in K3FORM.gram]
+        rank = rational_rank([[sum(g * x for g, x in zip(row, s.coords)) for row in gram]
                               for s in classes])
         assert len(sub.basis) == 22 - rank
         for b in sub.basis:
@@ -303,27 +307,6 @@ def test_orthogonal_complement_properties():
         for i, bi in enumerate(sub.basis):
             for j, bj in enumerate(sub.basis):
                 assert sub.restricted_gram[i][j] == pairing(K3FORM, bi, bj)
-
-
-def dense_block_gram(blocks):
-    """Block-diagonal Gram matrix from E8_GRAM and the block entries."""
-    pieces = []
-    for b in blocks:
-        if isinstance(b, HyperbolicBlock):
-            pieces.append([[0, 1], [1, 0]])
-        elif isinstance(b, E8Block):
-            pieces.append([[b.sign * x for x in row] for row in E8_GRAM])
-        else:
-            pieces.append([[e if i == j else 0 for j in range(len(b.entries))]
-                           for i, e in enumerate(b.entries)])
-    n = sum(len(p) for p in pieces)
-    gram = [[0] * n for _ in range(n)]
-    offset = 0
-    for p in pieces:
-        for i, row in enumerate(p):
-            gram[offset + i][offset:offset + len(row)] = row
-        offset += len(p)
-    return gram
 
 
 block_lists = st.lists(
@@ -359,7 +342,6 @@ def test_apply_matches_dense_block_gram(blocks, data):
     assert pairing(lat, CohClass(tuple(a)), CohClass(tuple(b))) == form(a, b)
     assert pairing(lat, Direction.of(p), Direction.of(q)) == form(p, q)
     assert pairing(lat, CohClass(tuple(a)), Direction.of(q)) == form(a, q)
-    assert [list(row) for row in lat.gram] == g
     sub = orthogonal_complement(lat, [CohClass(tuple(a))])
     for i, bi in enumerate(sub.basis):
         assert form(bi.coords, a) == 0
@@ -379,7 +361,7 @@ def test_sparse_core_matches_dense_block_gram(blocks, data):
         a = [c + 2 * x for c, x in zip(characteristic_vector(lat).coords, a)]
     c = CohClass(tuple(a))
     dense = [sum(g[i][j] * a[j] for j in range(n)) for i in range(n)]
-    assert lat.diagonal == tuple(g[i][i] for i in range(n))
+    assert lat.odd_diagonal == {i for i in range(n) if g[i][i] % 2}
     assert c.support == tuple((t, x) for t, x in enumerate(a) if x)
     assert covector(lat, c) == {s: y for s, y in enumerate(dense) if y}
     characteristic = all((y - g[i][i]) % 2 == 0 for i, y in enumerate(dense))
@@ -453,23 +435,23 @@ def test_e40_pipelines_past_validate_build_no_dense_class(monkeypatch):
 
 def test_diagonal_block_columns_are_rank_linear():
     block = DiagonalBlock((3, 0, -2, 0, 5))
-    assert block.columns == (((0, 3),), (), ((2, -2),), (), ((4, 5),))
+    assert [block.column(i) for i in range(5)] == [((0, 3),), (), ((2, -2),), (), ((4, 5),)]
     lat = IntegralLattice.from_blocks([HyperbolicBlock(), DiagonalBlock((1,) * 300)])
-    assert sum(map(len, lat.columns)) == 302
-    assert lat.columns[2:4] == (((2, 1),), ((3, 1),))
+    assert sum(len(lat.column(t)) for t in range(302)) == 302
+    assert [lat.column(2), lat.column(3)] == [((2, 1),), ((3, 1),)]
 
 
 def pipelines_leave_the_dense_views_unbuilt(n):
     # validation, sst and dvanish read pairings through the columns they
-    # touch, one at a time; neither the ambient nor the restricted Gram, nor
-    # the full column table or the diagonal, is built.  The complement builds
-    # its basis classes on read, and the pair search reads three of them.
+    # touch, one at a time: at most four of the form's columns are built,
+    # and the restricted Gram is not.  The complement builds its basis
+    # classes on read, and the pair search reads three of them.
     m = parse_manifest(json.dumps(_elliptic(n))).to_manifold()
     assert m.form.rank == 12 * n - 2 and validate(m).passed
     w = characteristic_vector(m.form)
     assert sst_check(m, w).verdict == "pass"
     assert dvanish_theorem_check(m, w).verdict == "pass"
-    assert not {"gram", "columns", "diagonal"} & m.form.__dict__.keys()
+    assert len(m.form._columns) <= 4
     assert "restricted_gram" not in m.complement.__dict__
     assert len(m.complement.basis) == 12 * n - 3
     assert len(m.complement.basis._built) <= 4
@@ -650,17 +632,20 @@ def test_find_pair_search_without_literal_block():
     assert pairing(H, pair.e1, pair.e2) == 1
 
 
-def test_find_pair_skips_e_with_non_primitive_covector():
+def test_find_pair_skips_e_with_non_primitive_covector(monkeypatch):
     # every pairing of diag(2,-2,2,-2,2,-2) is even, so no e.f is 1
     lat = IntegralLattice.from_blocks([DiagonalBlock((2, -2) * 3)])
     assert find_hyperbolic_pair(orthogonal_complement(lat, []), 2) is None
     # diag(1,1,1,-4) has 2x2 minors with gcd 1, so the box is walked; an
     # isotropic e has a^2 + b^2 + c^2 = 4d^2, so a, b and c are even, G.e is
     # not primitive and the e-loop skips each e at once, instead of scanning
-    # the box for an f
+    # the box for an f: the one scan of the box is the e-scan
     lat = IntegralLattice.from_blocks([DiagonalBlock((1, 1, 1, -4))])
-    assert _minor_gcd(lat.gram) == 1
+    assert _minor_gcd(dense_block_gram(lat.blocks)) == 1
+    scans = []
+    monkeypatch.setattr(lattice, "copy", lambda it: scans.append(it) or copy(it))
     assert find_hyperbolic_pair(orthogonal_complement(lat, []), 3) is None
+    assert len(scans) == 1
 
 
 def test_find_pair_proves_absence_without_walking_the_box(monkeypatch):
@@ -847,7 +832,8 @@ def test_minor_gcd_never_proves_absence_where_the_box_finds_a_pair(g, radius):
 
 
 def is_indefinite(blocks):
-    signs = {(d > 0) - (d < 0) for d in IntegralLattice.from_blocks(blocks).diagonal}
+    g = dense_block_gram(blocks)
+    signs = {(g[i][i] > 0) - (g[i][i] < 0) for i in range(len(g))}
     return any(isinstance(b, HyperbolicBlock) for b in blocks) or signs == {1, -1}
 
 
@@ -905,7 +891,8 @@ def test_literal_pair_is_the_first_block_of_the_dense_gram(complement, data):
         classes = [CohClass(tuple(c)) for c in data.draw(st.lists(coords, max_size=3))]
         sub = orthogonal_complement(lat, classes)
         found = _literal_pair(sub)
-        rows = [[sum(g * x for g, x in zip(row, k.coords)) for row in lat.gram] for k in classes]
+        gram = dense_block_gram(lat.blocks)
+        rows = [[sum(g * x for g, x in zip(row, k.coords)) for row in gram] for k in classes]
         assert [list(b.coords) for b in sub.basis] == reference_kernel(rows, lat.rank)
         assert all(b is sub.basis[i] for i, b in enumerate(sub.basis))
         basis = tuple(sub.basis)

@@ -16,9 +16,11 @@ from swcalc.lattice import (
     E8Block,
     HyperbolicBlock,
     IntegralLattice,
+    characteristic_vector,
     covector,
     find_hyperbolic_pair,
     orthogonal_complement,
+    square,
 )
 from swcalc.manifold import BasicClassEntry, FourManifold
 from swcalc.series import (
@@ -38,6 +40,8 @@ from swcalc.series import (
     vanishing_order,
     witten_series,
 )
+
+from conftest import dense_block_gram
 
 H = IntegralLattice.from_blocks([HyperbolicBlock()])
 DIAG11 = IntegralLattice.from_blocks([DiagonalBlock((1, -1))])
@@ -70,7 +74,7 @@ def taylor_eval_oracle(s: ExpSum, direction: Direction, order: int) -> Fraction:
     each <k, d> is read off the dense Gram, and each exponential is
     expanded on its own by plain powers and factorials.
     """
-    gram = s.ambient.gram
+    gram = dense_block_gram(s.ambient.blocks)
     total = Fraction(0)
     for a, k in s.terms:
         x = sum(ki * g * di for ki, row in zip(k.coords, gram) for g, di in zip(row, direction.coords))
@@ -92,10 +96,11 @@ def ambient_poly_oracle(s: ExpSum, order: int) -> dict:
     with the series engine.
     """
     n = s.ambient.rank
+    gram = dense_block_gram(s.ambient.blocks)
     out: dict[tuple[int, ...], Fraction] = {}
     for a, k in s.terms:
         cov = [
-            Fraction(sum(s.ambient.gram[i][j] * k.coords[j] for j in range(n)))
+            Fraction(sum(gram[i][j] * k.coords[j] for j in range(n)))
             for i in range(n)
         ]
         form = {}
@@ -125,11 +130,12 @@ def ambient_poly_oracle(s: ExpSum, order: int) -> dict:
 def jet_in_ambient_coords(jet) -> dict:
     """Substitute x_j = sum_i (G v_j)_i h_i into a jet."""
     n = jet.ambient.rank
+    gram = dense_block_gram(jet.ambient.blocks)
     out: dict[tuple[int, ...], Fraction] = {}
     covs = []
     for v in jet.variables:
         covs.append([
-            Fraction(sum(jet.ambient.gram[i][t] * v.coords[t] for t in range(n)))
+            Fraction(sum(gram[i][t] * v.coords[t] for t in range(n)))
             for i in range(n)
         ])
     for alpha, c in jet.coefficients.items():
@@ -180,19 +186,23 @@ def test_sw_series_odd_exponent():
         sw_series(m, CohClass((0, 1)))
 
 
-def test_sw_series_w_shift_sign(catalog):
-    # changing w by 2u rescales the sum by (-1)^(u.u)
+@pytest.mark.parametrize("name", ["E3", "E4"])
+def test_sw_series_w_shift_sign(catalog, name):
+    # changing w by 2u rescales the sum by (-1)^(u.u); on the odd form of
+    # E3 both signs occur, on the even form of E4 only +1
     rng = random.Random(2)
-    e4 = catalog["E4"]
-    w = CohClass.zero(46)
-    base = sw_series(e4, w)
+    m = catalog[name]
+    rank = m.form.rank
+    w = characteristic_vector(m.form)
+    base = sw_series(m, w)
+    signs = set()
     for _ in range(20):
-        u = CohClass(tuple(rng.randint(-2, 2) for _ in range(46)))
-        shifted = sw_series(e4, w + 2 * u)
-        from swcalc.lattice import square as sq
-
-        sign = -1 if sq(e4.form, u) % 2 else 1
+        u = CohClass(tuple(rng.randint(-2, 2) for _ in range(rank)))
+        shifted = sw_series(m, w + 2 * u)
+        sign = -1 if square(m.form, u) % 2 else 1
+        signs.add(sign)
         assert shifted.terms == tuple((sign * a, k) for a, k in base.terms)
+    assert signs == ({1, -1} if name == "E3" else {1})
 
 
 def test_twist_examples():
@@ -514,8 +524,10 @@ def rational_solve(columns, target):
 def rational_span_reference(form, span_classes, expand_classes):
     """Pivots and rational rows of the span reduction, by rational solves
     against the dense Gram matrix; None for a row outside the span."""
+    gram = dense_block_gram(form.blocks)
+
     def covector(k):
-        return [sum(g * x for g, x in zip(row, k.coords)) for row in form.gram]
+        return [sum(g * x for g, x in zip(row, k.coords)) for row in gram]
 
     pivots = []
     for k in span_classes:
