@@ -111,6 +111,53 @@ MUTANTS = (
            "raise AttributeError(f\"cannot assign to field {name!r}\")",
            "object.__setattr__(self, name, value)",
            ("tests/test_record.py",)),
+    Mutant("record-eq-across-classes", "src/swcalc/record.py",
+           "if other.__class__ is self.__class__:", "if True:",
+           ("tests/test_record.py",)),
+    Mutant("record-compare-false-ignored", "src/swcalc/record.py",
+           "if not isinstance(spec, field) or spec.compare:",
+           "if not isinstance(spec, field) or True:",
+           ("tests/test_record.py",)),
+    Mutant("record-post-init-not-run", "src/swcalc/record.py",
+           "post_init = getattr(cls, \"__post_init__\", None)", "post_init = None",
+           ("tests/test_record.py",)),
+    Mutant("record-own-init-overwritten", "src/swcalc/record.py",
+           "if method.__name__ not in cls.__dict__:",
+           "if method is __init__ or method.__name__ not in cls.__dict__:",
+           ("tests/test_record.py",)),
+    Mutant("pair-search-inner-scan-advances-origin", "src/swcalc/lattice.py",
+           "for f, _ in copy(origin):", "for f, _ in origin:",
+           ("tests/test_lattice.py",)),
+    Mutant("power-sums-coefficients-unscaled", "src/swcalc/series.py",
+           "coeffs = [a.numerator * (den_a // a.denominator) for a, _ in s.terms]",
+           "coeffs = [a.numerator for a, _ in s.terms]",
+           ("tests/test_series.py",)),
+    Mutant("span-denominator-max-not-lcm", "src/swcalc/series.py",
+           "den = lcm(*(mu for mu, _ in scaled))", "den = max(mu for mu, _ in scaled)",
+           ("tests/test_series.py",)),
+    Mutant("vanishing-order-degree-loop-one-short", "src/swcalc/series.py",
+           "for n in range(first, cap + 1, step):", "for n in range(first, cap, step):",
+           ("tests/test_series.py",)),
+    Mutant("power-sums-last-power-off-by-one", "src/swcalc/series.py",
+           "sum(map(mul, prods[m], powers[rest]))", "sum(map(mul, prods[m], powers[rest - 1]))",
+           ("tests/test_series.py",)),
+    Mutant("vanishing-order-reported-one-high", "src/swcalc/series.py",
+           "return VanishingOrder.exact(n)", "return VanishingOrder.exact(n + 1)",
+           ("tests/test_series.py",)),
+    Mutant("dvanish-trace-i-lambda-below-c", "src/swcalc/relations.py",
+           "\"i_lambda\": self.c + self.case_mod_8,", "\"i_lambda\": self.c - self.case_mod_8,",
+           ("tests/test_relations.py",)),
+    Mutant("sst-report-required-order", "src/swcalc/relations.py",
+           "out[\"required_order\"] = int(self.c) - 2", "out[\"required_order\"] = int(self.c) - 1",
+           ("tests/test_relations.py",)),
+    Mutant("sst-reads-the-order-degree-as-zero", "src/swcalc/relations.py",
+           "below = delta + 1 if order.value is None else order.value ",
+           "below = delta + 1 if order.value is None else order.value + 1 ",
+           ("tests/test_relations.py",)),
+    Mutant("cli-undetermined-drops-the-manifold", "src/swcalc/cli.py",
+           "        fields = {\"verdict\": VERDICT_UNDETERMINED, \"error\": str(e)}",
+           "        head, fields = {}, {\"verdict\": VERDICT_UNDETERMINED, \"error\": str(e)}",
+           ("tests/test_manifest_cli.py",)),
     Mutant("report-str-fallback", "src/swcalc/report.py",
            "raise TypeError(f\"no exact JSON form for {type(value).__name__}\")",
            "return str(value)",

@@ -327,7 +327,7 @@ def _run(argv) -> int:
             else:
                 fields = COMMANDS[args.cmd][1](args, manifest, manifold)
     except AbundanceUndetermined as e:
-        head, fields = {}, {"verdict": VERDICT_UNDETERMINED, "error": str(e)}
+        fields = {"verdict": VERDICT_UNDETERMINED, "error": str(e)}
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

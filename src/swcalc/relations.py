@@ -47,7 +47,7 @@ from .report import (  # all four stay importable from here
     VERDICT_PASS_VACUOUS,
     VERDICT_UNDETERMINED,
 )
-from .series import Jet, power_sums, sw_series, twist, vanishing_order
+from .series import ExpSum, Jet, power_sums, sw_series, twist, vanishing_order
 
 
 def depth_value(chi: int, sigma: int, lam_square: int) -> Fraction:
@@ -109,15 +109,16 @@ class RelationQuery:
         return self.delta - 2 * self.m
 
 
-def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms) -> list[Jet]:
-    """dswrel_value for each point count in ms, sharing one preparation.
+def dswrel_value(m: FourManifold, q: RelationQuery) -> Jet:
+    """The exact degree-(delta-2m) homogeneous polynomial in h.
 
-    The hypotheses, the sign base, the twist and the span reduction depend
-    only on (w, lam, delta), so they run once.  The sum over basic classes
-    of sw * <k - lam, h>^(delta - 2m) is power_sums of the twisted series at
-    degree delta - 2m, and each point count only rescales it by its signed
-    power of two.
+    Value: 2^(1-(c+delta)/2) * (-1)^(m-1+lam.lam/2-lam.w) *
+    sum over basic classes of the signed invariant times <k-lam, h>^(delta-2m).
+    That sum is (delta-2m)! times the degree-(delta-2m) Taylor part of the
+    series twisted by exp(-<lam, h>), read off series.power_sums.
+    The sign prefactor is cross-checked against (-1)^((sigma-w.w)/2).
     """
+    w, lam, delta = q.w, q.lam, q.delta
     if not m.assume_conjecture:
         raise ConjectureNotAssumed(
             "the relation formula is conditional on the multiplicity conjecture"
@@ -154,23 +155,16 @@ def _relation_values(m: FourManifold, w: CohClass, lam: CohClass, delta: int, ms
     assert (lam_sq - 2 * lam_dot_w - (m.sigma - wsq)) % 8 == 0
 
     power_of_two = Fraction(2) ** int(1 - (c + delta) / 2)
-    sums = power_sums(twist(sw_series(m, w), lam, -1), {delta - 2 * mm for mm in ms})
-    return [
-        sums[delta - 2 * mm].scale(-power_of_two if (mm - 1 + sign_base) % 2 else power_of_two)
-        for mm in ms
-    ]
+    sign = -1 if (q.m - 1 + sign_base) % 2 else 1
+    return power_sums(twist(sw_series(m, w), lam, -1), (q.d,))[q.d].scale(sign * power_of_two)
 
 
-def dswrel_value(m: FourManifold, q: RelationQuery) -> Jet:
-    """The exact degree-(delta-2m) homogeneous polynomial in h.
-
-    Value: 2^(1-(c+delta)/2) * (-1)^(m-1+lam.lam/2-lam.w) *
-    sum over basic classes of the signed invariant times <k-lam, h>^(delta-2m).
-    That sum is (delta-2m)! times the degree-(delta-2m) Taylor part of the
-    series twisted by exp(-<lam, h>), read off series.power_sums.
-    The sign prefactor is cross-checked against (-1)^((sigma-w.w)/2).
-    """
-    return _relation_values(m, q.w, q.lam, q.delta, (q.m,))[0]
+def _zero_sums(series: ExpSum, lam: CohClass, degrees) -> dict[int, bool]:
+    """{d: whether sum_k sw(k) <k - lam, h>^d is zero}, for series = sw_series(m, w).
+    With k.lam = 0 for each basic class k and lam.lam even, sw_series(m, w + lam)
+    is +-sw_series(m, w), so these are the zero tests of dswrel_value at
+    (w + lam, lam): its sign and power of two are units."""
+    return {d: s.is_zero() for d, s in power_sums(twist(series, lam, -1), degrees).items()}
 
 
 def _opening(m: FourManifold, w: CohClass, what: str, mod8: bool) -> Fraction:
@@ -230,19 +224,15 @@ class SstReport:
     verdict: str
     w: CohClass
     c: Fraction
-    required_order: int | None
     order: object | None  # VanishingOrder, absent in the vacuous branch
     lambda0: CohClass | None
     lambda1: CohClass | None
-    r0: Fraction | None = None
-    i0: Fraction | None = None
-    r1: Fraction | None = None
-    i1: Fraction | None = None
     entries: tuple[SstEntry, ...] = ()
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        """Report fields from the verdict on; the trace only when not vacuous."""
+        """Report fields from the verdict on; the trace only when not vacuous,
+        with the required order and the (r, i) that sst_check's checks fix."""
         out = {
             "verdict": self.verdict,
             "w": self.w,
@@ -250,15 +240,15 @@ class SstReport:
             "notes": self.notes,
         }
         if self.order is not None:
-            out["required_order"] = self.required_order
+            out["required_order"] = int(self.c) - 2
             out["vanishing_order"] = {"kind": self.order.kind, "value": self.order.value}
             out["trace"] = {
                 "lambda0": self.lambda0,
                 "lambda1": self.lambda1,
-                "r_lambda0": self.r0,
-                "i_lambda0": self.i0,
-                "r_lambda1": self.r1,
-                "i_lambda1": self.i1,
+                "r_lambda0": self.c,
+                "i_lambda0": self.c,
+                "r_lambda1": self.c - 4,
+                "i_lambda1": self.c + 4,
                 "entries": [
                     {
                         "d": e.d,
@@ -300,7 +290,7 @@ def sst_check(
     notes = []
     if c - 3 < 0:
         return SstReport(
-            VERDICT_PASS_VACUOUS, w, c, None, None, None, None,
+            VERDICT_PASS_VACUOUS, w, c, None, None, None,
             notes=(f"c = {c}: c - 3 < 0, nothing to check",),
         )
     c_int = int(c)
@@ -327,11 +317,11 @@ def sst_check(
     ms = range(delta // 2 + 1)  # every m >= 0 with d = delta - 2m >= 0
     below = delta + 1 if order.value is None else order.value  # None: the zero series
     live = [mm for mm in ms if delta - 2 * mm >= below]
-    values = _relation_values(m, w + lambda1, lambda1, delta, live) if live else []
-    nonzero = {mm for mm, value in zip(live, values) if not value.is_zero()}
+    zero = _zero_sums(series, lambda1, [delta - 2 * mm for mm in live]) if live else {}
     applies = delta < r0 and delta < i0  # the vanishing branch for lambda0
-    entries = [SstEntry(delta - 2 * mm, mm, delta, applies, mm not in nonzero) for mm in ms]
-    all_zero = not nonzero
+    entries = [SstEntry(delta - 2 * mm, mm, delta, applies, zero.get(delta - 2 * mm, True))
+               for mm in ms]
+    all_zero = all(zero.values())
 
     ok = order.satisfies(required) and all_zero
     if not order.satisfies(required):
@@ -340,8 +330,7 @@ def sst_check(
         notes.append("a relation sum failed to vanish; data inconsistent with the conjectures")
     return SstReport(
         VERDICT_PASS if ok else VERDICT_FAIL,
-        w, c, required, order, lambda0, lambda1,
-        r0, i0, r1, i1, tuple(entries), tuple(notes),
+        w, c, order, lambda0, lambda1, tuple(entries), tuple(notes),
     )
 
 
@@ -362,14 +351,13 @@ class DvanishReport:
     case_mod_8: int
     lam: CohClass
     lam_square: int
-    r: Fraction
-    i: Fraction
     admissible_d: tuple[int, ...]
     entries: tuple[DvanishEntry, ...]
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        """Report fields from the verdict on; the trace holds exact values."""
+        """Report fields from the verdict on; the trace holds exact values,
+        with the (r, i) of lambda that dvanish_theorem_check's square check fixes."""
         trace = {
             "manifold": self.manifold,
             "w": self.w,
@@ -378,8 +366,8 @@ class DvanishReport:
             "c": self.c,
             "lambda": self.lam,
             "lambda_square": self.lam_square,
-            "r_lambda": self.r,
-            "i_lambda": self.i,
+            "r_lambda": self.c - self.case_mod_8,
+            "i_lambda": self.c + self.case_mod_8,
             "d_max": int(self.c) - 1,
             "admissible_d": self.admissible_d,
             "w_shift_sign": -1 if self.lam_square // 4 % 2 else 1,
@@ -426,14 +414,14 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass,
         if d < r and d < i:
             entries += [DvanishEntry(d, mm, "vanishing", True) for mm in ms]
         elif d == r:
-            values = _relation_values(m, w + lam, lam, d, ms)
-            entries += [DvanishEntry(d, mm, "relation", v.is_zero()) for mm, v in zip(ms, values)]
+            zero = _zero_sums(sw_series(m, w), lam, [d - 2 * mm for mm in ms])
+            entries += [DvanishEntry(d, mm, "relation", zero[d - 2 * mm]) for mm in ms]
         else:
             entries += [DvanishEntry(d, mm, "uncovered", False) for mm in ms]
             notes += [f"degree d = {d} not covered by either branch"] * len(ms)
     return DvanishReport(
         VERDICT_PASS if all(e.value_is_zero for e in entries) else VERDICT_FAIL,
-        m.name, w, c, case, lam, lam_sq, r, i, tuple(admissible), tuple(entries), tuple(notes),
+        m.name, w, c, case, lam, lam_sq, tuple(admissible), tuple(entries), tuple(notes),
     )
 
 

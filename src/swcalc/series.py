@@ -142,8 +142,6 @@ class Jet:
 
     def scale(self, factor) -> "Jet":
         f = Fraction(factor)
-        if f == 0:
-            return Jet(self.ambient, self.variables, {}, self.order)
         return Jet(
             self.ambient,
             self.variables,

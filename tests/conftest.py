@@ -4,6 +4,7 @@ import pytest
 
 from swcalc.lattice import E8_GRAM, E8Block, HyperbolicBlock
 from swcalc.manifest import load_catalog
+from swcalc.relations import RelationQuery, dswrel_value, dvanish_theorem_check, sst_check
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -40,3 +41,18 @@ def dense_block_gram(blocks):
             gram[offset + i][offset:offset + len(row)] = row
         offset += len(p)
     return gram
+
+
+def relation_flag_pairs(m, w):
+    """(reported, polynomial) for each relation sum that sst and dvanish report
+    on (m, w): the zero flag each pipeline reports, and whether dswrel_value
+    at the same (w + lam, lam, delta, m) is the zero polynomial."""
+    sst, dvanish = sst_check(m, w), dvanish_theorem_check(m, w)
+
+    def polynomial_is_zero(lam, delta, mm):
+        return dswrel_value(m, RelationQuery(w + lam, lam, delta, mm)).is_zero()
+
+    return [(e.relation_is_zero, polynomial_is_zero(sst.lambda1, e.delta, e.m))
+            for e in sst.entries] + [
+        (e.value_is_zero, polynomial_is_zero(dvanish.lam, e.d, e.m))
+        for e in dvanish.entries if e.route == "relation"]

@@ -216,7 +216,7 @@ def test_criterion_9_negative_control(capsys, fixtures_dir):
     report = sst_check(manifold, CohClass.zero(46))
     assert report.verdict == "fail"
     assert report.order.kind == "exact" and report.order.value == 0
-    assert report.required_order == 2
+    assert report.to_dict()["required_order"] == 2
     code = main(["sst", str(path)])
     capsys.readouterr()
     assert code == 2

@@ -120,3 +120,12 @@ def test_cli_output_matches_golden(argv, capsys, monkeypatch):
     monkeypatch.chdir(FIXTURES)
     expected = {tuple(r["argv"]): r for r in json.loads(GOLDEN.read_text())}[tuple(argv)]
     assert run_golden(argv, capsys) == dict(expected, stderr=_choices_unquoted(expected["stderr"]))
+
+
+def test_every_manifest_report_names_its_manifold():
+    # main's contract: a JSON report on a manifest starts with the command
+    # and manifold names, whatever its verdict
+    for case in json.loads(GOLDEN.read_text()):
+        if case["argv"][0] != "catalog" and case["stdout"].startswith("{"):
+            report = json.loads(case["stdout"])
+            assert list(report)[1:3] == ["command", "manifold"], case["argv"]

@@ -875,6 +875,23 @@ def test_find_pair_matches_the_full_box_reference(blocks, n_classes, radius, dat
     assert pair == HyperbolicPair(*map(to_ambient, hit))
 
 
+def test_find_pair_starts_every_f_scan_at_the_first_vector():
+    # at radius 2 the first isotropic e of this box whose covector is
+    # primitive, (-2, -1, 0), has no partner f, and a later e has one: an
+    # f-scan that went on from where the last one stopped would find nothing
+    lat = IntegralLattice.from_blocks([DiagonalBlock((1, 1, 2, -1))])
+    sub = Sublattice(lat, (CohClass((0, 0, -1, 1)), CohClass((1, 0, 0, 1)),
+                           CohClass((0, -1, -1, 0))))
+    g = sub.restricted_gram
+    assert first_literal_block(g) is None
+    first, cov = next((e, cov) for e, cov in _isotropic_vectors(g, 2) if gcd(*cov) == 1)
+    assert first == (-2, -1, 0)
+    assert not any(sum(c * x for c, x in zip(cov, f)) == 1 for f, _ in _isotropic_vectors(g, 2))
+    assert reference_pair_search(g, 2) == ((-1, 0, 1), (0, 1, 0))
+    assert find_hyperbolic_pair(sub, 2) == HyperbolicPair(
+        -1 * sub.basis[0] + sub.basis[2], sub.basis[1])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.booleans(), st.data())
 def test_literal_pair_is_the_first_block_of_the_dense_gram(complement, data):

@@ -186,6 +186,30 @@ def test_cli_dvanish(capsys, fixtures_dir):
     assert report["trace"] == expected
 
 
+def test_cli_undetermined_report_names_the_manifold(capsys, fixtures_dir, tmp_path):
+    # an undetermined pipeline starts its report with the command and
+    # manifold names, as every other report does.  E4 with every hyperbolic
+    # block used by a basic class leaves a negative definite complement, so
+    # sst, which DC22 (c = 2) passes vacuously, is undetermined there.
+    rigid = json.loads(serialize_manifest(load_catalog("E4")))
+    rigid["name"] = "E4-rigid"
+    rigid["basic_classes"] = [
+        {"coords": [s if j == i else 0 for j in range(46)], "sw": 1}
+        for i in range(14) for s in (2, -2)
+    ]
+    (tmp_path / "rigid.json").write_text(json.dumps(rigid))
+    cases = ((fixtures_dir / "definite_complement.json", "DC22", ("abundance", "dvanish")),
+             (tmp_path / "rigid.json", "E4-rigid", ("sst", "dvanish")))
+    for path, name, commands in cases:
+        for cmd in commands:
+            code, out, _ = run_cli(capsys, cmd, str(path))
+            assert code == 3
+            report = json.loads(out)
+            assert list(report)[:4] == ["schema_version", "command", "manifold", "verdict"]
+            assert (report["command"], report["manifold"], report["verdict"]) == (
+                cmd, name, "undetermined")
+
+
 def test_cli_relate_spot(capsys):
     lam = ["0"] * 46
     lam[2], lam[3] = "2", "-3"

@@ -30,17 +30,6 @@ RECORDS = [
 ]
 NOT_COMPARED = {(manifest.Manifest, "warnings")}
 
-# Two sets of field values per class, (a, b); b differs from a in every
-# field.  Classes not listed take small distinct integers.  For CohClass
-# these are its own constructor's arguments.
-F, G = CohClass((1, 0)), CohClass((0, 2))
-SAMPLES = {
-    lattice.E8Block: ((1,), (-1,)),
-    lattice.CohClass: (((0, 3, 0),), ((1, 0, 0),)),
-    relations.RelationQuery: ((F, G, 4, 1), (G, F, 6, 2)),
-    series.Direction: (((1, 2),), ((Fraction(1, 2), 0),)),
-}
-
 
 def test_every_decorated_class_is_found():
     decorated = sum(len(re.findall(r"^@record$", p.read_text(), re.M)) for p in SRC.glob("*.py"))
@@ -62,8 +51,19 @@ def twin(cls):
 
 
 def samples(cls):
-    if cls in SAMPLES:
-        return SAMPLES[cls]
+    """Two sets of field values, (a, b); b differs from a in every field.
+    Classes not listed take small distinct integers.  For CohClass these are
+    its own constructor's arguments.  The classes are built here, not at
+    import, so that a broken constructor fails the tests, not their collection."""
+    f, g = CohClass((1, 0)), CohClass((0, 2))
+    listed = {
+        lattice.E8Block: ((1,), (-1,)),
+        lattice.CohClass: (((0, 3, 0),), ((1, 0, 0),)),
+        relations.RelationQuery: ((f, g, 4, 1), (g, f, 6, 2)),
+        series.Direction: (((1, 2),), ((Fraction(1, 2), 0),)),
+    }
+    if cls in listed:
+        return listed[cls]
     n = len(cls._fields)
     return tuple(range(n)), tuple(range(10, 10 + n))
 

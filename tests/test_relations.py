@@ -59,6 +59,8 @@ from swcalc.catalog import _elliptic
 from swcalc.report import render
 from swcalc.series import Direction, jet_expand, sw_series, twist
 
+from conftest import relation_flag_pairs
+
 H = IntegralLattice.from_blocks([HyperbolicBlock()])
 
 
@@ -275,7 +277,7 @@ def characteristic_shifts(draw):
 @settings(max_examples=200, deadline=None)
 @given(characteristic_shifts())
 def test_relation_sign_base_congruences(case):
-    # the congruences _relation_values asserts about its sign base, which
+    # the congruences dswrel_value asserts about its sign base, which
     # python -O strips there: for w - lam characteristic and lam.lam even,
     # sigma - w.w is even and lam.lam/2 - lam.w = (sigma - w.w)/2 (mod 2)
     form, c, lam = case
@@ -329,6 +331,16 @@ def wide_e10_manifest():
         "form": [{"type": "H"}] * (2 * n - 1) + [{"type": "E8", "sign": -1}] * n,
         "basic_classes": classes, "assume_conjecture": True, "w": w,
     }
+
+
+def sw_three_copy(m):
+    """The width-4 fixture's manifold with sw 3 on its +-(2,2,2,2) classes:
+    it still validates, and none of its sst relation sums vanishes."""
+    heavy = {(2, -2, 2, -2), (-2, 2, -2, 2)}  # the signed generator coordinates
+    return replace(m, basic_classes=tuple(
+        BasicClassEntry(e.k, 3) if tuple(e.k.coords[i] for i in (2, 5, 10, 19)) in heavy else e
+        for e in m.basic_classes
+    ))
 
 
 def relation_grid(m, block_units, squares_by_delta, fiber):
@@ -409,11 +421,7 @@ def test_sst_relation_values_match_jet_oracle_at_width_four(fixtures_dir):
     manifest = parse_manifest((fixtures_dir / "wide_e10_2222.json").read_text())
     m = manifest.to_manifold()
     w = CohClass(manifest.w)
-    heavy = {(2, -2, 2, -2), (-2, 2, -2, 2)}  # the signed generator coordinates
-    corrupted = replace(m, basic_classes=tuple(
-        BasicClassEntry(e.k, 3) if tuple(e.k.coords[i] for i in (2, 5, 10, 19)) in heavy else e
-        for e in m.basic_classes
-    ))
+    corrupted = sw_three_copy(m)
     assert validate(corrupted).passed
     for manifold, verdict in ((m, VERDICT_PASS), (corrupted, VERDICT_FAIL)):
         report = sst_check(manifold, w)
@@ -429,6 +437,32 @@ def test_sst_relation_values_match_jet_oracle_at_width_four(fixtures_dir):
                 assert len(value.variables) == 5  # four generators and lambda1
                 assert value.variables == oracle.variables
                 assert value.coefficients == oracle.coefficients
+
+
+def test_sst_and_dvanish_relation_flags_match_the_polynomial_route(catalog, fixtures_dir):
+    # sst and dvanish test each relation sum for zero on the twisted
+    # sw_series(m, w), or read it off the series' vanishing order; relate's
+    # dswrel_value builds the signed polynomial at (w + lam, lam).  Every
+    # flag must be that polynomial's zero test: on E3-E6, on E(41), whose
+    # dvanish settles d = c - 4 by 19 relation sums, on E(5) with the sw of
+    # +-f doubled, where both relation sums are nonzero, and on the width-4
+    # fixture and its sw-3 copy, where no sst sum vanishes
+    manifest = parse_manifest((fixtures_dir / "wide_e10_2222.json").read_text())
+    wide, w_wide = manifest.to_manifold(), CohClass(manifest.w)
+    e41 = parse_manifest(json.dumps(_elliptic(41))).to_manifold()
+    e5 = catalog["E5"]
+    doubled = replace(e5, basic_classes=tuple(
+        BasicClassEntry(e.k, 2 * e.sw if abs(e.sw) == 3 else e.sw) for e in e5.basic_classes
+    ))
+    cases = [(m, characteristic_vector(m.form))
+             for m in (*(catalog[f"E{n}"] for n in (3, 4, 5, 6)), e41, doubled)]
+    cases += [(wide, w_wide), (sw_three_copy(wide), w_wide)]
+    counts = []
+    for m, w in cases:
+        pairs = relation_flag_pairs(m, w)
+        assert all(reported == polynomial for reported, polynomial in pairs), m.name
+        counts.append((len(pairs), sum(not reported for reported, _ in pairs)))
+    assert counts == [(0, 0), (1, 0), (2, 0), (2, 0), (38, 0), (2, 2), (4, 0), (4, 4)]
 
 
 def test_dswrel_oracle_with_fractional_span_rows():
@@ -529,9 +563,10 @@ def test_sst_e4_sharp(catalog):
     report = sst_check(catalog["E4"], CohClass.zero(46))
     assert report.verdict == VERDICT_PASS
     assert report.order.kind == "exact" and report.order.value == 2
-    assert report.required_order == 2
-    assert (report.r0, report.i0) == (4, 4)
-    assert (report.r1, report.i1) == (0, 8)
+    out = report.to_dict()
+    assert out["required_order"] == 2
+    assert (out["trace"]["r_lambda0"], out["trace"]["i_lambda0"]) == (4, 4)
+    assert (out["trace"]["r_lambda1"], out["trace"]["i_lambda1"]) == (0, 8)
     assert len(report.entries) == 1
     entry = report.entries[0]
     assert entry.d == 0 and entry.m == 0 and entry.delta == 0
@@ -623,11 +658,11 @@ def test_sst_runs_no_relation_kernel_below_the_order(fixtures_dir, monkeypatch):
     # sw-3 copy the order is 0, every degree is computed, and the sums are
     # nonzero
     calls = []
-    compute = relations._relation_values
+    compute = relations._zero_sums
 
-    def recording(m, w, lam, delta, ms):
-        calls.append(sorted(delta - 2 * mm for mm in ms))
-        return compute(m, w, lam, delta, ms)
+    def recording(series, lam, degrees):
+        calls.append(sorted(degrees))
+        return compute(series, lam, degrees)
 
     def refused(*args):
         raise AssertionError("a passing sst computed a relation sum")
@@ -636,18 +671,14 @@ def test_sst_runs_no_relation_kernel_below_the_order(fixtures_dir, monkeypatch):
     m, w = manifest.to_manifold(), CohClass(manifest.w)
     e20 = parse_manifest(json.dumps(_elliptic(20))).to_manifold()
     with monkeypatch.context() as patch:
-        for name in ("_relation_values", "twist", "power_sums"):
+        for name in ("_zero_sums", "twist", "power_sums"):
             patch.setattr(relations, name, refused)
         for manifold, w_class in ((m, w), (e20, characteristic_vector(e20.form))):
             report = sst_check(manifold, w_class)
             assert report.verdict == VERDICT_PASS
             assert report.entries and all(e.relation_is_zero for e in report.entries)
-    monkeypatch.setattr(relations, "_relation_values", recording)
-    heavy = {(2, -2, 2, -2), (-2, 2, -2, 2)}
-    corrupted = replace(m, basic_classes=tuple(
-        BasicClassEntry(e.k, 3) if tuple(e.k.coords[i] for i in (2, 5, 10, 19)) in heavy else e
-        for e in m.basic_classes
-    ))
+    monkeypatch.setattr(relations, "_zero_sums", recording)
+    corrupted = sw_three_copy(m)
     report = sst_check(corrupted, w)
     assert report.verdict == VERDICT_FAIL
     assert calls == [[0, 2, 4, 6]]
@@ -724,7 +755,8 @@ def test_dvanish_e3_case_four_empty_sweep(catalog):
     assert report.verdict == VERDICT_PASS
     assert report.case_mod_8 == 4
     assert report.admissible_d == ()
-    assert report.r == -1 and report.i == 7
+    trace = report.to_dict()["trace"]
+    assert trace["r_lambda"] == -1 and trace["i_lambda"] == 7
 
 
 def test_dvanish_e5_relation_route(catalog):
@@ -770,7 +802,8 @@ def test_dvanish_uncovered_degrees_fail_with_one_note_each():
     m = FourManifold("uncovered", 60, -40, 9, form, ())
     report = dvanish_theorem_check(m, CohClass((0, 0, 0, 0, 1)))
     assert report.verdict == VERDICT_FAIL
-    assert (report.r, report.i, report.admissible_d) == (1, 9, (0, 4))
+    trace = report.to_dict()["trace"]
+    assert (trace["r_lambda"], trace["i_lambda"], report.admissible_d) == (1, 9, (0, 4))
     assert [(e.d, e.m, e.route, e.value_is_zero) for e in report.entries] == [
         (0, 0, "vanishing", True),
         (4, 0, "uncovered", False),
@@ -782,8 +815,8 @@ def test_dvanish_uncovered_degrees_fail_with_one_note_each():
 
 def test_dvanish_compares_r_and_i_a_few_times_per_degree(monkeypatch):
     # the route depends on the degree alone, so dvanish compares r and i at
-    # most three times per admissible degree, plus the relation route's two
-    # hypothesis checks, not once per (d, m): about c^2/4 comparisons
+    # most three times per admissible degree, not once per (d, m): about
+    # c^2/4 comparisons; the relation route checks no hypothesis again
     compared = []
 
     def counting(op):
@@ -805,7 +838,7 @@ def test_dvanish_compares_r_and_i_a_few_times_per_degree(monkeypatch):
         report = dvanish_theorem_check(m, characteristic_vector(m.form))
         assert report.verdict == VERDICT_PASS
         assert sum(e.route == "relation" for e in report.entries) == relation_entries
-        assert 0 < len(compared) <= 3 * len(report.admissible_d) + 2
+        assert 0 < len(compared) <= 3 * len(report.admissible_d)
 
 
 def test_dvanish_checks_lambda_even_explicitly(catalog, monkeypatch):
