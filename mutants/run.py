@@ -47,7 +47,7 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("sst-required-order", "src/swcalc/relations.py",
            "required = c_int - 2", "required = c_int - 1",
-           ("tests/test_relations.py",)),
+           ("tests/test_relations.py", "tests/test_product_family.py")),
     Mutant("degree-residue-off-by-2", "src/swcalc/relations.py",
            "return None if rhs % 2 else rhs // 2 % 4",
            "return None if rhs % 2 else (rhs // 2 + 2) % 4",
@@ -67,7 +67,7 @@ MUTANTS = (
     Mutant("parity-fold-without-doubling", "src/swcalc/series.py",
            "folded = tuple((2 * a, k) for a, k in s.terms[:half])",
            "folded = tuple((a, k) for a, k in s.terms[:half])",
-           ("tests/test_series.py",)),
+           ("tests/test_series.py", "tests/test_product_family.py")),
     Mutant("sw-series-sign-forced-to-1", "src/swcalc/series.py",
            "sign = -1 if (e // 2) % 2 else 1", "sign = 1",
            ("tests/test_series.py",)),
@@ -158,6 +158,16 @@ MUTANTS = (
            "        fields = {\"verdict\": VERDICT_UNDETERMINED, \"error\": str(e)}",
            "        head, fields = {}, {\"verdict\": VERDICT_UNDETERMINED, \"error\": str(e)}",
            ("tests/test_manifest_cli.py",)),
+    Mutant("witten-recurrence-index-one-high", "src/swcalc/series.py",
+           "l * e + n * q * p", "l * e + (n + 1) * q * p",
+           ("tests/test_series.py",)),
+    Mutant("witten-direction-scale-dropped", "src/swcalc/series.py",
+           "scale *= (n + 1) * den", "scale *= n + 1",
+           ("tests/test_series.py::test_witten_series_e3_direction",
+            "tests/test_series.py::test_evaluate_along_matches_the_written_out_definition")),
+    Mutant("sst-half-pair-checked-after-the-walk", "src/swcalc/relations.py",
+           "    if (lambda0 is None) != (lambda1 is None):\n", "    if False:\n",
+           ("tests/test_relations.py::test_sst_rejects_a_half_pair_before_the_series_walk",)),
     Mutant("report-str-fallback", "src/swcalc/report.py",
            "raise TypeError(f\"no exact JSON form for {type(value).__name__}\")",
            "return str(value)",

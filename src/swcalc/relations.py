@@ -293,13 +293,13 @@ def sst_check(
             VERDICT_PASS_VACUOUS, w, c, None, None, None,
             notes=(f"c = {c}: c - 3 < 0, nothing to check",),
         )
+    if (lambda0 is None) != (lambda1 is None):
+        raise HypothesisViolation("lambda_pair_supplied_together", "")
     c_int = int(c)
     required = c_int - 2
     series = sw_series(m, w)
     order = vanishing_order(series, c_int + 4)
 
-    if (lambda0 is None) != (lambda1 is None):
-        raise HypothesisViolation("lambda_pair_supplied_together", "")
     if lambda0 is None:
         classes = _abundance_classes(m, radius)
         lambda0, lambda1 = classes.lambda0, classes.lambda1

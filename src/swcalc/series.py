@@ -13,8 +13,8 @@ identically zero as a function exactly when all its coefficients vanish.
 
 The span reduction is fraction-free: every class gets an integer row over
 the pivots, with one common denominator.  One lazy power-sum kernel reads
-every Taylor coefficient that vanishing_order, power_sums and evaluate_along
-need; jet_expand is the independent Fraction route the tests compare it to.
+every Taylor coefficient that vanishing_order and power_sums need; jet_expand
+is its Fraction oracle.  evaluate_along runs an integer three-term recurrence.
 """
 
 from enum import Enum
@@ -402,8 +402,8 @@ class GaussianSeries:
     """prefactor * exp(quad_coeff * h.h) * core."""
 
     prefactor: Fraction
-    quad_coeff: Fraction
     core: ExpSum
+    quad_coeff = Fraction(1, 2)  # not a field: evaluate_along's recurrence assumes 1/2
 
 
 def witten_series(m: FourManifold, w: CohClass) -> GaussianSeries:
@@ -412,30 +412,29 @@ def witten_series(m: FourManifold, w: CohClass) -> GaussianSeries:
     if c.denominator != 1:
         raise NonIntegralC(f"characteristic number {c} is not an integer")
     prefactor = Fraction(2) ** (2 - int(c))
-    return GaussianSeries(prefactor, Fraction(1, 2), sw_series(m, w))
+    return GaussianSeries(prefactor, sw_series(m, w))
 
 
 def evaluate_along(g: GaussianSeries, direction: Direction, order: int) -> list[Fraction]:
-    """Substitute h = t * direction; exact univariate jet in t through order."""
+    """Substitute h = t * direction; exact univariate jet in t through order.
+
+    With u = D * direction integral (D the least such) and l = <k, u>, the
+    term exp(h.h/2 + <k, h>) is f(t/D) for f(s) = exp((u.u) s^2/2 + l s).
+    As f' = ((u.u) s + l) f, f = sum_n e_n s^n/n! with e_0 = 1, e_1 = l and
+    e_(n+1) = l e_n + n (u.u) e_(n-1), all integers; so the t^n coefficient
+    is prefactor * sum_k a_k e_n(l_k) / (n! D^n), one division per n."""
     if order < 0:
         raise PreconditionError("order must be nonnegative")
-    gd = covector(g.core.ambient, direction)
-    q = g.quad_coeff * dot(gd, direction)
-
-    quad = [Fraction(0)] * (order + 1)
-    for j in range(order // 2 + 1):
-        quad[2 * j] = q**j / factorial(j)
-
-    coeffs = [a for a, _ in g.core.terms]
-    lins = [dot(gd, k) for _, k in g.core.terms]
-    powers = []
-    core = [Fraction(v, factorial(d))
-            for d in range(order + 1) for _, v in _power_sums([lins], coeffs, d, powers)]
-
-    out = [Fraction(0)] * (order + 1)
-    for i in range(order + 1):
-        if quad[i] == 0:
-            continue
-        for j in range(order + 1 - i):
-            out[i + j] += quad[i] * core[j]
-    return [g.prefactor * x for x in out]
+    den = lcm(*(x.denominator for _, x in direction.support))
+    u = CohClass.from_support(direction.rank, [(t, int(x * den)) for t, x in direction.support])
+    gu = covector(g.core.ambient, u)
+    q, lins = dot(gu, u), [dot(gu, k) for _, k in g.core.terms]
+    den_a = lcm(*(a.denominator for a, _ in g.core.terms))
+    coeffs = [int(a * den_a) for a, _ in g.core.terms]
+    num, scale = g.prefactor.numerator, g.prefactor.denominator * den_a  # times n! D^n at n
+    prev, cur, out = [0] * len(lins), [1] * len(lins), []
+    for n in range(order + 1):
+        out.append(Fraction(num * sum(map(mul, coeffs, cur)), scale))
+        prev, cur = cur, [l * e + n * q * p for l, e, p in zip(lins, cur, prev)]
+        scale *= (n + 1) * den
+    return out

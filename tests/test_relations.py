@@ -590,6 +590,22 @@ def test_sst_rejects_bad_user_pair(catalog):
         sst_check(e4, CohClass.zero(46), lambda0=2 * u - 4 * v, lambda1=2 * u - 3 * v)
 
 
+def test_sst_rejects_a_half_pair_before_the_series_walk(catalog, monkeypatch):
+    # the half-pair check comes before sw_series and vanishing_order, so a
+    # walk that raises is never reached; below c - 3 < 0 nothing is checked
+    def refused(*args):
+        raise AssertionError("sst walked the series before checking the pair")
+
+    monkeypatch.setattr(relations, "vanishing_order", refused)
+    u, v = unit(46, 2), unit(46, 3)
+    for half in ({"lambda0": u - 8 * v}, {"lambda1": u - 6 * v}):
+        with pytest.raises(HypothesisViolation) as e:
+            sst_check(catalog["E4"], CohClass.zero(46), **half)
+        assert e.value.precondition == "lambda_pair_supplied_together"
+    k3 = sst_check(catalog["K3"], CohClass.zero(22), lambda0=unit(22, 2))
+    assert k3.verdict == VERDICT_PASS_VACUOUS
+
+
 def test_sst_checks_r_and_i_of_the_pair_explicitly(catalog, monkeypatch):
     # With the supplied-pair check bypassed, a lambda0 of the wrong square
     # reaches the (r, i) identities, which must raise rather than assert.

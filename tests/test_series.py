@@ -26,6 +26,7 @@ from swcalc.manifold import BasicClassEntry, FourManifold
 from swcalc.series import (
     Direction,
     ExpSum,
+    GaussianSeries,
     Parity,
     VanishingOrder,
     _dense_order,
@@ -537,6 +538,14 @@ def rational_span_reference(form, span_classes, expand_classes):
     return pivots, [rational_solve(columns, covector(k)) for k in expand_classes]
 
 
+BLOCKS = st.one_of(
+    st.just(HyperbolicBlock()),
+    st.builds(E8Block, st.sampled_from((1, -1))),
+    st.builds(DiagonalBlock, st.lists(
+        st.integers(-3, 3).filter(bool), min_size=1, max_size=3).map(tuple)),
+)
+
+
 @st.composite
 def span_reduction_cases(draw):
     """A lattice of H, +-E8 and diagonal blocks with a shuffled class list.
@@ -547,13 +556,7 @@ def span_reduction_cases(draw):
     multiple 2c or 3c comes first gets a row with that denominator) and
     integer combinations of the span classes.
     """
-    block = st.one_of(
-        st.just(HyperbolicBlock()),
-        st.builds(E8Block, st.sampled_from((1, -1))),
-        st.builds(DiagonalBlock, st.lists(
-            st.integers(-3, 3).filter(bool), min_size=1, max_size=3).map(tuple)),
-    )
-    form = draw(st.lists(block, min_size=1, max_size=3)
+    form = draw(st.lists(BLOCKS, min_size=1, max_size=3)
                 .map(IntegralLattice.from_blocks).filter(lambda f: f.rank > 1))
     n = form.rank
     small = st.integers(-2, 2)
@@ -646,6 +649,7 @@ def test_witten_series_k3(catalog):
     k3 = catalog["K3"]
     g = witten_series(k3, CohClass.zero(22))
     assert g.prefactor == 1 and g.quad_coeff == Fraction(1, 2)
+    assert GaussianSeries._fields == ("prefactor", "core")  # 1/2 is a constant, not a field
     # direction with square 2: the first hyperbolic block diagonal
     d = Direction.of([1, 1] + [0] * 20)
     assert evaluate_along(g, d, 2) == [Fraction(1), Fraction(0), Fraction(1)]
@@ -668,6 +672,48 @@ def test_witten_series_e3_direction(catalog):
     assert evaluate_along(g, d, 3) == [
         Fraction(0), Fraction(1), Fraction(0), Fraction(1, 6)
     ]
+
+
+def witten_taylor_oracle(g, direction: Direction, order: int) -> list[Fraction]:
+    """The t^n coefficients of prefactor * exp(v.v t^2/2) * sum_k a_k exp(<k, v> t),
+    written out: prefactor * sum_k a_k sum_(j <= n/2) (v.v/2)^j <k, v>^(n-2j)
+    / (j! (n-2j)!), each pairing read off the dense Gram."""
+    gram = dense_block_gram(g.core.ambient.blocks)
+    v = direction.coords
+
+    def pair(a, b):
+        return sum(x * gij * y for x, row in zip(a, gram) for gij, y in zip(row, b))
+
+    half = Fraction(pair(v, v), 2)
+    lins = [(a, pair(k.coords, v)) for a, k in g.core.terms]
+    return [g.prefactor * sum(
+        a * sum(half**j * x**(n - 2 * j) / (math.factorial(j) * math.factorial(n - 2 * j))
+                for j in range(n // 2 + 1))
+        for a, x in lins) for n in range(order + 1)]
+
+
+@st.composite
+def witten_cases(draw):
+    """A Gaussian series over H, +-E8 and diagonal blocks with rational
+    coefficients (the empty sum among them), and a rational direction (the
+    zero direction among them)."""
+    form = draw(st.lists(BLOCKS, min_size=1, max_size=2).map(IntegralLattice.from_blocks))
+    n = form.rank
+    coeff = st.fractions(-3, 3, max_denominator=4)
+    terms = draw(st.lists(st.tuples(coeff, st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
+                          max_size=4))
+    core = ExpSum.build(form, [(a, CohClass(tuple(k))) for a, k in terms])
+    prefactor = Fraction(2) ** draw(st.integers(-3, 3))
+    x = st.one_of(st.just(Fraction(0)), st.fractions(-2, 2, max_denominator=3))
+    coords = draw(st.one_of(st.just([0] * n), st.lists(x, min_size=n, max_size=n)))
+    return GaussianSeries(prefactor, core), Direction.of(coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(witten_cases(), st.integers(0, 20))
+def test_evaluate_along_matches_the_written_out_definition(case, order):
+    g, direction = case
+    assert evaluate_along(g, direction, order) == witten_taylor_oracle(g, direction, order)
 
 
 def test_witten_series_non_integral_c():
