@@ -151,9 +151,14 @@ MUTANTS = (
            "out[\"required_order\"] = int(self.c) - 2", "out[\"required_order\"] = int(self.c) - 1",
            ("tests/test_relations.py",)),
     Mutant("sst-reads-the-order-degree-as-zero", "src/swcalc/relations.py",
-           "below = delta + 1 if order.value is None else order.value ",
-           "below = delta + 1 if order.value is None else order.value + 1 ",
+           "order.satisfies(delta - 2 * mm + 1)", "order.satisfies(delta - 2 * mm)",
            ("tests/test_relations.py",)),
+    Mutant("dvanish-reads-the-order-degree-as-zero", "src/swcalc/relations.py",
+           "order.satisfies(d - 2 * mm + 1)", "order.satisfies(d - 2 * mm)",
+           ("tests/test_relations.py",)),
+    Mutant("opening-accepts-chi-plus-sigma-4", "src/swcalc/relations.py",
+           "if m.chi + m.sigma == 4:", "if False:",
+           ("tests/test_relations.py::test_sst_and_dvanish_need_chi_plus_sigma_not_4",)),
     Mutant("cli-undetermined-drops-the-manifold", "src/swcalc/cli.py",
            "        fields = {\"verdict\": VERDICT_UNDETERMINED, \"error\": str(e)}",
            "        head, fields = {}, {\"verdict\": VERDICT_UNDETERMINED, \"error\": str(e)}",

@@ -47,7 +47,7 @@ from .report import (  # all four stay importable from here
     VERDICT_PASS_VACUOUS,
     VERDICT_UNDETERMINED,
 )
-from .series import ExpSum, Jet, power_sums, sw_series, twist, vanishing_order
+from .series import Jet, power_sums, sw_series, twist, vanishing_order
 
 
 def depth_value(chi: int, sigma: int, lam_square: int) -> Fraction:
@@ -159,17 +159,11 @@ def dswrel_value(m: FourManifold, q: RelationQuery) -> Jet:
     return power_sums(twist(sw_series(m, w), lam, -1), (q.d,))[q.d].scale(sign * power_of_two)
 
 
-def _zero_sums(series: ExpSum, lam: CohClass, degrees) -> dict[int, bool]:
-    """{d: whether sum_k sw(k) <k - lam, h>^d is zero}, for series = sw_series(m, w).
-    With k.lam = 0 for each basic class k and lam.lam even, sw_series(m, w + lam)
-    is +-sw_series(m, w), so these are the zero tests of dswrel_value at
-    (w + lam, lam): its sign and power of two are units."""
-    return {d: s.is_zero() for d, s in power_sums(twist(series, lam, -1), degrees).items()}
-
-
 def _opening(m: FourManifold, w: CohClass, what: str, mod8: bool) -> Fraction:
     """The hypotheses sst and dvanish share, in order: the conjecture flag,
-    w characteristic (and w.w = sigma mod 8 when mod8), c integral; returns c."""
+    w characteristic (and w.w = sigma mod 8 when mod8), c integral, and
+    chi + sigma != 4 (b_plus = 1), so that the square 4 - (chi+sigma) of
+    their relation classes is nonzero; returns c."""
     if not m.assume_conjecture:
         raise ConjectureNotAssumed(f"the vanishing {what} is conditional on the conjecture")
     if not is_characteristic(m.form, w):
@@ -181,6 +175,8 @@ def _opening(m: FourManifold, w: CohClass, what: str, mod8: bool) -> Fraction:
     c = characteristic_number(m)
     if c.denominator != 1:
         raise NonIntegralC(f"characteristic number {c} is not an integer")
+    if m.chi + m.sigma == 4:
+        raise HypothesisViolation("chi_plus_sigma_not_4", "chi + sigma = 4, so b_plus = 1")
     return c
 
 
@@ -280,11 +276,13 @@ def sst_check(
 
     Lemma: k.lambda1 = 0 for each basic class k (checked below), and
     lambda1.lambda1 = 4 - (chi+sigma) is divisible by 4 since c is an
-    integer.  Hence sw_series(m, w + lambda1) is
-    (-1)^((2 w.lambda1 + lambda1.lambda1)/2) sw_series(m, w), and since
-    exp(-<lambda1, h>) is a unit of the power-series ring, the twisted sum
-    has the order of sw_series(m, w): each relation sum of degree below
-    that order is zero.  Only the degrees at or above it are computed.
+    integer, and nonzero (see _opening).  So sw_series(m, w + lambda1) = +-S
+    with S = sw_series(m, w), and the degree-d relation sum is +-d! times
+    the degree-d part of exp(-l) S, l = <lambda1, h>.  That part is zero
+    below o = ord S, since exp(-l) is a unit.  For d >= o its l^(d-o)
+    coefficient is +-S_o/(d-o)!, and l is free of S's variables: lambda1 =
+    sum c_j k_j would give lambda1.lambda1 = sum c_j lambda1.k_j = 0.  So
+    each sum is zero exactly when S vanishes to order > d.
     """
     c = _opening(m, w, "bound", mod8=True)
     notes = []
@@ -297,8 +295,7 @@ def sst_check(
         raise HypothesisViolation("lambda_pair_supplied_together", "")
     c_int = int(c)
     required = c_int - 2
-    series = sw_series(m, w)
-    order = vanishing_order(series, c_int + 4)
+    order = vanishing_order(sw_series(m, w), c_int + 4)
 
     if lambda0 is None:
         classes = _abundance_classes(m, radius)
@@ -315,13 +312,10 @@ def sst_check(
 
     delta = c_int - 4
     ms = range(delta // 2 + 1)  # every m >= 0 with d = delta - 2m >= 0
-    below = delta + 1 if order.value is None else order.value  # None: the zero series
-    live = [mm for mm in ms if delta - 2 * mm >= below]
-    zero = _zero_sums(series, lambda1, [delta - 2 * mm for mm in live]) if live else {}
     applies = delta < r0 and delta < i0  # the vanishing branch for lambda0
-    entries = [SstEntry(delta - 2 * mm, mm, delta, applies, zero.get(delta - 2 * mm, True))
-               for mm in ms]
-    all_zero = all(zero.values())
+    entries = [SstEntry(delta - 2 * mm, mm, delta, applies,
+                        order.satisfies(delta - 2 * mm + 1)) for mm in ms]
+    all_zero = all(e.relation_is_zero for e in entries)
 
     ok = order.satisfies(required) and all_zero
     if not order.satisfies(required):
@@ -387,8 +381,9 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass,
     Splits on -(chi+sigma) mod 8.  In the 0 case a single all-even class
     of square -(chi+sigma) covers every admissible degree through the
     vanishing branch; in the 4 case degrees up to c-8 use the vanishing
-    branch and d = c-4 is settled by the explicit relation sum, which is
-    asserted to vanish.
+    branch and d = c-4 by the relation sums, asserted to vanish: lam is
+    orthogonal to every basic class with lam.lam = 4 - (chi+sigma) != 0, so
+    each is read off the order of sw_series(m, w), by sst_check's lemma.
     """
     c = _opening(m, w, "sweep", mod8=False)
     case = (-(m.chi + m.sigma)) % 8
@@ -414,8 +409,9 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass,
         if d < r and d < i:
             entries += [DvanishEntry(d, mm, "vanishing", True) for mm in ms]
         elif d == r:
-            zero = _zero_sums(sw_series(m, w), lam, [d - 2 * mm for mm in ms])
-            entries += [DvanishEntry(d, mm, "relation", zero[d - 2 * mm]) for mm in ms]
+            order = vanishing_order(sw_series(m, w), d)
+            entries += [DvanishEntry(d, mm, "relation", order.satisfies(d - 2 * mm + 1))
+                        for mm in ms]
         else:
             entries += [DvanishEntry(d, mm, "uncovered", False) for mm in ms]
             notes += [f"degree d = {d} not covered by either branch"] * len(ms)

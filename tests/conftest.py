@@ -56,3 +56,18 @@ def relation_flag_pairs(m, w):
             for e in sst.entries] + [
         (e.value_is_zero, polynomial_is_zero(dvanish.lam, e.d, e.m))
         for e in dvanish.entries if e.route == "relation"]
+
+
+def bump_conjugate_pair(manifest, index, t):
+    """A copy of the manifest dict with |sw| raised by t on basic class
+    index and on its conjugate: sw(-k) = +-sw(k) still holds with the same
+    sign, so the copy validates whenever the manifest does."""
+    classes = manifest["basic_classes"]
+    coords = classes[index]["coords"]
+    bumped = []
+    for entry in classes:
+        if entry["coords"] in (coords, [-x for x in coords]):
+            sw = entry["sw"]
+            entry = dict(entry, sw=sw + t if sw > 0 else sw - t)
+        bumped.append(entry)
+    return dict(manifest, basic_classes=bumped)

@@ -14,7 +14,9 @@ generators are independent and Q[[h]] is an integral domain, so the series
 vanishes to order exactly sum a_i.  The theory predicts that validate
 passes, that sst passes iff sum a_i >= n - 2 = c - 2 and fails with the
 order note otherwise, and that dvanish passes (n even takes the vanishing
-branch alone).
+branch alone).  With the sw of one conjugate pair raised, the data still
+validates but is no longer a product; there each relation flag that sst
+reports must still be the zero test of relate's polynomial.
 """
 
 import json
@@ -29,6 +31,8 @@ from swcalc.manifest import parse_manifest
 from swcalc.manifold import validate
 from swcalc.relations import dvanish_theorem_check, sst_check
 from swcalc.series import VanishingOrder, sw_series, vanishing_order
+
+from conftest import bump_conjugate_pair, relation_flag_pairs
 
 
 def multiply(p, q):
@@ -145,7 +149,13 @@ def test_sst_passes_at_order_n_minus_2_and_fails_just_below(n, powers):
 
 
 @settings(max_examples=100, deadline=None)
-@given(products())
-def test_product_series_verdicts_match_the_theory(case):
+@given(products(), st.integers(0, 99), st.integers(1, 2))
+def test_product_series_verdicts_match_the_theory(case, index, t):
     n, factors, a = case
     predict_and_check(n, factors, a)
+    manifest = product_manifest(n, factors)
+    bumped = bump_conjugate_pair(manifest, index % len(manifest["basic_classes"]), t)
+    m = parse_manifest(json.dumps(bumped)).to_manifold()
+    assert validate(m).passed
+    pairs = relation_flag_pairs(m, characteristic_vector(m.form))
+    assert all(reported == polynomial for reported, polynomial in pairs)

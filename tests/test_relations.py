@@ -343,6 +343,14 @@ def sw_three_copy(m):
     ))
 
 
+def doubled_fiber_copy(e5):
+    """E5 with the sw of its +-f classes doubled: it still validates, and
+    both of its dvanish relation sums are nonzero."""
+    return replace(e5, basic_classes=tuple(
+        BasicClassEntry(e.k, 2 * e.sw if abs(e.sw) == 3 else e.sw) for e in e5.basic_classes
+    ))
+
+
 def relation_grid(m, block_units, squares_by_delta, fiber):
     """Valid (w, lam, delta, mm) queries built inside one hyperbolic block."""
     u, v = block_units
@@ -450,12 +458,8 @@ def test_sst_and_dvanish_relation_flags_match_the_polynomial_route(catalog, fixt
     manifest = parse_manifest((fixtures_dir / "wide_e10_2222.json").read_text())
     wide, w_wide = manifest.to_manifold(), CohClass(manifest.w)
     e41 = parse_manifest(json.dumps(_elliptic(41))).to_manifold()
-    e5 = catalog["E5"]
-    doubled = replace(e5, basic_classes=tuple(
-        BasicClassEntry(e.k, 2 * e.sw if abs(e.sw) == 3 else e.sw) for e in e5.basic_classes
-    ))
-    cases = [(m, characteristic_vector(m.form))
-             for m in (*(catalog[f"E{n}"] for n in (3, 4, 5, 6)), e41, doubled)]
+    cases = [(m, characteristic_vector(m.form)) for m in (
+        *(catalog[f"E{n}"] for n in (3, 4, 5, 6)), e41, doubled_fiber_copy(catalog["E5"]))]
     cases += [(wide, w_wide), (sw_three_copy(wide), w_wide)]
     counts = []
     for m, w in cases:
@@ -667,38 +671,65 @@ def test_sw_series_shifted_by_an_orthogonal_even_class_changes_by_one_sign(catal
     assert signs == {1, -1}
 
 
-def test_sst_runs_no_relation_kernel_below_the_order(fixtures_dir, monkeypatch):
-    # sst computes a relation sum only at the degrees at or above the
-    # series' vanishing order, where the lemma says nothing: on the passing
-    # data no degree is left, so it twists nothing and runs no kernel; on the
-    # sw-3 copy the order is 0, every degree is computed, and the sums are
-    # nonzero
-    calls = []
-    compute = relations._zero_sums
-
-    def recording(series, lam, degrees):
-        calls.append(sorted(degrees))
-        return compute(series, lam, degrees)
-
+def test_sst_and_dvanish_run_no_relation_kernel(catalog, fixtures_dir, monkeypatch):
+    # sst and dvanish read every relation flag off the series' vanishing
+    # order, so they twist nothing and run no power-sum kernel, whether the
+    # sums vanish or not: on the width-4 fixture (sst, all zero), its sw-3
+    # copy (sst, none zero), E(41) (dvanish, 19 zero) and E(5) with the sw
+    # of +-f doubled (dvanish, both nonzero); relate's polynomial agrees
     def refused(*args):
-        raise AssertionError("a passing sst computed a relation sum")
+        raise AssertionError("sst or dvanish ran the relation kernel")
 
     manifest = parse_manifest((fixtures_dir / "wide_e10_2222.json").read_text())
-    m, w = manifest.to_manifold(), CohClass(manifest.w)
-    e20 = parse_manifest(json.dumps(_elliptic(20))).to_manifold()
+    wide, w_wide = manifest.to_manifold(), CohClass(manifest.w)
+    e41 = parse_manifest(json.dumps(_elliptic(41))).to_manifold()
+    cases = [(wide, w_wide), (sw_three_copy(wide), w_wide)] + [
+        (m, characteristic_vector(m.form)) for m in (e41, doubled_fiber_copy(catalog["E5"]))]
+    flags = []
     with monkeypatch.context() as patch:
-        for name in ("_zero_sums", "twist", "power_sums"):
+        for name in ("power_sums", "twist"):
             patch.setattr(relations, name, refused)
-        for manifold, w_class in ((m, w), (e20, characteristic_vector(e20.form))):
-            report = sst_check(manifold, w_class)
-            assert report.verdict == VERDICT_PASS
-            assert report.entries and all(e.relation_is_zero for e in report.entries)
-    monkeypatch.setattr(relations, "_zero_sums", recording)
-    corrupted = sw_three_copy(m)
-    report = sst_check(corrupted, w)
-    assert report.verdict == VERDICT_FAIL
-    assert calls == [[0, 2, 4, 6]]
-    assert not any(e.relation_is_zero for e in report.entries)
+        for m, w in cases:
+            sst, dvanish = sst_check(m, w), dvanish_theorem_check(m, w)
+            flags.append([e.relation_is_zero for e in sst.entries] + [
+                e.value_is_zero for e in dvanish.entries if e.route == "relation"])
+    assert [(len(f), sum(f)) for f in flags] == [(4, 4), (4, 0), (38, 38), (2, 0)]
+    for (m, w), reported in zip(cases, flags):
+        pairs = relation_flag_pairs(m, w)
+        assert [flag for flag, _ in pairs] == reported
+        assert all(flag == polynomial for flag, polynomial in pairs), m.name
+
+
+def test_sst_and_dvanish_need_chi_plus_sigma_not_4(tmp_path, capsys):
+    # chi + sigma = 4 is b_plus = 1, which validate rejects; there the
+    # relation classes' square 4 - (chi+sigma) is 0 and the order lemma
+    # does not hold, so the library refuses such data, and the CLI still
+    # prints the validate failure
+    from swcalc.cli import main
+    from swcalc.manifold import validate
+
+    manifest = {
+        "schema_version": 1, "name": "E1", "chi": 12, "sigma": -8, "b_plus": 1,
+        "form": [{"type": "H"}, {"type": "E8", "sign": -1}], "basic_classes": [],
+        "assume_conjecture": True,
+    }
+    m = parse_manifest(json.dumps(manifest)).to_manifold()
+    assert [c.name for c in validate(m).failures()] == ["b_plus"]
+    for check in (sst_check, dvanish_theorem_check):
+        with pytest.raises(HypothesisViolation) as raised:
+            check(m, CohClass.zero(10))
+        assert raised.value.precondition == "chi_plus_sigma_not_4"
+    path = tmp_path / "e1.json"
+    path.write_text(json.dumps(manifest))
+    checks = validate(m).to_list()
+    for cmd in ("sst", "dvanish"):
+        assert main([cmd, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == render(cmd, manifold="E1", verdict=VERDICT_FAIL, validation=checks,
+                             error="input fails validation")
+        assert json.loads(out)["validation"][0] == {
+            "name": "b_plus", "ok": False, "detail": "b_plus = 1, must exceed 1"}
 
 
 def test_sst_not_characteristic(catalog):
