@@ -68,6 +68,19 @@ MUTANTS = (
            "folded = tuple((2 * a, k) for a, k in s.terms[:half])",
            "folded = tuple((a, k) for a, k in s.terms[:half])",
            ("tests/test_series.py", "tests/test_product_family.py")),
+    Mutant("division-skips-gap-gcd", "src/swcalc/series.py",
+           "step = gcd(*(y[0] - low for y in line)) or 1", "step = 1",
+           ("tests/test_series.py::test_scaled_exponents_are_read_without_the_walk",)),
+    Mutant("division-counts-one-too-many", "src/swcalc/series.py",
+           "    order = 0\n    for line in lines:", "    order = 1\n    for line in lines:",
+           ("tests/test_series.py",)),
+    Mutant("factor-split-skips-rank-one-test", "src/swcalc/series.py",
+           "if any(a * a0**m != a0 * prod(map(dict.__getitem__, lines, x)) for x, a in coeff.items()):",
+           "if False:",
+           ("tests/test_series.py",)),
+    Mutant("factor-split-skips-covector-merge", "src/swcalc/series.py",
+           "[gk, 0])[1] += a.numerator", "[gk, 0])[1] = a.numerator",
+           ("tests/test_series.py",)),
     Mutant("sw-series-sign-forced-to-1", "src/swcalc/series.py",
            "sign = -1 if (e // 2) % 2 else 1", "sign = 1",
            ("tests/test_series.py",)),

@@ -13,13 +13,16 @@ identically zero as a function exactly when all its coefficients vanish.
 
 The span reduction is fraction-free: every class gets an integer row over
 the pivots, with one common denominator.  One lazy power-sum kernel reads
-every Taylor coefficient that vanishing_order and power_sums need; jet_expand
-is its Fraction oracle.  evaluate_along runs an integer three-term recurrence.
+every Taylor coefficient that the degree walk and power_sums need; jet_expand
+is its Fraction oracle.  vanishing_order walks only sums that do not split
+into one-variable factors, whose orders it reads by division at t = 1.
+evaluate_along runs an integer three-term recurrence.
 """
 
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import factorial, gcd, lcm, prod
 from operator import mul
 
@@ -327,6 +330,76 @@ def twist(s: ExpSum, lam: CohClass, sign: int) -> ExpSum:
 def vanishing_order(s: ExpSum, cap: int) -> VanishingOrder:
     """Smallest total degree with a nonzero Taylor coefficient, up to cap.
 
+    e^<K, h> depends on G.K only, so terms with one covector merge first,
+    over integer coefficients a(x).  Covector columns that induce one
+    partition of the terms form a group g.  When the terms are the full
+    grid of their projections x_g and a(x) a(x0)^(m-1) = prod_g a(x0[g <- x_g])
+    for the first term x0 and m groups, s = a(x0)^(1-m) prod_g F_g with
+    F_g = sum_y a(x0[g <- y]) e^<y, h> on disjoint coordinates, so the
+    orders add.  A factor whose projections are multiples of one vector u is
+    P(t) = sum_y b_y t^(e_y) in t = e^<u, h>, and t - 1 is <u, h> times a
+    unit, so its order is the multiplicity of t = 1 in P.  Shifting the
+    exponents and dividing their gaps by their gcd keep it, and P = (t - 1) Q
+    while P(1) = 0, with -Q's coefficients P's running sums.  Any other sum,
+    or one with a factor whose dense span passes 4 times its terms, is
+    walked degree by degree (_walk), which gives the same results.
+    """
+    if cap < 0:
+        raise PreconditionError("cap must be nonnegative")
+    if s.is_zero():
+        return VanishingOrder.zero_series()
+    return _factored_order(s, cap) or _walk(s, cap)
+
+
+def _factored_order(s: ExpSum, cap: int) -> VanishingOrder | None:
+    """The order of s as the sum of its factors' orders (see vanishing_order),
+    or None when s does not split into one-variable factors of small span."""
+    den = lcm(*(a.denominator for a, _ in s.terms))
+    merged: dict[frozenset, list] = {}
+    for a, k in s.terms:
+        gk = covector(s.ambient, k)
+        merged.setdefault(frozenset(gk.items()), [gk, 0])[1] += a.numerator * (den // a.denominator)
+    terms = [(gk, a) for gk, a in merged.values() if a]
+    if not terms:
+        return VanishingOrder.at_least(cap + 1)
+    groups: dict[tuple, list] = {}  # partition, as first-seen labels -> its columns' values
+    for j in dict.fromkeys(j for gk, _ in terms for j in gk):
+        column = [gk.get(j, 0) for gk, _ in terms]
+        label = {x: i for i, x in enumerate(dict.fromkeys(column))}
+        groups.setdefault(tuple(map(label.__getitem__, column)), []).append(column)
+    keys = list(zip(*(zip(*g) for g in groups.values()))) or [()]  # no column: one term
+    coeff = dict(zip(keys, (a for _, a in terms)))
+    x0, a0, m = keys[0], terms[0][1], len(groups)
+    if prod(len(set(ys)) for ys in zip(*keys)) != len(terms):
+        return None
+    lines = [{y: coeff[(*x0[:g], y, *x0[g + 1:])] for y in set(ys)}
+             for g, ys in enumerate(zip(*keys))]
+    if any(a * a0**m != a0 * prod(map(dict.__getitem__, lines, x)) for x, a in coeff.items()):
+        return None
+    order = 0
+    for line in lines:
+        z = next(y for y in line if y[0])  # the group's first column is nonzero somewhere
+        if any(z[0] * y[j] != y[0] * z[j] for y in line for j in range(1, len(z))):
+            return None
+        low = min(y[0] for y in line)
+        step = gcd(*(y[0] - low for y in line)) or 1
+        span = (max(y[0] for y in line) - low) // step + 1
+        if span > 4 * len(line):
+            return None
+        dense = [0] * span
+        for y, b in line.items():
+            dense[(y[0] - low) // step] = b
+        while not (sums := list(accumulate(dense)))[-1]:
+            order += 1
+            if order > cap:
+                return VanishingOrder.at_least(cap + 1)
+            dense = sums[:-1]
+    return VanishingOrder.exact(order)
+
+
+def _walk(s: ExpSum, cap: int) -> VanishingOrder:
+    """The order of a nonzero sum, walked degree by degree up to cap.
+
     No jet is built: the degrees are walked upward through the power-sum
     kernel, and the walk stops at the first nonzero integer sum, inside a
     degree as well as across degrees.  The coefficient of x^alpha is its
@@ -336,10 +409,6 @@ def vanishing_order(s: ExpSum, cap: int) -> VanishingOrder:
     and +-a<-k, h>^n add up to 2a<k, h>^n there.  Term i and term -1-i are
     the pair (see parity); the zero class is the middle term, kept as it is.
     """
-    if cap < 0:
-        raise PreconditionError("cap must be nonnegative")
-    if s.is_zero():
-        return VanishingOrder.zero_series()
     first, step = 0, 1
     p = parity(s)
     if p is not Parity.NEITHER:

@@ -43,6 +43,15 @@ def dense_block_gram(blocks):
     return gram
 
 
+def multiply(p, q):
+    """The product of two Laurent polynomials given as {exponent: coefficient}."""
+    out = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            out[a + b] = out.get(a + b, 0) + x * y
+    return out
+
+
 def relation_flag_pairs(m, w):
     """(reported, polynomial) for each relation sum that sst and dvanish report
     on (m, w): the zero flag each pipeline reports, and whether dswrel_value

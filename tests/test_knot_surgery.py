@@ -22,6 +22,7 @@ from math import comb
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import swcalc.series as series
 from swcalc.catalog import _elliptic
 from swcalc.lattice import characteristic_vector
 from swcalc.manifest import parse_manifest
@@ -29,16 +30,7 @@ from swcalc.manifold import validate
 from swcalc.relations import dvanish_theorem_check, sst_check
 from swcalc.series import VanishingOrder
 
-from conftest import bump_conjugate_pair, relation_flag_pairs
-
-
-def multiply(p, q):
-    """The product of two Laurent polynomials given as {exponent: coefficient}."""
-    out = {}
-    for a, x in p.items():
-        for b, y in q.items():
-            out[a + b] = out.get(a + b, 0) + x * y
-    return out
+from conftest import bump_conjugate_pair, multiply, relation_flag_pairs
 
 
 def knot_surgery_manifest(n, alexander):
@@ -132,3 +124,23 @@ def test_perturbed_knot_surgery_relation_flags_match_the_polynomial_route(
     assert validate(m).passed
     pairs = relation_flag_pairs(m, characteristic_vector(m.form))
     assert all(reported == polynomial for reported, polynomial in pairs)
+
+
+def test_the_torus_knot_t_2_41_on_e_320(monkeypatch):
+    # Delta = t^20 - t^19 + ... + t^-20: 359 classes of rank 3838, one
+    # variable; the order engine reads the order 318 by division at t = 1,
+    # with no walk, and sst and dvanish give E(320)'s verdicts
+    def refused(*args):
+        raise AssertionError("the order engine walked a one-variable series")
+
+    manifest = knot_surgery_manifest(320, {k: (-1) ** abs(k) for k in range(-20, 21)})
+    assert len(manifest["basic_classes"]) == 359
+    m = to_manifold(manifest)
+    assert validate(m).passed
+    w = characteristic_vector(m.form)
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_power_sums", refused)
+        sst = sst_check(m, w)
+        dvanish = dvanish_theorem_check(m, w)
+    assert sst.order == VanishingOrder.exact(318)
+    assert (sst.verdict, dvanish.verdict) == elliptic_verdicts(320)

@@ -32,16 +32,7 @@ from swcalc.manifold import validate
 from swcalc.relations import dvanish_theorem_check, sst_check
 from swcalc.series import VanishingOrder, sw_series, vanishing_order
 
-from conftest import bump_conjugate_pair, relation_flag_pairs
-
-
-def multiply(p, q):
-    """The product of two Laurent polynomials given as {exponent: coefficient}."""
-    out = {}
-    for a, x in p.items():
-        for b, y in q.items():
-            out[a + b] = out.get(a + b, 0) + x * y
-    return out
+from conftest import bump_conjugate_pair, multiply, relation_flag_pairs
 
 
 def sinh_power(a):

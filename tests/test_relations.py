@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import swcalc.lattice as lattice_module
 import swcalc.manifold as manifold_module
 import swcalc.relations as relations
+import swcalc.series as series_module
 from swcalc.errors import (
     AbundanceInconsistent,
     AbundanceUndetermined,
@@ -699,6 +700,23 @@ def test_sst_and_dvanish_run_no_relation_kernel(catalog, fixtures_dir, monkeypat
         assert [flag for flag, _ in pairs] == reported
         assert all(flag == polynomial for flag, polynomial in pairs), m.name
 
+
+def test_sst_reads_its_order_without_the_walk(fixtures_dir, monkeypatch):
+    # E(40)'s series is one polynomial in t = e^f and the width-4 fixture's
+    # a product of four: the order engine reads both by division at t = 1,
+    # so sst runs no power-sum kernel at all
+    def refused(*args):
+        raise AssertionError("sst walked the series through the power-sum kernel")
+
+    manifest = parse_manifest((fixtures_dir / "wide_e10_2222.json").read_text())
+    cases = [(manifest.to_manifold(), CohClass(manifest.w), 8)]
+    e40 = parse_manifest(json.dumps(_elliptic(40))).to_manifold()
+    cases.append((e40, characteristic_vector(e40.form), 38))
+    monkeypatch.setattr(series_module, "_power_sums", refused)
+    for m, w, order in cases:
+        report = sst_check(m, w)
+        assert report.verdict == VERDICT_PASS and report.order.value == order
+        assert report.entries and all(e.relation_is_zero for e in report.entries)
 
 def test_sst_and_dvanish_need_chi_plus_sigma_not_4(tmp_path, capsys):
     # chi + sigma = 4 is b_plus = 1, which validate rejects; there the

@@ -42,7 +42,7 @@ from swcalc.series import (
     witten_series,
 )
 
-from conftest import dense_block_gram
+from conftest import dense_block_gram, multiply
 
 H = IntegralLattice.from_blocks([HyperbolicBlock()])
 DIAG11 = IntegralLattice.from_blocks([DiagonalBlock((1, -1))])
@@ -413,7 +413,9 @@ def expand_product(lattice, factors):
 
 def test_vanishing_order_walks_only_the_degrees_of_its_parity(monkeypatch):
     # an even sum has no odd part and an odd sum no even part, so their walks
-    # skip those degrees; a sum of neither parity walks every degree
+    # skip those degrees; a sum of neither parity walks every degree.  These
+    # products split into one-variable factors, so vanishing_order reads them
+    # by division; the walk is called directly
     g, h = CohClass.unit(8, 0), CohClass.unit(8, 2)
     sinh_g, sinh_h = [(1, g), (-1, -g)], [(1, h), (-1, -h)]
     cases = [
@@ -436,9 +438,10 @@ def test_vanishing_order_walks_only_the_degrees_of_its_parity(monkeypatch):
 
         monkeypatch.setattr(series, "_power_sums", recording)
         assert parity(s) == sign
-        assert vanishing_order(s, cap) == order
+        assert series._walk(s, cap) == order
         assert degrees == walked
         monkeypatch.undo()
+        assert vanishing_order(s, cap) == order
         low = min(map(sum, jet_expand(s, cap).coefficients), default=None)
         assert order == (VanishingOrder.at_least(cap + 1) if low is None else VanishingOrder.exact(low))
 
@@ -498,6 +501,146 @@ def test_vanishing_order_rows_with_coprime_denominators():
     s = ExpSum.build(H4, [(1, CohClass.zero(8)), (3, 2 * g), (-2, 3 * g), (1, -3 * h), (-3, -h)])
     assert vanishing_order(s, 4) == VanishingOrder.exact(2)
     assert min(map(sum, jet_expand(s, 4).coefficients), default=None) == 2
+
+
+# The order engine against the walk, an oracle pair kept on purpose: the
+# engine splits a sum into factors over disjoint covector columns and reads
+# each one-variable factor's order as the multiplicity of t = 1 by division;
+# series._walk is the degree walk it falls back to.
+
+
+@st.composite
+def one_variable_polynomials(draw, max_a, max_u):
+    """(a, t^shift (t^c - 1)^a u(t^c)) with u(1) != 0, so the root t = 1 has
+    multiplicity exactly a; c scales the exponents, so their gaps share c."""
+    a = draw(st.integers(0, max_a))
+    u = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=max_u).filter(lambda u: sum(u)))
+    c, shift = draw(st.integers(1, 4)), draw(st.integers(-3, 3))
+    poly = {shift: 1}
+    for _ in range(a):
+        poly = multiply(poly, {c: 1, 0: -1})
+    poly = multiply(poly, {c * i: x for i, x in enumerate(u)})
+    return a, {e: x for e, x in poly.items() if x}
+
+
+def h_block_class(block, p, q, e):
+    """e * (p e_b + q f_b) in H4, where e_b, f_b span the block-th H."""
+    coords = [0] * 8
+    coords[2 * block], coords[2 * block + 1] = e * p, e * q
+    return CohClass(tuple(coords))
+
+
+H_DIRECTIONS = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+
+
+def perturbed(s, draw):
+    """s with one coefficient moved by a nonzero amount (to zero drops it)
+    or one term dropped."""
+    i = draw(st.integers(0, len(s.terms) - 1))
+    terms = list(s.terms)
+    if draw(st.booleans()):
+        del terms[i]
+    else:
+        terms[i] = (terms[i][0] + draw(st.integers(-2, 2).filter(bool)), terms[i][1])
+    return ExpSum.build(s.ambient, terms)
+
+
+def assert_engine_matches_the_walk(s, cap):
+    expected = VanishingOrder.zero_series() if s.is_zero() else series._walk(s, cap)
+    assert vanishing_order(s, cap) == expected
+    return expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_variable_polynomials(4, 3), st.integers(0, 3), H_DIRECTIONS, st.integers(0, 9),
+       st.booleans(), st.data())
+def test_vanishing_order_matches_the_walk_on_one_variable_sums(case, block, direction, cap,
+                                                               perturb, data):
+    # exponents along a direction (p, q) of one H block, non-primitive among
+    # them: with p and q both nonzero the factor spans two covector columns
+    a, poly = case
+    s = ExpSum.build(H4, [(x, h_block_class(block, *direction, e)) for e, x in poly.items()])
+    if perturb:
+        s = perturbed(s, data.draw)
+    order = assert_engine_matches_the_walk(s, cap)
+    if not perturb:
+        # degree <= 6: a dense span of at most 7, within 4 times any count of
+        # two or more terms (a single term spans 1), so the split accepts it
+        assert series._factored_order(s, cap) == order
+        assert order == (VanishingOrder.exact(a) if a <= cap else VanishingOrder.at_least(cap + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(one_variable_polynomials(2, 2), H_DIRECTIONS), min_size=1, max_size=4),
+       st.integers(0, 8), st.booleans(), st.data())
+def test_vanishing_order_matches_the_walk_on_products(factors, cap, perturb, data):
+    # products of one-variable factors over distinct H blocks split and
+    # add their orders; with one coefficient moved or one term dropped, a
+    # product of two or more factors of two or more terms is no longer a
+    # rank-one grid, so the split declines and the walk decides
+    s = expand_product(H4, [
+        [(x, h_block_class(block, *direction, e)) for e, x in poly.items()]
+        for block, ((_, poly), direction) in enumerate(factors)])
+    total = sum(a for (a, _), _ in factors)
+    if not perturb:
+        order = assert_engine_matches_the_walk(s, cap)
+        assert series._factored_order(s, cap) == order
+        assert order == (VanishingOrder.exact(total) if total <= cap
+                         else VanishingOrder.at_least(cap + 1))
+        return
+    s = perturbed(s, data.draw)
+    assert_engine_matches_the_walk(s, cap)
+    if len(factors) >= 2 and all(len(poly) >= 2 for (_, poly), _ in factors):
+        assert series._factored_order(s, cap) is None
+
+
+DEGENERATE = IntegralLattice.from_blocks([HyperbolicBlock(), DiagonalBlock((1, 0, -2, 0))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3).filter(bool),
+                          st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+                          st.sampled_from((None, 1, -1, 2))),
+                min_size=1, max_size=5),
+       st.integers(0, 6))
+def test_vanishing_order_matches_the_walk_on_degenerate_forms(raw, cap):
+    # coordinates 3 and 5 are null in diag(1, 0, -2, 0): a class and its
+    # twin moved along them share one covector, so the engine merges their
+    # coefficients first, and a twin with the opposite coefficient cancels
+    terms = []
+    for a, v, twin in raw:
+        terms.append((a, CohClass(tuple(v))))
+        if twin is not None:
+            moved = v[:3] + [v[3] + twin] + v[4:5] + [v[5] - 1]
+            terms.append((-a if twin < 0 else a * twin, CohClass(tuple(moved))))
+    assert_engine_matches_the_walk(ExpSum.build(DEGENERATE, terms), cap)
+
+
+def test_a_sum_that_cancels_as_a_function_has_no_order():
+    # e^<k, h> - e^<k + n, h> with n null is the zero function: no degree has
+    # a nonzero coefficient, though the sum has two terms
+    k, n = CohClass((1, 2, 1, 0, 1, 0)), CohClass((0, 0, 0, 1, 0, -1))
+    s = ExpSum.build(DEGENERATE, [(2, k), (-2, k + n), (1, 3 * k), (-1, 3 * k - 2 * n)])
+    assert len(s.terms) == 4
+    assert vanishing_order(s, 5) == series._walk(s, 5) == VanishingOrder.at_least(6)
+    t = ExpSum.build(DEGENERATE, [(2, k), (-2, k + n), (1, CohClass.zero(6)), (-1, n)])
+    assert vanishing_order(t, 3) == series._walk(t, 3) == VanishingOrder.at_least(4)
+
+
+def test_scaled_exponents_are_read_without_the_walk(monkeypatch):
+    # (e^5x - e^-5x)^2 (e^3y - e^-6y): the gaps share 10 and 9, so after
+    # dividing them by their gcd each factor is dense; undivided, the first
+    # spans 21 exponents for 3 terms and the engine would decline it
+    def refused(*args):
+        raise AssertionError("the order engine walked a product of one-variable factors")
+
+    g, h = CohClass.unit(8, 0), CohClass.unit(8, 2)
+    s = expand_product(H4, [[(1, 5 * g), (-1, -5 * g)]] * 2 + [[(1, 3 * h), (-1, -6 * h)]])
+    monkeypatch.setattr(series, "_power_sums", refused)
+    assert vanishing_order(s, 5) == VanishingOrder.exact(3)
+    assert vanishing_order(s, 2) == VanishingOrder.at_least(3)
+    monkeypatch.undo()
+    assert series._walk(s, 5) == VanishingOrder.exact(3)
 
 
 def rational_solve(columns, target):
