@@ -44,6 +44,16 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+# The body of lattice._block_diagonal: the facts it keeps on each block.
+_BLOCK_FACTS = """\
+    facts = block.__dict__.get("_diagonal")
+    if facts is None:
+        diagonal = [dict(block.column(i)).get(i, 0) for i in range(block.rank)]
+        facts = (sum((d > 0) - (d < 0) for d in diagonal),
+                 tuple(i for i, d in enumerate(diagonal) if d & 1))
+        block.__dict__["_diagonal"] = facts
+"""
+
 MUTANTS = (
     Mutant("sst-required-order", "src/swcalc/relations.py",
            "required = c_int - 2", "required = c_int - 1",
@@ -186,6 +196,37 @@ MUTANTS = (
     Mutant("sst-half-pair-checked-after-the-walk", "src/swcalc/relations.py",
            "    if (lambda0 is None) != (lambda1 is None):\n", "    if False:\n",
            ("tests/test_relations.py::test_sst_rejects_a_half_pair_before_the_series_walk",)),
+    Mutant("parse-builds-fresh-blocks", "src/swcalc/manifest.py",
+           "        return shared\n",
+           "        return shared.__class__(*map(shared.__getattribute__, shared._fields))\n",
+           ("tests/test_manifest_cli.py::test_parsed_forms_share_one_block_per_kind_and_sign",)),
+    Mutant("block-facts-kept-per-class", "src/swcalc/lattice.py", _BLOCK_FACTS,
+           _BLOCK_FACTS.replace("block.__dict__.get(", "type(block).__dict__.get(").replace(
+               "block.__dict__[\"_diagonal\"] = facts", "type(block)._diagonal = facts"),
+           ("tests/test_lattice.py::test_block_facts_agree_on_shared_and_fresh_blocks",)),
+    Mutant("parse-shares-one-e8-for-both-signs", "src/swcalc/manifest.py",
+           "(\"sign\", 1)): _E8[1],", "(\"sign\", 1)): _E8[-1],",
+           ("tests/test_lattice.py::test_block_facts_agree_on_shared_and_fresh_blocks",)),
+    Mutant("parse-block-sign-tested-by-value", "src/swcalc/manifest.py",
+           "if shared is not None and type(obj.get(\"sign\", -1)) is int:",
+           "if shared is not None:",
+           ("tests/test_manifest_cli.py::test_block_descriptor_messages",)),
+    Mutant("parse-class-sw-tested-by-value", "src/swcalc/manifest.py",
+           "type(sw := entry[\"sw\"]) is int", "isinstance(sw := entry[\"sw\"], int)",
+           ("tests/test_manifest_cli.py::test_non_integer_behind_a_well_formed_entry",)),
+    Mutant("parse-class-short-coords-accepted", "src/swcalc/manifest.py",
+           "len(coords) == rank", "len(coords) <= rank",
+           ("tests/test_manifest_cli.py::test_short_coords_and_extra_key_behind_a_well_formed_entry",)),
+    Mutant("abundance-classes-not-kept", "src/swcalc/relations.py",
+           "classes = m.abundance_classes.get(radius)", "classes = None",
+           ("tests/test_relations.py::test_sst_and_dvanish_share_the_abundance_classes_and_their_covectors",)),
+    Mutant("series-order-reused-at-any-cap", "src/swcalc/relations.py",
+           "if kept_cap == cap or (order.kind == \"exact\" and order.value <= cap):", "if True:",
+           ("tests/test_relations.py::test_dvanish_then_sst_walks_a_fresh_order_for_sst",)),
+    Mutant("series-flags-never-reuse", "src/swcalc/relations.py",
+           "return kept[1] if kept is not None and kept[0] >= cap else _series_order(m, w, cap)",
+           "return _series_order(m, w, cap)",
+           ("tests/test_relations.py::test_sst_then_dvanish_walk_the_series_order_once",)),
     Mutant("report-str-fallback", "src/swcalc/report.py",
            "raise TypeError(f\"no exact JSON form for {type(value).__name__}\")",
            "return str(value)",

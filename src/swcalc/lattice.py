@@ -15,7 +15,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from copy import copy
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, combinations, compress, tee
 from math import gcd, prod
 
@@ -199,12 +199,18 @@ class IntegralLattice:
                          for i in _block_diagonal(b)[1])
 
 
-@lru_cache(maxsize=64)
 def _block_diagonal(block) -> tuple[int, tuple[int, ...]]:
-    """(signature, odd positions) of a block, read off its columns once per
-    block value; the signature is the signed count of the diagonal entries."""
-    diagonal = [dict(block.column(i)).get(i, 0) for i in range(block.rank)]
-    return sum((d > 0) - (d < 0) for d in diagonal), tuple(i for i, d in enumerate(diagonal) if d & 1)
+    """(signature, odd positions) of a block, read off its columns once and
+    kept on the block, as covector keeps G.c on a class; the signature is
+    the signed count of the diagonal entries.  parse_manifest gives every
+    form one shared H block and one E8 block per sign, so each is read once."""
+    facts = block.__dict__.get("_diagonal")
+    if facts is None:
+        diagonal = [dict(block.column(i)).get(i, 0) for i in range(block.rank)]
+        facts = (sum((d > 0) - (d < 0) for d in diagonal),
+                 tuple(i for i, d in enumerate(diagonal) if d & 1))
+        block.__dict__["_diagonal"] = facts
+    return facts
 
 
 def covector(lattice: IntegralLattice, c) -> dict:

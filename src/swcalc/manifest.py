@@ -70,8 +70,30 @@ def _want_int(obj, where):
 
 _BLOCK_FIELDS = {"H": {"type"}, "E8": {"type", "sign"}, "diag": {"type", "entries"}}
 
+# Every parsed form shares one H block and one E8 block per sign, so the
+# facts a block keeps on itself are read once.  The keys are the item tuples
+# of the well-formed H and E8 descriptors.
+_H, _E8 = HyperbolicBlock(), {-1: E8Block(-1), 1: E8Block(1)}
+_SHARED_BLOCKS = {
+    (("type", "H"),): _H,
+    (("type", "E8"),): _E8[-1],
+    (("type", "E8"), ("sign", -1)): _E8[-1],
+    (("type", "E8"), ("sign", 1)): _E8[1],
+}
 
-def _parse_block(obj, where) -> Block:
+
+def _parse_block(obj, i: int) -> Block:
+    """The block that form[i] describes.  A well-formed H or E8 descriptor
+    is one dict lookup on its items (True, 1.0 and -1.0 equal 1 and -1, so
+    the sign's type is tested too); any other is checked field by field,
+    and only then is its label formatted."""
+    try:
+        shared = _SHARED_BLOCKS.get(tuple(obj.items()))
+    except (AttributeError, TypeError):  # not an object, or an unhashable value
+        shared = None
+    if shared is not None and type(obj.get("sign", -1)) is int:
+        return shared
+    where = f"form[{i}]"
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError(f"{where}: block descriptors are objects with a 'type' field")
     kind = obj["type"]
@@ -81,12 +103,12 @@ def _parse_block(obj, where) -> Block:
     if extra:
         raise ParseError(f"{where}: unknown block fields {sorted(extra)}")
     if kind == "H":
-        return HyperbolicBlock()
+        return _H
     if kind == "E8":
         sign = _want_int(obj.get("sign", -1), f"{where}.sign")
         if sign not in (1, -1):
             raise ParseError(f"{where}.sign: must be 1 or -1")
-        return E8Block(sign)
+        return _E8[sign]
     entries = obj.get("entries")
     if not isinstance(entries, list) or not entries:
         raise ParseError(f"{where}.entries: expected a nonempty integer array")
@@ -103,6 +125,24 @@ def _parse_coords(obj, rank, where) -> tuple[int, ...]:
             "coords_length", f"{where}: length {len(coords)} != form rank {rank}"
         )
     return coords
+
+
+def _parse_class(entry, rank: int, i: int) -> tuple[tuple[int, ...], int]:
+    """basic_classes[i] as (coords, sw).  A well-formed entry passes one
+    chain of C-level tests; any other is checked in the order below, and
+    only then is its label formatted."""
+    if (type(entry) is dict and entry.keys() == {"coords", "sw"}
+            and type(coords := entry["coords"]) is list and len(coords) == rank
+            and type(sw := entry["sw"]) is int and sw and set(map(type, coords)) <= {int}):
+        return tuple(coords), sw
+    where = f"basic_classes[{i}]"
+    if not isinstance(entry, dict) or set(entry) != {"coords", "sw"}:
+        raise ParseError(f"{where}: expected an object with 'coords' and 'sw'")
+    coords = _parse_coords(entry["coords"], rank, f"{where}.coords")
+    sw = _want_int(entry["sw"], f"{where}.sw")
+    if sw == 0:
+        raise ValidationError("sw_nonzero", "sw must be nonzero")
+    return coords, sw
 
 
 def parse_manifest(text: str, strict: bool = True) -> Manifest:
@@ -139,23 +179,12 @@ def parse_manifest(text: str, strict: bool = True) -> Manifest:
     b_plus = _want_int(raw["b_plus"], "b_plus")
     if not isinstance(raw["form"], list) or not raw["form"]:
         raise ParseError("form: expected a nonempty array of block descriptors")
-    blocks = tuple(
-        _parse_block(b, f"form[{i}]") for i, b in enumerate(raw["form"])
-    )
+    blocks = tuple(_parse_block(b, i) for i, b in enumerate(raw["form"]))
     rank = sum(b.rank for b in blocks)
 
     if not isinstance(raw["basic_classes"], list):
         raise ParseError("basic_classes: expected an array")
-    classes = []
-    for i, entry in enumerate(raw["basic_classes"]):
-        where = f"basic_classes[{i}]"
-        if not isinstance(entry, dict) or set(entry) != {"coords", "sw"}:
-            raise ParseError(f"{where}: expected an object with 'coords' and 'sw'")
-        coords = _parse_coords(entry["coords"], rank, f"{where}.coords")
-        sw = _want_int(entry["sw"], f"{where}.sw")
-        if sw == 0:
-            raise ValidationError("sw_nonzero", "sw must be nonzero")
-        classes.append((coords, sw))
+    classes = tuple(_parse_class(entry, rank, i) for i, entry in enumerate(raw["basic_classes"]))
 
     assume = raw.get("assume_conjecture", True)
     if not isinstance(assume, bool):
@@ -168,7 +197,7 @@ def parse_manifest(text: str, strict: bool = True) -> Manifest:
         raise ParseError("provenance: expected a string")
 
     return Manifest(
-        name, chi, sigma, b_plus, blocks, tuple(classes), assume, w,
+        name, chi, sigma, b_plus, blocks, classes, assume, w,
         provenance, version, tuple(warnings),
     )
 

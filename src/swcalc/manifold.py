@@ -53,6 +53,27 @@ class FourManifold:
             self._pairs[radius] = find_hyperbolic_pair(self.complement, radius)
         return self._pairs[radius]
 
+    @cached_property
+    def abundance_classes(self) -> dict:
+        """radius -> the abundance classes that relations builds on
+        hyperbolic_pair(radius), kept once per radius and object, so every
+        pipeline run on the object shares them and the covectors kept on them."""
+        return {}
+
+    @cached_property
+    def series_orders(self) -> dict:
+        """w -> (cap, vanishing order of the SW series at w up to cap), the
+        last one relations computed; relations says when it may be reused."""
+        return {}
+
+    @cached_property
+    def characteristic_number(self) -> Fraction:
+        """The invariant -(7*chi + 11*sigma)/4, equal to chi_h - c1^2; the
+        identity is asserted once per object."""
+        c = characteristic_number_of(self.chi, self.sigma)
+        assert c == holomorphic_euler_of(self.chi, self.sigma) - c1_squared_of(self.chi, self.sigma)
+        return c
+
 
 @record
 class CheckResult:
@@ -170,10 +191,9 @@ def c1_squared_of(chi: int, sigma: int) -> int:
 
 
 def characteristic_number(m: FourManifold) -> Fraction:
-    """The invariant -(7*chi + 11*sigma)/4, equal to chi_h - c1^2."""
-    c = characteristic_number_of(m.chi, m.sigma)
-    assert c == holomorphic_euler_of(m.chi, m.sigma) - c1_squared_of(m.chi, m.sigma)
-    return c
+    """The invariant -(7*chi + 11*sigma)/4, equal to chi_h - c1^2, computed
+    once per manifold object."""
+    return m.characteristic_number
 
 
 def holomorphic_euler(m: FourManifold) -> Fraction:

@@ -181,12 +181,41 @@ def _opening(m: FourManifold, w: CohClass, what: str, mod8: bool) -> Fraction:
 
 
 def _abundance_classes(m: FourManifold, radius: int) -> AbundanceClasses:
-    pair = m.hyperbolic_pair(radius)
-    if pair is None:
-        raise AbundanceUndetermined(
-            f"no hyperbolic pair found in the basic-class complement at radius {radius}"
-        )
-    return construct_abundance_classes(pair, m.chi, m.sigma)
+    """The abundance classes on m's pair at radius, built once per radius and kept on m."""
+    classes = m.abundance_classes.get(radius)
+    if classes is None:
+        pair = m.hyperbolic_pair(radius)
+        if pair is None:
+            raise AbundanceUndetermined(
+                f"no hyperbolic pair found in the basic-class complement at radius {radius}"
+            )
+        classes = m.abundance_classes.setdefault(
+            radius, construct_abundance_classes(pair, m.chi, m.sigma))
+    return classes
+
+
+def _series_order(m: FourManifold, w: CohClass, cap: int):
+    """vanishing_order(sw_series(m, w), cap), with the last order computed
+    for w kept on m.  A kept order is returned only where a fresh call
+    would return an equal one: an exact order within cap, or an order kept
+    at cap."""
+    kept = m.series_orders.get(w)
+    if kept is not None:
+        kept_cap, order = kept
+        if kept_cap == cap or (order.kind == "exact" and order.value <= cap):
+            return order
+    order = vanishing_order(sw_series(m, w), cap)
+    m.series_orders[w] = cap, order
+    return order
+
+
+def _series_flags(m: FourManifold, w: CohClass, cap: int):
+    """An order whose satisfies(k) for every k <= cap + 1 is that of
+    _series_order(m, w, cap).  An order computed at cap C answers
+    satisfies(k) truly for every k <= C + 1, so any order kept for w at a
+    cap of at least cap will do."""
+    kept = m.series_orders.get(w)
+    return kept[1] if kept is not None and kept[0] >= cap else _series_order(m, w, cap)
 
 
 def _verify_supplied_pair(m, lambda0, lambda1):
@@ -295,7 +324,7 @@ def sst_check(
         raise HypothesisViolation("lambda_pair_supplied_together", "")
     c_int = int(c)
     required = c_int - 2
-    order = vanishing_order(sw_series(m, w), c_int + 4)
+    order = _series_order(m, w, c_int + 4)
 
     if lambda0 is None:
         classes = _abundance_classes(m, radius)
@@ -409,7 +438,7 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass,
         if d < r and d < i:
             entries += [DvanishEntry(d, mm, "vanishing", True) for mm in ms]
         elif d == r:
-            order = vanishing_order(sw_series(m, w), d)
+            order = _series_flags(m, w, d)
             entries += [DvanishEntry(d, mm, "relation", order.satisfies(d - 2 * mm + 1))
                         for mm in ms]
         else:

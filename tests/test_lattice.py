@@ -255,6 +255,70 @@ def test_characteristic_vector_matches_the_dense_solve(blocks):
     assert characteristic_vector(IntegralLattice.from_blocks(blocks)).coords == tuple(oracle)
 
 
+def _dense_signature(gram) -> int:
+    """Signature of a symmetric integer matrix by exact congruence
+    diagonalisation (Sylvester's law of inertia): each step takes a nonzero
+    pivot, making one by adding row and column j to i when the diagonal is
+    zero, and clears its row and column."""
+    a = [[Fraction(x) for x in row] for row in gram]
+    signature = 0
+    while a:
+        k = next((i for i in range(len(a)) if a[i][i]), None)
+        if k is None:
+            i, j = next(((i, j) for i in range(len(a)) for j in range(len(a)) if a[i][j]),
+                        (None, None))
+            if i is None:
+                break
+            for row in a:
+                row[i] += row[j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            k = i
+        p = a[k][k]
+        signature += 1 if p > 0 else -1
+        a = [[a[r][c] - a[r][k] * a[k][c] / p for c in range(len(a)) if c != k]
+             for r in range(len(a)) if r != k]
+    return signature
+
+
+# Blocks built afresh for every draw, so that no fact kept on one is read twice.
+fresh_block_lists = st.lists(
+    st.one_of(
+        st.builds(HyperbolicBlock),
+        st.sampled_from([1, -1]).map(E8Block),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(lambda e: DiagonalBlock(tuple(e))),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+def _descriptor(block) -> dict:
+    if isinstance(block, HyperbolicBlock):
+        return {"type": "H"}
+    if isinstance(block, E8Block):
+        return {"type": "E8", "sign": block.sign}
+    return {"type": "diag", "entries": list(block.entries)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(fresh_block_lists)
+def test_block_facts_agree_on_shared_and_fresh_blocks(blocks):
+    # parse_manifest hands out one shared H block and one E8 block per sign,
+    # each keeping its (signature, odd positions) on itself; the facts read
+    # through them are those of fresh blocks and of the dense Gram
+    shared = parse_manifest(json.dumps({
+        "name": "x", "chi": 0, "sigma": 0, "b_plus": 0, "basic_classes": [],
+        "form": [_descriptor(b) for b in blocks],
+    })).blocks
+    assert shared == tuple(blocks)
+    g = dense_block_gram(blocks)
+    odd = frozenset(i for i in range(len(g)) if g[i][i] & 1)
+    signature = _dense_signature(g)
+    for lat in (IntegralLattice.from_blocks(shared), IntegralLattice.from_blocks(blocks)):
+        assert lattice.block_signature(lat) == signature
+        assert lat.odd_diagonal == odd
+        assert characteristic_vector(lat).coords == tuple(int(i in odd) for i in range(len(g)))
+
+
 def test_gf2_solver_detects_inconsistency():
     assert _solve_gf2([[0]], [1]) is None
     assert _solve_gf2([[1, 1], [1, 1]], [1, 0]) is None

@@ -8,7 +8,9 @@ import pytest
 from swcalc.catalog import catalog_names
 from swcalc.cli import COMMANDS, main
 from swcalc.errors import ParseError, ValidationError
+from swcalc.lattice import E8Block, HyperbolicBlock
 from swcalc.manifest import load_catalog, parse_manifest, serialize_manifest
+from swcalc.record import replace
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +25,26 @@ def test_catalog_round_trip():
         again = parse_manifest(serialize_manifest(m))
         assert again == m
         assert parse_manifest(serialize_manifest(again)) == again
+
+
+def test_parsed_forms_share_one_block_per_kind_and_sign():
+    # every H block of every parsed form is one object, and so is every E8
+    # block of one sign, whatever the key order of its descriptor
+    signed = parse_manifest(json.dumps({
+        "name": "x", "chi": 0, "sigma": 0, "b_plus": 0, "basic_classes": [],
+        "form": [{"type": "E8", "sign": 1}, {"sign": 1, "type": "E8"}, {"type": "E8"},
+                 {"sign": -1, "type": "E8"}, {"type": "H"}],
+    }))
+    blocks = load_catalog("E3").blocks + load_catalog("E4").blocks + signed.blocks
+    for kind in (HyperbolicBlock(), E8Block(-1), E8Block(1)):
+        assert len({id(b) for b in blocks if b == kind}) == 1
+    # equal manifests compare and hash equal, shared blocks or fresh ones
+    e4 = load_catalog("E4")
+    fresh = replace(e4, blocks=tuple(E8Block(b.sign) if isinstance(b, E8Block) else HyperbolicBlock()
+                                     for b in e4.blocks))
+    assert all(a is not b for a, b in zip(fresh.blocks, e4.blocks))
+    assert load_catalog("E4") == e4 == fresh
+    assert hash(load_catalog("E4")) == hash(e4) == hash(fresh)
 
 
 def test_unknown_field_strict_vs_lenient():
@@ -66,6 +88,35 @@ def test_non_integer_coordinate_message(bad, shown, position):
     assert str(e.value) == f"basic_classes[0].coords: expected an integer, got {shown}"
 
 
+@pytest.mark.parametrize("bad, shown", [(True, "True"), (1.0, "1.0"), ("1", "'1'")])
+@pytest.mark.parametrize("field", ["coords", "sw"])
+def test_non_integer_behind_a_well_formed_entry(field, bad, shown):
+    # True and 1.0 equal 1, so a test by value would let them through;
+    # entry 0 is well formed and entry 1 is named
+    base = json.loads(serialize_manifest(load_catalog("E3")))
+    entry = base["basic_classes"][1]
+    if field == "coords":
+        entry["coords"][0] = bad
+    else:
+        entry["sw"] = bad
+    with pytest.raises(ParseError) as e:
+        parse_manifest(json.dumps(base))
+    assert str(e.value) == f"basic_classes[1].{field}: expected an integer, got {shown}"
+
+
+def test_short_coords_and_extra_key_behind_a_well_formed_entry():
+    base = json.loads(serialize_manifest(load_catalog("E3")))
+    short = json.loads(json.dumps(base))
+    short["basic_classes"][1]["coords"].pop()
+    with pytest.raises(ValidationError) as e:
+        parse_manifest(json.dumps(short))
+    assert str(e.value) == "coords_length: basic_classes[1].coords: length 33 != form rank 34"
+    base["basic_classes"][1]["note"] = 1
+    with pytest.raises(ParseError) as e:
+        parse_manifest(json.dumps(base))
+    assert str(e.value) == "basic_classes[1]: expected an object with 'coords' and 'sw'"
+
+
 @pytest.mark.parametrize("block, message", [
     ({"type": "H", "sign": -1}, "form[1]: unknown block fields ['sign']"),
     ({"type": "E8", "sign": -1, "entries": [1], "x": 0},
@@ -78,10 +129,13 @@ def test_non_integer_coordinate_message(bad, shown, position):
     ("H", "form[1]: block descriptors are objects with a 'type' field"),
     ({"type": "E8", "sign": 2}, "form[1].sign: must be 1 or -1"),
     ({"type": "E8", "sign": True}, "form[1].sign: expected an integer, got True"),
+    ({"type": "E8", "sign": 1.0}, "form[1].sign: expected an integer, got 1.0"),
+    ({"type": "E8", "sign": -1.0}, "form[1].sign: expected an integer, got -1.0"),
     ({"type": "diag", "entries": []}, "form[1].entries: expected a nonempty integer array"),
     ({"type": "diag", "entries": [1, "a"]}, "form[1].entries: expected an integer, got 'a'"),
 ], ids=["H-extra", "E8-extra", "diag-extra", "unknown-type", "list-type", "object-type",
-        "missing-type", "non-object", "E8-sign-2", "E8-sign-true", "diag-empty",
+        "missing-type", "non-object", "E8-sign-2", "E8-sign-true", "E8-sign-float",
+        "E8-sign-negative-float", "diag-empty",
         "diag-non-integer"])
 def test_block_descriptor_messages(block, message):
     with pytest.raises(ParseError) as e:

@@ -58,7 +58,7 @@ from swcalc.relations import (
 from swcalc.record import replace
 from swcalc.catalog import _elliptic
 from swcalc.report import render
-from swcalc.series import Direction, jet_expand, sw_series, twist
+from swcalc.series import Direction, VanishingOrder, jet_expand, sw_series, twist
 
 from conftest import relation_flag_pairs
 
@@ -648,6 +648,78 @@ def test_sst_and_dvanish_share_one_pair_search(monkeypatch):
     assert [radius for _, radius in calls] == [3, 2]
 
 
+def test_sst_and_dvanish_share_the_abundance_classes_and_their_covectors(monkeypatch):
+    # The classes are kept on the manifold per radius, next to the pair, so
+    # the second pipeline builds neither them nor their covectors again.
+    built, applied = [], []
+    construct, gram_apply = relations.construct_abundance_classes, lattice_module._gram_apply
+    monkeypatch.setattr(relations, "construct_abundance_classes",
+                        lambda *args: built.append(args) or construct(*args))
+    monkeypatch.setattr(lattice_module, "_gram_apply",
+                        lambda lat, c: applied.append(c) or gram_apply(lat, c))
+    e4 = load_catalog("E4").to_manifold()
+    sst = sst_check(e4, CohClass.zero(46))
+    dvanish = dvanish_theorem_check(e4, CohClass.zero(46))
+    assert len(built) == 1
+    classes = e4.abundance_classes[3]
+    assert (sst.lambda0, sst.lambda1, dvanish.lam) == (
+        classes.lambda0, classes.lambda1, classes.lambda_even)
+    for lam in (classes.lambda0, classes.lambda1, classes.lambda_even):
+        assert sum(c is lam for c in applied) == 1
+
+
+def _e41_with_order_calls(monkeypatch):
+    """A fresh E(41), its characteristic w, and the caps of every
+    vanishing_order call that relations makes from now on."""
+    calls = []
+    order = relations.vanishing_order
+    monkeypatch.setattr(relations, "vanishing_order",
+                        lambda s, cap: calls.append(cap) or order(s, cap))
+    m = parse_manifest(json.dumps(_elliptic(41))).to_manifold()
+    return m, characteristic_vector(m.form), calls
+
+
+def test_sst_then_dvanish_walk_the_series_order_once(monkeypatch):
+    # On odd E(n) dvanish reads d = c - 4 off the order by the relation
+    # route; sst's order, kept on the manifold at cap c + 4, answers it.
+    m, w, calls = _e41_with_order_calls(monkeypatch)
+    assert sst_check(m, w).order == VanishingOrder.exact(39)
+    report = dvanish_theorem_check(m, w)
+    assert [e.route for e in report.entries].count("relation") == 19
+    assert calls == [45]
+
+
+def test_dvanish_then_sst_walks_a_fresh_order_for_sst(monkeypatch):
+    # dvanish's order, at cap c - 4 = 37, is at_least(38): sst at cap 45
+    # would print another order from it, so it walks the series again.
+    m, w, calls = _e41_with_order_calls(monkeypatch)
+    dvanish_theorem_check(m, w)
+    assert m.series_orders[w] == (37, VanishingOrder.at_least(38))
+    assert sst_check(m, w).order == VanishingOrder.exact(39)
+    assert calls == [37, 45]
+
+
+def test_kept_series_order_leaves_the_report_bytes_unchanged():
+    # Each pipeline alone on a fresh manifold, and both in either order
+    # on one manifold, print the same reports.
+    def fresh():
+        return parse_manifest(json.dumps(_elliptic(41))).to_manifold()
+
+    def reports(sst_first):
+        m = fresh()
+        w = characteristic_vector(m.form)
+        if sst_first:
+            sst, dvanish = sst_check(m, w), dvanish_theorem_check(m, w)
+        else:
+            dvanish, sst = dvanish_theorem_check(m, w), sst_check(m, w)
+        return render("sst", **sst.to_dict()), render("dvanish", **dvanish.to_dict())
+
+    m1, m2 = fresh(), fresh()
+    alone = (render("sst", **sst_check(m1, characteristic_vector(m1.form)).to_dict()),
+             render("dvanish", **dvanish_theorem_check(m2, characteristic_vector(m2.form)).to_dict()))
+    assert reports(True) == reports(False) == alone
+
+
 def test_sw_series_shifted_by_an_orthogonal_even_class_changes_by_one_sign(catalog, fixtures_dir):
     # the lemma behind sst's relation sums: with k.lam = 0 for every basic
     # class and lam.lam even, sw_series(m, w + lam) is sw_series(m, w) times
@@ -906,14 +978,16 @@ def test_dvanish_compares_r_and_i_a_few_times_per_degree(monkeypatch):
         assert 0 < len(compared) <= 3 * len(report.admissible_d)
 
 
-def test_dvanish_checks_lambda_even_explicitly(catalog, monkeypatch):
+def test_dvanish_checks_lambda_even_explicitly(monkeypatch):
+    # a fresh manifold each time: the classes are built once per manifold
+    # object, so classes kept on a shared one would bypass the patch
     u, v = unit(46, 2), unit(46, 3)
     for bad in (u - 2 * v, 2 * u - 2 * v):  # odd; even but of square -8, not -16
         classes = AbundanceClasses(u - 8 * v, u - 6 * v, bad)
         monkeypatch.setattr(relations, "construct_abundance_classes",
                             lambda pair, chi, sigma: classes)
         with pytest.raises(AbundanceInconsistent):
-            dvanish_theorem_check(catalog["E4"], CohClass.zero(46))
+            dvanish_theorem_check(load_catalog("E4").to_manifold(), CohClass.zero(46))
 
 
 def test_dvanish_k3_trivial(catalog):
