@@ -6,11 +6,12 @@ Run from anywhere:
 
 An entry names a file, an exact text in it, the replacement and the tests
 that must catch it.  The runner first runs every named test on an unmutated
-copy, which must pass.  Then, for each entry, it copies src/, tests/ and
-pyproject.toml into a fresh temporary directory, applies the replacement
-there and runs pytest -x on the entry's tests in that directory.  The copy
-is needed: pytest's `pythonpath = ["src"]` would otherwise import the
-unmutated package.  Hypothesis runs with one fixed seed, so a kill that
+copy, which must pass.  Then, for each entry, it copies src/, tests/,
+perfbench/ (tests/test_oracle.py reads its oracle) and pyproject.toml into
+a fresh temporary directory, applies the replacement there and runs
+pytest -x on the entry's tests in that directory.  The copy is needed:
+pytest's `pythonpath = ["src"]` would otherwise import the unmutated
+package.  Hypothesis runs with one fixed seed, so a kill that
 rests on a property test is reproducible.
 
 An entry is killed when pytest reports a failed test (exit code 1).  The run
@@ -217,16 +218,27 @@ MUTANTS = (
     Mutant("parse-class-short-coords-accepted", "src/swcalc/manifest.py",
            "len(coords) == rank", "len(coords) <= rank",
            ("tests/test_manifest_cli.py::test_short_coords_and_extra_key_behind_a_well_formed_entry",)),
-    Mutant("abundance-classes-not-kept", "src/swcalc/relations.py",
-           "classes = m.abundance_classes.get(radius)", "classes = None",
-           ("tests/test_relations.py::test_sst_and_dvanish_share_the_abundance_classes_and_their_covectors",)),
-    Mutant("series-order-reused-at-any-cap", "src/swcalc/relations.py",
-           "if kept_cap == cap or (order.kind == \"exact\" and order.value <= cap):", "if True:",
-           ("tests/test_relations.py::test_dvanish_then_sst_walks_a_fresh_order_for_sst",)),
-    Mutant("series-flags-never-reuse", "src/swcalc/relations.py",
-           "return kept[1] if kept is not None and kept[0] >= cap else _series_order(m, w, cap)",
-           "return _series_order(m, w, cap)",
-           ("tests/test_relations.py::test_sst_then_dvanish_walk_the_series_order_once",)),
+    Mutant("abundance-classes-not-kept", "src/swcalc/manifold.py",
+           "classes = self._abundance.get(radius)", "classes = None",
+           ("tests/test_relations.py::test_sst_and_dvanish_share_the_abundance_classes_and_their_covectors",
+            "tests/test_relations.py::test_sst_dvanish_and_the_abundance_handler_build_the_classes_once")),
+    Mutant("abundance-handler-builds-its-own-classes", "src/swcalc/cli.py",
+           "    pair = manifold.hyperbolic_pair(radius)\n",
+           "    pair = manifold.hyperbolic_pair(radius)\n"
+           "    classes = __import__(\"swcalc.manifold\").manifold.construct_abundance_classes(\n"
+           "        pair, manifold.chi, manifold.sigma)\n",
+           ("tests/test_relations.py::test_sst_dvanish_and_the_abundance_handler_build_the_classes_once",)),
+    Mutant("series-order-never-reused", "src/swcalc/relations.py",
+           "order = m.series_orders.get(w)", "order = None",
+           ("tests/test_relations.py::test_sst_then_dvanish_walk_the_series_order_once",
+            "tests/test_relations.py::test_dvanish_then_sst_walk_the_series_order_once")),
+    Mutant("series-order-cap-below-c-plus-4", "src/swcalc/relations.py",
+           "cap = int(characteristic_number(m)) + 4", "cap = int(characteristic_number(m)) + 3",
+           ("tests/test_relations.py::test_dvanish_then_sst_walk_the_series_order_once",)),
+    Mutant("relations-imports-series-eagerly", "src/swcalc/relations.py",
+           "from . import series\n",
+           "from . import series\nfrom .series import Jet, power_sums, sw_series, twist, vanishing_order\n",
+           ("tests/test_lazy_imports.py::test_a_fresh_call_runs_only_the_modules_its_subcommand_reads",)),
     Mutant("report-str-fallback", "src/swcalc/report.py",
            "raise TypeError(f\"no exact JSON form for {type(value).__name__}\")",
            "return str(value)",
@@ -241,7 +253,7 @@ def run_tests(tests, mutant=None, timeout=None) -> tuple[int, float]:
     with tempfile.TemporaryDirectory(prefix="swcalc-mutant-") as tmp:
         work = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis", ".pytest_cache")
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / name, work / name, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
         if mutant is not None:

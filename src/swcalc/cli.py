@@ -16,7 +16,7 @@ from pathlib import Path
 from . import region, relations, series
 from .catalog import catalog_names
 from .errors import AbundanceUndetermined, ParseError, SWCalcError
-from .lattice import DEFAULT_RADIUS, CohClass, characteristic_vector, construct_abundance_classes
+from .lattice import DEFAULT_RADIUS, CohClass, characteristic_vector
 from .manifest import load_catalog, parse_manifest, serialize_manifest
 from .manifold import (basic_class_count, c1_squared, characteristic_number, holomorphic_euler,
                        validate)
@@ -135,16 +135,16 @@ def cmd_invariants(args, manifest, manifold) -> dict:
 
 def cmd_abundance(args, manifest, manifold) -> dict:
     radius = _default_radius(args)
-    pair = manifold.hyperbolic_pair(radius)
+    classes = manifold.abundance_classes(radius)
     fields = {
-        "verdict": VERDICT_UNDETERMINED if pair is None else VERDICT_PASS,
+        "verdict": VERDICT_UNDETERMINED if classes is None else VERDICT_PASS,
         "radius": radius,
         "complement_rank": len(manifold.complement.basis),
     }
-    if pair is None:
+    if classes is None:
         fields["note"] = "no hyperbolic pair found at this radius; abundance undetermined"
         return fields
-    classes = construct_abundance_classes(pair, manifold.chi, manifold.sigma)
+    pair = manifold.hyperbolic_pair(radius)
     fields["pair"] = {"e1": pair.e1, "e2": pair.e2}
     fields["classes"] = {"lambda0": classes.lambda0, "lambda1": classes.lambda1,
                          "lambda_even": classes.lambda_even}

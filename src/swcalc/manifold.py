@@ -9,6 +9,7 @@ from .lattice import (
     Sublattice,
     block_determinant,
     block_signature,
+    construct_abundance_classes,
     covector,
     dot,
     find_hyperbolic_pair,
@@ -54,16 +55,26 @@ class FourManifold:
         return self._pairs[radius]
 
     @cached_property
-    def abundance_classes(self) -> dict:
-        """radius -> the abundance classes that relations builds on
-        hyperbolic_pair(radius), kept once per radius and object, so every
-        pipeline run on the object shares them and the covectors kept on them."""
+    def _abundance(self) -> dict:
         return {}
+
+    def abundance_classes(self, radius: int):
+        """The abundance classes on hyperbolic_pair(radius), or None when there
+        is no pair; built once per radius and object, so every pipeline run on
+        the object shares them and the covectors kept on them."""
+        classes = self._abundance.get(radius)
+        if classes is None:
+            pair = self.hyperbolic_pair(radius)
+            if pair is None:
+                return None
+            classes = self._abundance.setdefault(
+                radius, construct_abundance_classes(pair, self.chi, self.sigma))
+        return classes
 
     @cached_property
     def series_orders(self) -> dict:
-        """w -> (cap, vanishing order of the SW series at w up to cap), the
-        last one relations computed; relations says when it may be reused."""
+        """w -> the vanishing order of the SW series at w up to cap c + 4,
+        computed once by relations."""
         return {}
 
     @cached_property

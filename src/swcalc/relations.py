@@ -14,6 +14,9 @@ exact homogeneous polynomial.
 
 from fractions import Fraction
 
+# series runs on first use (see swcalc/__init__.py): relations reaches it through
+# the module object, so bound, region and a dvanish with no relation entry never run it.
+from . import series
 from .errors import (
     AbundanceInconsistent,
     AbundanceUndetermined,
@@ -27,7 +30,6 @@ from .lattice import (
     DEFAULT_RADIUS,
     AbundanceClasses,
     CohClass,
-    construct_abundance_classes,
     is_characteristic,
     pairing,
     square,
@@ -47,7 +49,6 @@ from .report import (  # all four stay importable from here
     VERDICT_PASS_VACUOUS,
     VERDICT_UNDETERMINED,
 )
-from .series import Jet, power_sums, sw_series, twist, vanishing_order
 
 
 def depth_value(chi: int, sigma: int, lam_square: int) -> Fraction:
@@ -109,7 +110,7 @@ class RelationQuery:
         return self.delta - 2 * self.m
 
 
-def dswrel_value(m: FourManifold, q: RelationQuery) -> Jet:
+def dswrel_value(m: FourManifold, q: RelationQuery) -> "series.Jet":
     """The exact degree-(delta-2m) homogeneous polynomial in h.
 
     Value: 2^(1-(c+delta)/2) * (-1)^(m-1+lam.lam/2-lam.w) *
@@ -156,7 +157,8 @@ def dswrel_value(m: FourManifold, q: RelationQuery) -> Jet:
 
     power_of_two = Fraction(2) ** int(1 - (c + delta) / 2)
     sign = -1 if (q.m - 1 + sign_base) % 2 else 1
-    return power_sums(twist(sw_series(m, w), lam, -1), (q.d,))[q.d].scale(sign * power_of_two)
+    twisted = series.twist(series.sw_series(m, w), lam, -1)
+    return series.power_sums(twisted, (q.d,))[q.d].scale(sign * power_of_two)
 
 
 def _opening(m: FourManifold, w: CohClass, what: str, mod8: bool) -> Fraction:
@@ -181,41 +183,24 @@ def _opening(m: FourManifold, w: CohClass, what: str, mod8: bool) -> Fraction:
 
 
 def _abundance_classes(m: FourManifold, radius: int) -> AbundanceClasses:
-    """The abundance classes on m's pair at radius, built once per radius and kept on m."""
-    classes = m.abundance_classes.get(radius)
+    classes = m.abundance_classes(radius)
     if classes is None:
-        pair = m.hyperbolic_pair(radius)
-        if pair is None:
-            raise AbundanceUndetermined(
-                f"no hyperbolic pair found in the basic-class complement at radius {radius}"
-            )
-        classes = m.abundance_classes.setdefault(
-            radius, construct_abundance_classes(pair, m.chi, m.sigma))
+        raise AbundanceUndetermined(
+            f"no hyperbolic pair found in the basic-class complement at radius {radius}"
+        )
     return classes
 
 
-def _series_order(m: FourManifold, w: CohClass, cap: int):
-    """vanishing_order(sw_series(m, w), cap), with the last order computed
-    for w kept on m.  A kept order is returned only where a fresh call
-    would return an equal one: an exact order within cap, or an order kept
-    at cap."""
-    kept = m.series_orders.get(w)
-    if kept is not None:
-        kept_cap, order = kept
-        if kept_cap == cap or (order.kind == "exact" and order.value <= cap):
-            return order
-    order = vanishing_order(sw_series(m, w), cap)
-    m.series_orders[w] = cap, order
+def _series_order(m: FourManifold, w: CohClass):
+    """vanishing_order(sw_series(m, w), c + 4), computed once per w and kept
+    on m.  sst reports it; dvanish's relation route reads satisfies(k) only
+    for k <= c, which an order computed at cap c + 4 answers truly."""
+    order = m.series_orders.get(w)
+    if order is None:
+        cap = int(characteristic_number(m)) + 4
+        order = m.series_orders.setdefault(
+            w, series.vanishing_order(series.sw_series(m, w), cap))
     return order
-
-
-def _series_flags(m: FourManifold, w: CohClass, cap: int):
-    """An order whose satisfies(k) for every k <= cap + 1 is that of
-    _series_order(m, w, cap).  An order computed at cap C answers
-    satisfies(k) truly for every k <= C + 1, so any order kept for w at a
-    cap of at least cap will do."""
-    kept = m.series_orders.get(w)
-    return kept[1] if kept is not None and kept[0] >= cap else _series_order(m, w, cap)
 
 
 def _verify_supplied_pair(m, lambda0, lambda1):
@@ -324,7 +309,7 @@ def sst_check(
         raise HypothesisViolation("lambda_pair_supplied_together", "")
     c_int = int(c)
     required = c_int - 2
-    order = _series_order(m, w, c_int + 4)
+    order = _series_order(m, w)
 
     if lambda0 is None:
         classes = _abundance_classes(m, radius)
@@ -438,7 +423,7 @@ def dvanish_theorem_check(m: FourManifold, w: CohClass,
         if d < r and d < i:
             entries += [DvanishEntry(d, mm, "vanishing", True) for mm in ms]
         elif d == r:
-            order = _series_flags(m, w, d)
+            order = _series_order(m, w)
             entries += [DvanishEntry(d, mm, "relation", order.satisfies(d - 2 * mm + 1))
                         for mm in ms]
         else:

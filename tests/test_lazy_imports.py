@@ -51,11 +51,11 @@ def _e4_class(*head):
     (("invariants", "E4"), ["series"]),
     (("witten", "E4", "--direction", "0", "--order", "1"), ["series"]),
     (("sst", "E4"), ["series", "relations"]),
-    (("dvanish", "E4"), ["series", "relations"]),
+    (("dvanish", "E4"), ["relations"]),
     (("relate", "E4", "--lambda", _e4_class(0, 0, 2, -3), "--w", _e4_class(0, 0, 2, -1),
       "--delta", "0", "-m", "0"), ["series", "relations"]),
-    (("bound", "E4", "--non-strict"), ["series", "relations"]),
-    (("region", "K3"), ["series", "relations", "region"]),
+    (("bound", "E4", "--non-strict"), ["relations"]),
+    (("region", "K3"), ["relations", "region"]),
 ], ids=lambda v: (v[0] if v else "import") if isinstance(v, tuple) else "+".join(v) or "none")
 def test_a_fresh_call_runs_only_the_modules_its_subcommand_reads(argv, ran):
     assert _fresh(_PROBE, *argv) == ran

@@ -601,7 +601,7 @@ def test_sst_rejects_a_half_pair_before_the_series_walk(catalog, monkeypatch):
     def refused(*args):
         raise AssertionError("sst walked the series before checking the pair")
 
-    monkeypatch.setattr(relations, "vanishing_order", refused)
+    monkeypatch.setattr(series_module, "vanishing_order", refused)
     u, v = unit(46, 2), unit(46, 3)
     for half in ({"lambda0": u - 8 * v}, {"lambda1": u - 6 * v}):
         with pytest.raises(HypothesisViolation) as e:
@@ -652,8 +652,8 @@ def test_sst_and_dvanish_share_the_abundance_classes_and_their_covectors(monkeyp
     # The classes are kept on the manifold per radius, next to the pair, so
     # the second pipeline builds neither them nor their covectors again.
     built, applied = [], []
-    construct, gram_apply = relations.construct_abundance_classes, lattice_module._gram_apply
-    monkeypatch.setattr(relations, "construct_abundance_classes",
+    construct, gram_apply = manifold_module.construct_abundance_classes, lattice_module._gram_apply
+    monkeypatch.setattr(manifold_module, "construct_abundance_classes",
                         lambda *args: built.append(args) or construct(*args))
     monkeypatch.setattr(lattice_module, "_gram_apply",
                         lambda lat, c: applied.append(c) or gram_apply(lat, c))
@@ -661,19 +661,39 @@ def test_sst_and_dvanish_share_the_abundance_classes_and_their_covectors(monkeyp
     sst = sst_check(e4, CohClass.zero(46))
     dvanish = dvanish_theorem_check(e4, CohClass.zero(46))
     assert len(built) == 1
-    classes = e4.abundance_classes[3]
+    classes = e4.abundance_classes(3)
     assert (sst.lambda0, sst.lambda1, dvanish.lam) == (
         classes.lambda0, classes.lambda1, classes.lambda_even)
     for lam in (classes.lambda0, classes.lambda1, classes.lambda_even):
         assert sum(c is lam for c in applied) == 1
 
 
+def test_sst_dvanish_and_the_abundance_handler_build_the_classes_once(monkeypatch):
+    # FourManifold.abundance_classes is the one builder: the abundance
+    # subcommand's handler reads the classes kept there, as sst and dvanish do.
+    from argparse import Namespace
+
+    from swcalc.cli import cmd_abundance
+
+    built = []
+    construct = manifold_module.construct_abundance_classes
+    monkeypatch.setattr(manifold_module, "construct_abundance_classes",
+                        lambda *args: built.append(args) or construct(*args))
+    e4 = load_catalog("E4").to_manifold()
+    sst = sst_check(e4, CohClass.zero(46))
+    dvanish = dvanish_theorem_check(e4, CohClass.zero(46))
+    fields = cmd_abundance(Namespace(radius=None), None, e4)
+    assert len(built) == 1
+    assert fields["classes"] == {"lambda0": sst.lambda0, "lambda1": sst.lambda1,
+                                 "lambda_even": dvanish.lam}
+
+
 def _e41_with_order_calls(monkeypatch):
     """A fresh E(41), its characteristic w, and the caps of every
     vanishing_order call that relations makes from now on."""
     calls = []
-    order = relations.vanishing_order
-    monkeypatch.setattr(relations, "vanishing_order",
+    order = series_module.vanishing_order
+    monkeypatch.setattr(series_module, "vanishing_order",
                         lambda s, cap: calls.append(cap) or order(s, cap))
     m = parse_manifest(json.dumps(_elliptic(41))).to_manifold()
     return m, characteristic_vector(m.form), calls
@@ -689,14 +709,16 @@ def test_sst_then_dvanish_walk_the_series_order_once(monkeypatch):
     assert calls == [45]
 
 
-def test_dvanish_then_sst_walks_a_fresh_order_for_sst(monkeypatch):
-    # dvanish's order, at cap c - 4 = 37, is at_least(38): sst at cap 45
-    # would print another order from it, so it walks the series again.
+def test_dvanish_then_sst_walk_the_series_order_once(monkeypatch):
+    # dvanish keeps the one order per w, at cap c + 4 = 45, that sst reports:
+    # sst reads it, and prints the report it prints on a fresh manifold.
     m, w, calls = _e41_with_order_calls(monkeypatch)
     dvanish_theorem_check(m, w)
-    assert m.series_orders[w] == (37, VanishingOrder.at_least(38))
-    assert sst_check(m, w).order == VanishingOrder.exact(39)
-    assert calls == [37, 45]
+    assert m.series_orders[w] == VanishingOrder.exact(39)
+    report = sst_check(m, w)
+    assert calls == [45]
+    fresh = parse_manifest(json.dumps(_elliptic(41))).to_manifold()
+    assert render("sst", **report.to_dict()) == render("sst", **sst_check(fresh, w).to_dict())
 
 
 def test_kept_series_order_leaves_the_report_bytes_unchanged():
@@ -761,7 +783,7 @@ def test_sst_and_dvanish_run_no_relation_kernel(catalog, fixtures_dir, monkeypat
     flags = []
     with monkeypatch.context() as patch:
         for name in ("power_sums", "twist"):
-            patch.setattr(relations, name, refused)
+            patch.setattr(series_module, name, refused)
         for m, w in cases:
             sst, dvanish = sst_check(m, w), dvanish_theorem_check(m, w)
             flags.append([e.relation_is_zero for e in sst.entries] + [
@@ -984,7 +1006,7 @@ def test_dvanish_checks_lambda_even_explicitly(monkeypatch):
     u, v = unit(46, 2), unit(46, 3)
     for bad in (u - 2 * v, 2 * u - 2 * v):  # odd; even but of square -8, not -16
         classes = AbundanceClasses(u - 8 * v, u - 6 * v, bad)
-        monkeypatch.setattr(relations, "construct_abundance_classes",
+        monkeypatch.setattr(manifold_module, "construct_abundance_classes",
                             lambda pair, chi, sigma: classes)
         with pytest.raises(AbundanceInconsistent):
             dvanish_theorem_check(load_catalog("E4").to_manifold(), CohClass.zero(46))
