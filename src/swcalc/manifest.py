@@ -62,84 +62,65 @@ class Manifest:
         )
 
 
-def _want_int(obj, where):
+def _want_int(obj, where, *args):
+    """obj if it is an integer; the label is where % args, formatted only
+    when the check fails."""
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ParseError(f"{where}: expected an integer, got {obj!r}")
+        raise ParseError(f"{where % args}: expected an integer, got {obj!r}")
     return obj
 
 
 _BLOCK_FIELDS = {"H": {"type"}, "E8": {"type", "sign"}, "diag": {"type", "entries"}}
 
 # Every parsed form shares one H block and one E8 block per sign, so the
-# facts a block keeps on itself are read once.  The keys are the item tuples
-# of the well-formed H and E8 descriptors.
+# facts a block keeps on itself are read once.
 _H, _E8 = HyperbolicBlock(), {-1: E8Block(-1), 1: E8Block(1)}
-_SHARED_BLOCKS = {
-    (("type", "H"),): _H,
-    (("type", "E8"),): _E8[-1],
-    (("type", "E8"), ("sign", -1)): _E8[-1],
-    (("type", "E8"), ("sign", 1)): _E8[1],
-}
 
 
 def _parse_block(obj, i: int) -> Block:
-    """The block that form[i] describes.  A well-formed H or E8 descriptor
-    is one dict lookup on its items (True, 1.0 and -1.0 equal 1 and -1, so
-    the sign's type is tested too); any other is checked field by field,
-    and only then is its label formatted."""
-    try:
-        shared = _SHARED_BLOCKS.get(tuple(obj.items()))
-    except (AttributeError, TypeError):  # not an object, or an unhashable value
-        shared = None
-    if shared is not None and type(obj.get("sign", -1)) is int:
-        return shared
-    where = f"form[{i}]"
+    """The block that form[i] describes: the shared H or E8 block of its
+    sign, or a fresh diagonal block."""
     if not isinstance(obj, dict) or "type" not in obj:
-        raise ParseError(f"{where}: block descriptors are objects with a 'type' field")
+        raise ParseError(f"form[{i}]: block descriptors are objects with a 'type' field")
     kind = obj["type"]
     if not isinstance(kind, str) or kind not in _BLOCK_FIELDS:
-        raise ParseError(f"{where}: unknown block type {kind!r}")
-    extra = set(obj) - _BLOCK_FIELDS[kind]
-    if extra:
-        raise ParseError(f"{where}: unknown block fields {sorted(extra)}")
+        raise ParseError(f"form[{i}]: unknown block type {kind!r}")
+    fields = _BLOCK_FIELDS[kind]
+    if not obj.keys() <= fields:
+        raise ParseError(f"form[{i}]: unknown block fields {sorted(obj.keys() - fields)}")
     if kind == "H":
         return _H
     if kind == "E8":
-        sign = _want_int(obj.get("sign", -1), f"{where}.sign")
+        sign = _want_int(obj.get("sign", -1), "form[%d].sign", i)
         if sign not in (1, -1):
-            raise ParseError(f"{where}.sign: must be 1 or -1")
+            raise ParseError(f"form[{i}].sign: must be 1 or -1")
         return _E8[sign]
     entries = obj.get("entries")
     if not isinstance(entries, list) or not entries:
-        raise ParseError(f"{where}.entries: expected a nonempty integer array")
-    return DiagonalBlock(tuple(_want_int(x, f"{where}.entries") for x in entries))
+        raise ParseError(f"form[{i}].entries: expected a nonempty integer array")
+    return DiagonalBlock(tuple(_want_int(x, "form[%d].entries", i) for x in entries))
 
 
-def _parse_coords(obj, rank, where) -> tuple[int, ...]:
+def _parse_coords(obj, rank, where, *args) -> tuple[int, ...]:
+    """obj as a coordinate tuple of length rank, labelled where % args."""
     if not isinstance(obj, list):
-        raise ParseError(f"{where}: expected an integer array")
-    # One C-level type check; the walk runs only to name the first bad entry.
-    coords = tuple(obj if set(map(type, obj)) <= {int} else (_want_int(x, where) for x in obj))
-    if len(coords) != rank:
+        raise ParseError(f"{where % args}: expected an integer array")
+    if not set(map(type, obj)) <= {int}:  # one C-level test; the walk names the first bad entry
+        for x in obj:
+            _want_int(x, where, *args)
+    if len(obj) != rank:
         raise ValidationError(
-            "coords_length", f"{where}: length {len(coords)} != form rank {rank}"
+            "coords_length", f"{where % args}: length {len(obj)} != form rank {rank}"
         )
-    return coords
+    return tuple(obj)
 
 
 def _parse_class(entry, rank: int, i: int) -> tuple[tuple[int, ...], int]:
-    """basic_classes[i] as (coords, sw).  A well-formed entry passes one
-    chain of C-level tests; any other is checked in the order below, and
-    only then is its label formatted."""
-    if (type(entry) is dict and entry.keys() == {"coords", "sw"}
-            and type(coords := entry["coords"]) is list and len(coords) == rank
-            and type(sw := entry["sw"]) is int and sw and set(map(type, coords)) <= {int}):
-        return tuple(coords), sw
-    where = f"basic_classes[{i}]"
-    if not isinstance(entry, dict) or set(entry) != {"coords", "sw"}:
-        raise ParseError(f"{where}: expected an object with 'coords' and 'sw'")
-    coords = _parse_coords(entry["coords"], rank, f"{where}.coords")
-    sw = _want_int(entry["sw"], f"{where}.sw")
+    """basic_classes[i] as (coords, sw)."""
+    if not isinstance(entry, dict) or entry.keys() != {"coords", "sw"}:
+        raise ParseError(f"basic_classes[{i}]: expected an object with 'coords' and 'sw'")
+    coords = _parse_coords(entry["coords"], rank, "basic_classes[%d].coords", i)
+    sw = _want_int(entry["sw"], "basic_classes[%d].sw", i)
     if sw == 0:
         raise ValidationError("sw_nonzero", "sw must be nonzero")
     return coords, sw

@@ -4,12 +4,14 @@ import json
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swcalc.catalog import catalog_names
 from swcalc.cli import COMMANDS, main
 from swcalc.errors import ParseError, ValidationError
-from swcalc.lattice import E8Block, HyperbolicBlock
-from swcalc.manifest import load_catalog, parse_manifest, serialize_manifest
+from swcalc.lattice import DiagonalBlock, E8Block, HyperbolicBlock
+from swcalc.manifest import _E8, _H, load_catalog, parse_manifest, serialize_manifest
 from swcalc.record import replace
 
 
@@ -144,6 +146,176 @@ def test_block_descriptor_messages(block, message):
             "form": [{"type": "H"}, block], "basic_classes": [],
         }))
     assert str(e.value) == message
+
+
+# Values that JSON can carry and that equal, or look like, a valid one
+SIGNS = (-1, 1, 0, 2, True, False, 1.0, -1.0, "1", None)
+NOT_INTS = (True, False, 1.0, -2.0, "1", None)
+BLOCK_TYPES = ("H", "E8", "diag") * 3 + ("Q", 1, None, [], {})
+
+
+def _chance(draw, eighths):
+    return draw(st.integers(0, 7)) >= 8 - eighths
+
+
+@st.composite
+def block_descriptors(draw):
+    """A form entry: a non-object, or an object with type, sign, entries and
+    an extra key each present or absent, in any key order.  Well-formed
+    fields are drawn more often, so that many forms parse."""
+    def chance(eighths):
+        return _chance(draw, eighths)
+
+    if chance(1) and chance(4):
+        return draw(st.sampled_from(("H", 3, None, [], [{"type": "H"}])))
+    fields = []
+    if not chance(1):
+        fields.append(("type", draw(st.sampled_from(BLOCK_TYPES))))
+    kind = dict(fields).get("type")
+    if chance(4 if kind == "E8" else 1):
+        fields.append(("sign", draw(st.sampled_from(SIGNS))))
+    if chance(7 if kind == "diag" else 3):
+        fields.append(("entries", draw(
+            st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+            | st.lists(st.sampled_from((1, -2) + NOT_INTS), max_size=3)
+            | st.sampled_from((3, "1", None, {})))))
+    if chance(1):
+        fields.append(("x", 0))
+    return dict(draw(st.permutations(fields)))
+
+
+@st.composite
+def class_entries(draw, rank):
+    """A basic_classes entry for a form of the given rank: sw an integer
+    (0 too) or not; coords well formed, short, long, not a list or holding a
+    non-integer; a key missing or extra; or not an object at all."""
+    def chance(eighths):
+        return _chance(draw, eighths)
+
+    if chance(1) and chance(4):
+        return draw(st.sampled_from(([], "k", 3, None)))
+    length = max(0, rank + draw(st.sampled_from((0, 0, 0, -1, 1))))
+    coords = draw(st.lists(st.integers(-3, 3), min_size=length, max_size=length))
+    if coords and chance(2):
+        coords[draw(st.integers(0, len(coords) - 1))] = draw(st.sampled_from(NOT_INTS))
+    entry = {
+        "coords": draw(st.sampled_from((0, "x", None, {}))) if chance(1) else coords,
+        "sw": draw(st.sampled_from(NOT_INTS if chance(2) else (1, -2, 3, 0))),
+    }
+    if chance(1):
+        del entry[draw(st.sampled_from(("coords", "sw")))]
+    if chance(1):
+        entry["note"] = 1
+    return dict(draw(st.permutations(list(entry.items()))))
+
+
+def _predict_block(obj, i):
+    """("block", expected) or ("error", ParseError, message) by the written-out
+    rule: the object and its type, then extra fields, then the sign or the
+    entries in order."""
+    allowed = {"H": {"type"}, "E8": {"type", "sign"}, "diag": {"type", "entries"}}
+    if not isinstance(obj, dict) or "type" not in obj:
+        return "error", ParseError, f"form[{i}]: block descriptors are objects with a 'type' field"
+    kind = obj["type"]
+    if kind not in ("H", "E8", "diag"):
+        return "error", ParseError, f"form[{i}]: unknown block type {kind!r}"
+    extra = sorted(key for key in obj if key not in allowed[kind])
+    if extra:
+        return "error", ParseError, f"form[{i}]: unknown block fields {extra}"
+    if kind == "H":
+        return "block", _H
+    if kind == "E8":
+        sign = obj.get("sign", -1)
+        if type(sign) is not int:
+            return "error", ParseError, f"form[{i}].sign: expected an integer, got {sign!r}"
+        if sign not in (1, -1):
+            return "error", ParseError, f"form[{i}].sign: must be 1 or -1"
+        return "block", _E8[sign]
+    entries = obj.get("entries")
+    if type(entries) is not list or not entries:
+        return "error", ParseError, f"form[{i}].entries: expected a nonempty integer array"
+    for x in entries:
+        if type(x) is not int:
+            return "error", ParseError, f"form[{i}].entries: expected an integer, got {x!r}"
+    return "block", DiagonalBlock(tuple(entries))
+
+
+def _predict_class(entry, rank, i):
+    """("class", (coords, sw)) or ("error", type, message) by the written-out
+    rule: the object and its keys, then coords, then sw."""
+    where = f"basic_classes[{i}]"
+    if not isinstance(entry, dict) or set(entry) != {"coords", "sw"}:
+        return "error", ParseError, f"{where}: expected an object with 'coords' and 'sw'"
+    coords, sw = entry["coords"], entry["sw"]
+    if type(coords) is not list:
+        return "error", ParseError, f"{where}.coords: expected an integer array"
+    for x in coords:
+        if type(x) is not int:
+            return "error", ParseError, f"{where}.coords: expected an integer, got {x!r}"
+    if len(coords) != rank:
+        return ("error", ValidationError,
+                f"coords_length: {where}.coords: length {len(coords)} != form rank {rank}")
+    if type(sw) is not int:
+        return "error", ParseError, f"{where}.sw: expected an integer, got {sw!r}"
+    if sw == 0:
+        return "error", ValidationError, "sw_nonzero: sw must be nonzero"
+    return "class", (tuple(coords), sw)
+
+
+@st.composite
+def well_formed_blocks(draw):
+    fields = draw(st.sampled_from((
+        [("type", "H")], [("type", "E8")],
+        [("type", "E8"), ("sign", draw(st.sampled_from((-1, 1))))],
+        [("type", "diag"), ("entries", draw(st.lists(st.integers(-3, 3), min_size=1,
+                                                     max_size=3)))],
+    )))
+    return dict(draw(st.permutations(fields)))
+
+
+@st.composite
+def manifests(draw):
+    """(form, basic_classes): 0-2 well-formed block descriptors with at most
+    one arbitrary one among them, then 1-3 class entries drawn for the rank
+    that the well-formed descriptors give."""
+    form = draw(st.lists(well_formed_blocks(), max_size=2))
+    if not form or draw(st.booleans()):
+        form.insert(draw(st.integers(0, len(form))), draw(block_descriptors()))
+    rank = sum(p[1].rank for p in map(_predict_block, form, range(len(form))) if p[0] == "block")
+    return form, draw(st.lists(class_entries(rank), min_size=1, max_size=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(manifests())
+@example(([{"sign": -1, "type": "E8"}, {"sign": 1, "type": "E8"}, {"type": "H"}], []))
+@example(([{"type": "H"}, {"type": "E8", "entries": [1]}], [{"sw": 1, "coords": [0, 0]}]))
+def test_form_and_class_entries_parse_by_the_written_out_rule(case):
+    # parse_manifest gives the shared H or E8 block of the sign, a diagonal
+    # block of exactly the entries, and the classes as given, or raises the
+    # one-line message of the first entry that breaks the rule above
+    form, classes = case
+    predicted = [_predict_block(b, i) for i, b in enumerate(form)]
+    error = next((p[1:] for p in predicted if p[0] == "error"), None)
+    if error is None:
+        rank = sum(p[1].rank for p in predicted)
+        predicted_classes = [_predict_class(c, rank, i) for i, c in enumerate(classes)]
+        error = next((p[1:] for p in predicted_classes if p[0] == "error"), None)
+    text = json.dumps({"name": "x", "chi": 4, "sigma": 0, "b_plus": 1,
+                       "form": form, "basic_classes": classes})
+    if error is not None:
+        kind, message = error
+        with pytest.raises((ParseError, ValidationError)) as e:
+            parse_manifest(text)
+        assert (type(e.value), str(e.value)) == (kind, message)
+        assert "\n" not in message
+        return
+    parsed = parse_manifest(text)
+    for block, (_, expected) in zip(parsed.blocks, predicted, strict=True):
+        if isinstance(expected, DiagonalBlock):
+            assert type(block) is DiagonalBlock and block.entries == expected.entries
+        else:
+            assert block is expected
+    assert parsed.basic_classes == tuple(p[1] for p in predicted_classes)
 
 
 def test_bad_block_and_syntax_errors():

@@ -20,6 +20,7 @@ from swcalc.catalog import catalog_entry
 from swcalc.cli import main
 
 from conftest import FIXTURES, multiply
+from test_blowup_family import blown_up
 from test_knot_surgery import knot_surgery_manifest
 from test_product_family import product_manifest, sinh_power, unit
 
@@ -69,12 +70,14 @@ def test_the_oracle_accepts_every_golden_pipeline_report(case, capsys, monkeypat
 
 
 # E(6) with series (y - 1/y)^2 (y^2 - 1 + y^-2) (z - 1/z)^2 on two H blocks,
-# of order 4 = n - 2, and E(5) surgered along the trefoil, the 4 (mod 8)
-# case, whose dvanish reports relation entries
+# of order 4 = n - 2; E(5) surgered along the trefoil, the 4 (mod 8) case,
+# whose dvanish reports relation entries; and E(5) blown up twice, an odd
+# form with three diag blocks, of order 5 = c - 2, also in the 4 (mod 8) case
 FAMILIES = {
     "product": product_manifest(6, [(1, 1, multiply(sinh_power(2), unit([1], 1))),
                                     (4, 0, sinh_power(2))]),
     "knot-surgery": knot_surgery_manifest(5, {-1: 1, 0: -1, 1: 1}),
+    "blow-up": blown_up("E5", 2),
 }
 
 
