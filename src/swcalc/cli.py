@@ -66,8 +66,8 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _parse_direction(text: str, rank: int) -> "series.Direction":
-    return series.Direction.of(_parse_vector(text, rank, "rationals", _rational))
+def _parse_direction(text: str, rank: int) -> tuple[Fraction, ...]:
+    return tuple(map(Fraction, _parse_vector(text, rank, "rationals", _rational)))
 
 
 def _parse_window(text: str) -> "relations.Window":
@@ -172,7 +172,7 @@ def cmd_relate(args, manifest, manifold) -> dict:
     }
     if args.at is not None:
         direction = _parse_direction(args.at, rank)
-        fields["value_at"] = {"direction": direction.coords, "value": value.evaluate(direction)}
+        fields["value_at"] = {"direction": direction, "value": value.evaluate(direction)}
     return fields
 
 
@@ -185,7 +185,7 @@ def cmd_witten(args, manifest, manifold) -> dict:
     return {
         "verdict": VERDICT_PASS,
         "w": w,
-        "direction": direction.coords,
+        "direction": direction,
         "order": args.order,
         "prefactor": twisted.prefactor,
         "quad_coeff": twisted.quad_coeff,

@@ -213,10 +213,10 @@ def _block_diagonal(block) -> tuple[int, tuple[int, ...]]:
     return facts
 
 
-def covector(lattice: IntegralLattice, c) -> dict:
-    """G.c as {s: (G.c)_s}, c a class or a series.Direction.  It is kept on c
-    as (lattice, G.c) and read back in one tuple load for the same lattice
-    object, so threads never mix two lattices' values; readers must not mutate it."""
+def covector(lattice: IntegralLattice, c: CohClass) -> dict:
+    """G.c as {s: (G.c)_s} for a class c.  It is kept on c as (lattice, G.c)
+    and read back in one tuple load for the same lattice object, so threads
+    never mix two lattices' values; readers must not mutate it."""
     if c.rank != lattice.rank:
         raise DimensionMismatch(f"vector length {c.rank} does not match lattice rank {lattice.rank}")
     memo = c.__dict__.get("_covector")
@@ -253,8 +253,8 @@ def dot(ga: dict, b) -> int:
     return sum(ga.get(t, 0) * x for t, x in b.support)
 
 
-def pairing(lattice: IntegralLattice, a, b):
-    """Evaluate the intersection pairing a.b exactly: G.a read over b's support."""
+def pairing(lattice: IntegralLattice, a: CohClass, b: CohClass) -> int:
+    """The intersection pairing a.b of two classes: G.a read over b's support."""
     if a.rank != b.rank:
         raise DimensionMismatch(f"cannot pair vectors of lengths {a.rank} and {b.rank}")
     return dot(covector(lattice, a), b)

@@ -1,9 +1,12 @@
 """Exact formal arithmetic for finite exponential sums and their jets.
 
-An ExpSum is a finite sum  sum_i a_i * exp(<K_i, h>)  with exact rational
-coefficients a_i and integral classes K_i.  The argument h is represented
-by its Poincare dual, so both <K, h> and h.h are Gram-matrix pairings in
-one coordinate system; rational coordinate vectors are allowed for h.
+An ExpSum is a finite sum  sum_i a_i * exp(<K_i, h>)  with integer
+coefficients a_i (Seiberg-Witten invariants are integers; the Donaldson
+side's rational factors sit in GaussianSeries.prefactor and Jet.scale) and
+integral classes K_i.  The argument h is represented by its Poincare dual,
+so both <K, h> and h.h are Gram-matrix pairings in one coordinate system.
+A rational direction for h is any sequence of rationals, read once as
+D and the integral class u = D * direction.
 
 Jets are truncated Taylor expansions at h = 0.  Before expanding we pick
 a basis of the span of the pairing covectors of the K_i, so a sum over a
@@ -21,7 +24,6 @@ evaluate_along runs an integer three-term recurrence.
 
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from math import factorial, gcd, lcm, prod
 from operator import mul
@@ -32,27 +34,12 @@ from .manifold import FourManifold, characteristic_number
 from .record import record
 
 
-@record
-class Direction:
-    """A rational direction for h, given by Poincare-dual coordinates; it has
-    a class's rank and support, so the lattice pairings take it."""
-
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(x) for x in self.coords))
-
-    @staticmethod
-    def of(values) -> "Direction":
-        return Direction(tuple(values))
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    @cached_property
-    def support(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple((t, x) for t, x in enumerate(self.coords) if x)
+def _scaled_direction(direction) -> tuple[int, CohClass]:
+    """(D, u) for a sequence of rationals: D is the least positive integer
+    that makes u = D * direction integral, and u is that class."""
+    xs = list(map(Fraction, direction))
+    den = lcm(*(x.denominator for x in xs))
+    return den, CohClass(tuple(int(x * den) for x in xs))
 
 
 def _dense_order(support) -> tuple:
@@ -63,32 +50,29 @@ def _dense_order(support) -> tuple:
 
 @record
 class ExpSum:
-    """Merged exponential sum; terms are sorted by their classes' dense
-    coordinates, and each keeps the first class object given for its support."""
+    """Merged exponential sum with int coefficients; terms are sorted by their
+    classes' dense coordinates, and each keeps the first class object given
+    for its support."""
 
     ambient: IntegralLattice
-    terms: tuple[tuple[Fraction, CohClass], ...]
+    terms: tuple[tuple[int, CohClass], ...]
 
     @staticmethod
     def build(ambient: IntegralLattice, pairs) -> "ExpSum":
+        """Merge the (coefficient, class) pairs per support; a coefficient is
+        an int or an integral Fraction, and is kept as an int."""
         merged: dict[tuple, list] = {}
         for coeff, k in pairs:
+            if not isinstance(coeff, (int, Fraction)) or coeff.denominator != 1:
+                raise PreconditionError(f"coefficient {coeff} is not an integer")
             if k.rank != ambient.rank:
                 raise DimensionMismatch("term class length does not match lattice rank")
             if (entry := merged.get(k.support)) is None:
-                merged[k.support] = [coeff, k]
+                merged[k.support] = [int(coeff), k]
             else:
-                entry[0] += coeff
+                entry[0] += int(coeff)
         order = sorted(merged, key=_dense_order)
-        return ExpSum(ambient, tuple((Fraction(a), k) for a, k in map(merged.get, order) if a != 0))
-
-    @staticmethod
-    def constant(ambient: IntegralLattice, value) -> "ExpSum":
-        return ExpSum.build(ambient, [(Fraction(value), CohClass.zero(ambient.rank))])
-
-    @staticmethod
-    def exponential(ambient: IntegralLattice, k: CohClass) -> "ExpSum":
-        return ExpSum.build(ambient, [(1, k)])
+        return ExpSum(ambient, tuple((a, k) for a, k in map(merged.get, order) if a))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -139,10 +123,6 @@ class Jet:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def homogeneous_part(self, degree: int) -> "Jet":
-        part = {a: c for a, c in self.coefficients.items() if sum(a) == degree}
-        return Jet(self.ambient, self.variables, part, self.order)
-
     def scale(self, factor) -> "Jet":
         f = Fraction(factor)
         return Jet(
@@ -152,8 +132,10 @@ class Jet:
             self.order,
         )
 
-    def evaluate(self, direction: Direction) -> Fraction:
-        xs = [pairing(self.ambient, v, direction) for v in self.variables]
+    def evaluate(self, direction) -> Fraction:
+        """The value at h = direction, a sequence of rationals."""
+        den, u = _scaled_direction(direction)
+        xs = [Fraction(pairing(self.ambient, v, u), den) for v in self.variables]
         total = Fraction(0)
         for alpha, c in self.coefficients.items():
             term = c
@@ -217,15 +199,13 @@ def _span_reduce(lattice: IntegralLattice, classes):
 
 
 def _integer_terms(s: ExpSum):
-    """(pivots, D, A, a', columns): the sum in the integers over its span.
+    """(pivots, D, a, columns): the sum in the integers over its span.
 
-    Term i is a_i exp(<K_i, h>) with a_i = a'_i / A and <K_i, h> =
-    sum_j R'_ij x_j / D over the pivot variables x_j; columns[j][i] = R'_ij.
+    Term i is a_i exp(<K_i, h>) with <K_i, h> = sum_j R'_ij x_j / D over
+    the pivot variables x_j; columns[j][i] = R'_ij.
     """
     pivots, den, rows = _span_reduce(s.ambient, [k for _, k in s.terms])
-    den_a = lcm(*(a.denominator for a, _ in s.terms))
-    coeffs = [a.numerator * (den_a // a.denominator) for a, _ in s.terms]
-    return pivots, den, den_a, coeffs, list(zip(*rows))
+    return pivots, den, [a for a, _ in s.terms], list(zip(*rows))
 
 
 def _power_sums(columns, products, n, powers):
@@ -268,13 +248,13 @@ def power_sums(s: ExpSum, degrees) -> dict[int, Jet]:
     """{d: sum_i a_i <K_i, h>^d} for each d in degrees, over the span pivots.
 
     This is d! times the degree-d Taylor part of the sum: the coefficient of
-    x^alpha is d!/alpha! times the kernel's integer sum, divided by A * D^d.
+    x^alpha is d!/alpha! times the kernel's integer sum, divided by D^d.
     """
-    pivots, den, den_a, coeffs, columns = _integer_terms(s)
+    pivots, den, coeffs, columns = _integer_terms(s)
     powers = []
     return {
         d: Jet(s.ambient, pivots, {
-            alpha: Fraction(factorial(d) // prod(map(factorial, alpha)) * v, den_a * den**d)
+            alpha: Fraction(factorial(d) // prod(map(factorial, alpha)) * v, den**d)
             for alpha, v in _power_sums(columns, coeffs, d, powers) if v
         }, d)
         for d in degrees
@@ -354,11 +334,10 @@ def vanishing_order(s: ExpSum, cap: int) -> VanishingOrder:
 def _factored_order(s: ExpSum, cap: int) -> VanishingOrder | None:
     """The order of s as the sum of its factors' orders (see vanishing_order),
     or None when s does not split into one-variable factors of small span."""
-    den = lcm(*(a.denominator for a, _ in s.terms))
     merged: dict[frozenset, list] = {}
     for a, k in s.terms:
         gk = covector(s.ambient, k)
-        merged.setdefault(frozenset(gk.items()), [gk, 0])[1] += a.numerator * (den // a.denominator)
+        merged.setdefault(frozenset(gk.items()), [gk, 0])[1] += a
     terms = [(gk, a) for gk, a in merged.values() if a]
     if not terms:
         return VanishingOrder.at_least(cap + 1)
@@ -403,7 +382,7 @@ def _walk(s: ExpSum, cap: int) -> VanishingOrder:
     No jet is built: the degrees are walked upward through the power-sum
     kernel, and the walk stops at the first nonzero integer sum, inside a
     degree as well as across degrees.  The coefficient of x^alpha is its
-    sum divided by the positive integer A * D^n * alpha!, so the zero test
+    sum divided by the positive integer D^n * alpha!, so the zero test
     is exact.  An even (odd) sum has no odd (even) part, so only degrees of
     its parity are walked, and over one term per conjugate pair: a<k, h>^n
     and +-a<-k, h>^n add up to 2a<k, h>^n there.  Term i and term -1-i are
@@ -416,7 +395,7 @@ def _walk(s: ExpSum, cap: int) -> VanishingOrder:
         folded = tuple((2 * a, k) for a, k in s.terms[:half]) + s.terms[half:len(s.terms) - half]
         s = ExpSum(s.ambient, folded)
         first, step = (1 if p is Parity.ODD else 0), 2
-    _, _, _, coeffs, columns = _integer_terms(s)
+    _, _, coeffs, columns = _integer_terms(s)
     powers = []
     for n in range(first, cap + 1, step):
         if any(v for _, v in _power_sums(columns, coeffs, n, powers)):
@@ -484,8 +463,9 @@ def witten_series(m: FourManifold, w: CohClass) -> GaussianSeries:
     return GaussianSeries(prefactor, sw_series(m, w))
 
 
-def evaluate_along(g: GaussianSeries, direction: Direction, order: int) -> list[Fraction]:
-    """Substitute h = t * direction; exact univariate jet in t through order.
+def evaluate_along(g: GaussianSeries, direction, order: int) -> list[Fraction]:
+    """Substitute h = t * direction, a sequence of rationals; exact
+    univariate jet in t through order.
 
     With u = D * direction integral (D the least such) and l = <k, u>, the
     term exp(h.h/2 + <k, h>) is f(t/D) for f(s) = exp((u.u) s^2/2 + l s).
@@ -494,13 +474,11 @@ def evaluate_along(g: GaussianSeries, direction: Direction, order: int) -> list[
     is prefactor * sum_k a_k e_n(l_k) / (n! D^n), one division per n."""
     if order < 0:
         raise PreconditionError("order must be nonnegative")
-    den = lcm(*(x.denominator for _, x in direction.support))
-    u = CohClass.from_support(direction.rank, [(t, int(x * den)) for t, x in direction.support])
+    den, u = _scaled_direction(direction)
     gu = covector(g.core.ambient, u)
     q, lins = dot(gu, u), [dot(gu, k) for _, k in g.core.terms]
-    den_a = lcm(*(a.denominator for a, _ in g.core.terms))
-    coeffs = [int(a * den_a) for a, _ in g.core.terms]
-    num, scale = g.prefactor.numerator, g.prefactor.denominator * den_a  # times n! D^n at n
+    coeffs = [a for a, _ in g.core.terms]
+    num, scale = g.prefactor.numerator, g.prefactor.denominator  # times n! D^n at n
     prev, cur, out = [0] * len(lins), [1] * len(lins), []
     for n in range(order + 1):
         out.append(Fraction(num * sum(map(mul, coeffs, cur)), scale))

@@ -5,6 +5,7 @@ import pytest
 from swcalc.lattice import E8_GRAM, E8Block, HyperbolicBlock
 from swcalc.manifest import load_catalog
 from swcalc.relations import RelationQuery, dswrel_value, dvanish_theorem_check, sst_check
+from swcalc.series import Jet
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -41,6 +42,12 @@ def dense_block_gram(blocks):
             gram[offset + i][offset:offset + len(row)] = row
         offset += len(p)
     return gram
+
+
+def homogeneous_part(jet, degree):
+    """The degree part of a jet, over the same variables and order."""
+    part = {a: c for a, c in jet.coefficients.items() if sum(a) == degree}
+    return Jet(jet.ambient, jet.variables, part, jet.order)
 
 
 def multiply(p, q):

@@ -46,6 +46,8 @@ from swcalc.series import (
     vanishing_order,
 )
 
+from conftest import homogeneous_part
+
 K3FORM = IntegralLattice.from_blocks([HyperbolicBlock()] * 3 + [E8Block(-1)] * 2)
 H3 = IntegralLattice.from_blocks([HyperbolicBlock()] * 3)
 
@@ -114,7 +116,7 @@ def test_criterion_3_catalog_sst_sharpness(catalog):
 def _relation_oracle(m, w, lam, delta, mm):
     c = characteristic_number(m)
     d = delta - 2 * mm
-    jet = jet_expand(twist(sw_series(m, w), lam, -1), d).homogeneous_part(d)
+    jet = homogeneous_part(jet_expand(twist(sw_series(m, w), lam, -1), d), d)
     sign_exp = mm - 1 + square(m.form, lam) // 2 - pairing(m.form, lam, w)
     sign = -1 if sign_exp % 2 else 1
     return jet.scale(Fraction(2) ** int(1 - (c + delta) / 2) * sign * math.factorial(d))

@@ -67,9 +67,9 @@ REEXPORTED = {
     relations: ("RelationQuery", "basic_class_bound", "degree_admissible", "dswrel_value",
                 "dvanish_applies", "dvanish_theorem_check", "i_lambda", "r_lambda",
                 "region_data", "sst_check"),
-    series: ("Direction", "ExpSum", "GaussianSeries", "Jet", "Parity", "VanishingOrder",
-             "evaluate_along", "jet_expand", "parity", "predicted_parity", "sw_series", "twist",
-             "vanishing_order", "witten_series"),
+    series: ("ExpSum", "GaussianSeries", "Jet", "Parity", "VanishingOrder", "evaluate_along",
+             "jet_expand", "parity", "predicted_parity", "sw_series", "twist", "vanishing_order",
+             "witten_series"),
 }
 
 

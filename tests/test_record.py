@@ -11,7 +11,6 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -60,7 +59,6 @@ def samples(cls):
         lattice.E8Block: ((1,), (-1,)),
         lattice.CohClass: (((0, 3, 0),), ((1, 0, 0),)),
         relations.RelationQuery: ((f, g, 4, 1), (g, f, 6, 2)),
-        series.Direction: (((1, 2),), ((Fraction(1, 2), 0),)),
     }
     if cls in listed:
         return listed[cls]
@@ -152,7 +150,6 @@ def test_post_init_checks_run_on_construction_and_replace():
         lattice.E8Block(2)
     with pytest.raises(ValueError):
         replace(lattice.E8Block(), sign=0)
-    assert series.Direction((1, 2)).coords == (Fraction(1), Fraction(2))
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -58,9 +58,9 @@ from swcalc.relations import (
 from swcalc.record import replace
 from swcalc.catalog import _elliptic
 from swcalc.report import render
-from swcalc.series import Direction, VanishingOrder, jet_expand, sw_series, twist
+from swcalc.series import VanishingOrder, jet_expand, sw_series, twist
 
-from conftest import relation_flag_pairs
+from conftest import homogeneous_part, relation_flag_pairs
 
 H = IntegralLattice.from_blocks([HyperbolicBlock()])
 
@@ -205,9 +205,9 @@ def test_dswrel_e4_nonzero_spot(catalog):
     lam = u - 7 * v
     value = dswrel_value(e4, RelationQuery(lam, lam, 2, 0))
     assert min(map(sum, value.coefficients), default=None) == 2
-    d = Direction.of([0, 1] + [0] * 44)  # <f, d> = 1
+    d = [0, 1] + [0] * 44  # <f, d> = 1
     assert value.evaluate(d) == -2
-    d2 = Direction.of([0, Fraction(3, 2)] + [0] * 44)
+    d2 = [0, Fraction(3, 2)] + [0] * 44
     assert value.evaluate(d2) == Fraction(-9, 2)
 
 
@@ -297,7 +297,7 @@ def jet_oracle(m, w, lam, delta, mm):
     c = characteristic_number(m)
     d = delta - 2 * mm
     tw = twist(sw_series(m, w), lam, -1)
-    jet = jet_expand(tw, d).homogeneous_part(d)
+    jet = homogeneous_part(jet_expand(tw, d), d)
     lam_sq = square(m.form, lam)
     sign_exp = mm - 1 + lam_sq // 2 - pairing(m.form, lam, w)
     sign = -1 if sign_exp % 2 else 1
@@ -508,7 +508,7 @@ def test_dswrel_cross_lambda_consistency_e6(catalog):
         (1 * u - 11 * v, 11 * u - 1 * v, 4),
     ]
     eval_grid = [
-        Direction.of([0, a] + [b, c] + [0] * 66)
+        [0, a, b, c] + [0] * 66
         for a in range(3) for b in range(3) for c in range(3)
     ]
     for lam, lam2, delta in pairs:
@@ -528,7 +528,7 @@ def test_dswrel_e6_quartic_value(catalog):
     u, v = unit(70, 2), unit(70, 3)
     lam = u - 11 * v
     value = dswrel_value(e6, RelationQuery(lam, lam, 4, 0))
-    d = Direction.of([0, 1] + [0] * 68)
+    d = [0, 1] + [0] * 68
     assert value.evaluate(d) == -24
 
 

@@ -5,11 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swcalc.series as series
-from swcalc.errors import NonIntegralC, OddExponent, SWCalcError
+from swcalc.errors import NonIntegralC, OddExponent, PreconditionError, SWCalcError
 from swcalc.lattice import (
     CohClass,
     DiagonalBlock,
@@ -24,7 +24,6 @@ from swcalc.lattice import (
 )
 from swcalc.manifold import BasicClassEntry, FourManifold
 from swcalc.series import (
-    Direction,
     ExpSum,
     GaussianSeries,
     Parity,
@@ -42,13 +41,14 @@ from swcalc.series import (
     witten_series,
 )
 
-from conftest import dense_block_gram, multiply
+from conftest import dense_block_gram, homogeneous_part, multiply
 
 H = IntegralLattice.from_blocks([HyperbolicBlock()])
 DIAG11 = IntegralLattice.from_blocks([DiagonalBlock((1, -1))])
 H3 = IntegralLattice.from_blocks([HyperbolicBlock()] * 3)
 
 F_H = CohClass((1, 0))
+ONE_H = ExpSum.build(H, [(1, CohClass.zero(2))])
 
 
 @st.composite
@@ -68,7 +68,7 @@ def test_dense_order_sorts_supports_as_sorted_sorts_dense_tuples(rows, rng):
     assert [k.coords for k in by_support] == sorted(rows)
 
 
-def taylor_eval_oracle(s: ExpSum, direction: Direction, order: int) -> Fraction:
+def taylor_eval_oracle(s: ExpSum, direction, order: int) -> Fraction:
     """Truncated Taylor value of the sum along a direction, done termwise.
 
     Independent of the span-reduction machinery and of the pairing code:
@@ -78,7 +78,7 @@ def taylor_eval_oracle(s: ExpSum, direction: Direction, order: int) -> Fraction:
     gram = dense_block_gram(s.ambient.blocks)
     total = Fraction(0)
     for a, k in s.terms:
-        x = sum(ki * g * di for ki, row in zip(k.coords, gram) for g, di in zip(row, direction.coords))
+        x = sum(ki * g * di for ki, row in zip(k.coords, gram) for g, di in zip(row, direction))
         power = Fraction(1)
         fact = 1
         for d in range(order + 1):
@@ -207,25 +207,28 @@ def test_sw_series_w_shift_sign(catalog, name):
 
 
 def test_twist_examples():
-    one = ExpSum.constant(H, 1)
     lam = CohClass((1, -2))
-    shifted = twist(one, lam, -1)
-    assert shifted.terms == ((Fraction(1), -lam),)
-    assert twist(shifted, lam, 1).terms == one.terms
+    shifted = twist(ONE_H, lam, -1)
+    assert shifted.terms == ((1, -lam),)
+    assert twist(shifted, lam, 1).terms == ONE_H.terms
 
 
-def test_build_merges_raw_coefficients_into_fractions():
-    """Int and Fraction coefficients merge per support into Fractions, a
+def test_build_merges_integer_coefficients_into_ints():
+    """Int and integral Fraction coefficients merge per support into ints, a
     support whose coefficients cancel is dropped, and each kept term holds
-    the first class object given for its support."""
+    the first class object given for its support; any other coefficient is
+    refused."""
     first, again = CohClass((1, -2)), CohClass((1, -2))
     s = ExpSum.build(H, [
-        (1, first), (Fraction(1, 2), F_H), (2, again), (-1, -F_H),
-        (Fraction(-1, 2), F_H), (1, -F_H), (2, CohClass((0, 1))),
+        (1, first), (Fraction(4, 2), F_H), (Fraction(2), again), (-1, -F_H),
+        (-2, F_H), (1, -F_H), (2, CohClass((0, 1))),
     ])
-    assert [(a, k.coords) for a, k in s.terms] == [(Fraction(2), (0, 1)), (Fraction(3), (1, -2))]
-    assert all(type(a) is Fraction for a, _ in s.terms)
+    assert [(a, k.coords) for a, k in s.terms] == [(2, (0, 1)), (3, (1, -2))]
+    assert all(type(a) is int for a, _ in s.terms)
     assert s.terms[1][1] is first
+    for coeff in (Fraction(1, 2), 0.5, 1.0):
+        with pytest.raises(PreconditionError, match="is not an integer"):
+            ExpSum.build(H, [(1, F_H), (coeff, -F_H)])
 
 
 def test_twist_e3_series(catalog):
@@ -240,7 +243,7 @@ def test_twist_e3_series(catalog):
 
 
 def test_jet_constant():
-    jet = jet_expand(ExpSum.constant(H, 1), 3)
+    jet = jet_expand(ONE_H, 3)
     assert jet.variables == ()
     assert jet.coefficients == {(): Fraction(1)}
 
@@ -250,14 +253,14 @@ def test_jet_sinh_against_univariate_oracle():
     s = ExpSum.build(H, [(1, F_H), (-1, -F_H)])
     jet = jet_expand(s, 5)
     for t in (Fraction(1), Fraction(1, 2), Fraction(-3, 7), Fraction(2)):
-        d = Direction.of([0, t])  # <f, d> = t
+        d = (0, t)  # <f, d> = t
         assert jet.evaluate(d) == taylor_eval_oracle(s, d, 5)
     # explicit low-degree values: degree-1 coefficient 2, degree-3 coefficient 1/3
-    d1 = Direction.of([0, 1])
+    d1 = (0, 1)
     j3 = jet_expand(s, 3)
     j1 = jet_expand(s, 1)
-    assert j1.homogeneous_part(1).evaluate(d1) == 2
-    assert j3.homogeneous_part(3).evaluate(d1) == Fraction(1, 3)
+    assert homogeneous_part(j1, 1).evaluate(d1) == 2
+    assert homogeneous_part(j3, 3).evaluate(d1) == Fraction(1, 3)
 
 
 def test_jet_e4_square_leading_term(catalog):
@@ -265,8 +268,8 @@ def test_jet_e4_square_leading_term(catalog):
     s = sw_series(e4, CohClass.zero(46))
     jet = jet_expand(s, 2)
     assert min(map(sum, jet.coefficients), default=None) == 2
-    d = Direction.of([0, 1] + [0] * 44)  # <f, d> = 1
-    assert jet.homogeneous_part(2).evaluate(d) == 4
+    d = [0, 1] + [0] * 44  # <f, d> = 1
+    assert homogeneous_part(jet, 2).evaluate(d) == 4
 
 
 def test_jet_matches_ambient_multinomial_oracle():
@@ -295,7 +298,7 @@ def test_twist_then_expand_equals_jet_product():
         s = ExpSum.build(H3, terms)
         lam = CohClass(tuple(rng.randint(-1, 1) for _ in range(6)))
         order = 4
-        exp_lam = ambient_poly_oracle(ExpSum.exponential(H3, lam), order)
+        exp_lam = ambient_poly_oracle(ExpSum.build(H3, [(1, lam)]), order)
         product: dict[tuple[int, ...], Fraction] = {}
         for a, ca in ambient_poly_oracle(s, order).items():
             for b, cb in exp_lam.items():
@@ -307,7 +310,7 @@ def test_twist_then_expand_equals_jet_product():
 
 
 def test_vanishing_order_examples(catalog):
-    assert vanishing_order(ExpSum.constant(H, 1), 3) == VanishingOrder.exact(0)
+    assert vanishing_order(ONE_H, 3) == VanishingOrder.exact(0)
     e3 = catalog["E3"]
     f3 = CohClass((1, 1) + (0,) * 32)
     assert vanishing_order(sw_series(e3, f3), 7) == VanishingOrder.exact(1)
@@ -347,7 +350,7 @@ def test_vanishing_order_twist_invariance_hypothesis(raw_terms, la, lb):
 
 
 H4 = IntegralLattice.from_blocks([HyperbolicBlock()] * 4)
-SMALL_FRACTIONS = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+SMALL_COEFFICIENTS = st.integers(-3, 3).filter(bool)
 
 
 @st.composite
@@ -363,13 +366,13 @@ def exp_sums_over_h4(draw):
     vectors = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
     shape = draw(st.sampled_from(("free", "conjugate", "product", "product")))
     if shape == "free":
-        terms = draw(st.lists(st.tuples(SMALL_FRACTIONS, vectors), min_size=1, max_size=6))
+        terms = draw(st.lists(st.tuples(SMALL_COEFFICIENTS, vectors), min_size=1, max_size=6))
     elif shape == "conjugate":
-        half = draw(st.lists(st.tuples(SMALL_FRACTIONS, vectors), min_size=1, max_size=4))
+        half = draw(st.lists(st.tuples(SMALL_COEFFICIENTS, vectors), min_size=1, max_size=4))
         eps = draw(st.sampled_from((1, -1)))
         terms = half + [(eps * a, [-x for x in v]) for a, v in half]
     else:
-        terms = [(draw(SMALL_FRACTIONS), [0] * width)]
+        terms = [(draw(SMALL_COEFFICIENTS), [0] * width)]
         for v in draw(st.lists(vectors, min_size=2, max_size=6)):
             terms = [(sign * a, [x + sign * y for x, y in zip(u, v)])
                      for a, u in terms for sign in (1, -1)]
@@ -395,12 +398,10 @@ def test_vanishing_order_matches_the_jet_route(s, cap):
 @settings(max_examples=100, deadline=None)
 @given(exp_sums_over_h4(), st.integers(0, 6))
 def test_power_sums_match_the_jet_route(s, n):
-    # free and conjugate sums carry rational coefficients (A > 1), which
-    # sums built from sw data never do
     jet = jet_expand(s, n)
     value = power_sums(s, {n})[n]
     assert value.variables == jet.variables
-    assert value.coefficients == jet.homogeneous_part(n).scale(math.factorial(n)).coefficients
+    assert value.coefficients == homogeneous_part(jet, n).scale(math.factorial(n)).coefficients
 
 
 def expand_product(lattice, factors):
@@ -487,7 +488,7 @@ def test_vanishing_order_twist_invariance_over_h2_diag(s, lam, sign):
 
 def test_power_sums_of_a_constant():
     # no span pivots: only the constant monomial, and only in degree 0
-    sums = power_sums(ExpSum.constant(H, 3), {0, 2})
+    sums = power_sums(ExpSum.build(H, [(3, CohClass.zero(2))]), {0, 2})
     assert {d: jet.coefficients for d, jet in sums.items()} == {0: {(): 3}, 2: {}}
     assert sums[0].variables == sums[2].variables == ()
 
@@ -760,12 +761,11 @@ def test_span_reduce_reads_each_covector_once(monkeypatch):
 
 @pytest.mark.parametrize("call", [
     lambda: find_hyperbolic_pair(orthogonal_complement(H, []), 0),
-    lambda: jet_expand(ExpSum.exponential(H, F_H), -1),
+    lambda: jet_expand(ExpSum.build(H, [(1, F_H)]), -1),
     lambda: evaluate_along(
-        witten_series(FourManifold("empty", 4, 0, 2, H, ()), CohClass.zero(2)),
-        Direction.of([1, 1]), -1),
-    lambda: vanishing_order(ExpSum.exponential(H, F_H), -1),
-    lambda: twist(ExpSum.exponential(H, F_H), F_H, 2),
+        witten_series(FourManifold("empty", 4, 0, 2, H, ()), CohClass.zero(2)), (1, 1), -1),
+    lambda: vanishing_order(ExpSum.build(H, [(1, F_H)]), -1),
+    lambda: twist(ExpSum.build(H, [(1, F_H)]), F_H, 2),
 ], ids=["pair-radius", "jet-order", "evaluate-order", "vanishing-cap", "twist-sign"])
 def test_library_preconditions_raise_swcalc_errors(call):
     with pytest.raises(SWCalcError) as caught:
@@ -774,7 +774,7 @@ def test_library_preconditions_raise_swcalc_errors(call):
 
 
 def test_parity_examples(catalog):
-    assert parity(ExpSum.constant(H, 1)) == Parity.EVEN
+    assert parity(ONE_H) == Parity.EVEN
     assert parity(ExpSum.build(H, [])) == Parity.ZERO
     e3 = catalog["E3"]
     f3 = CohClass((1, 1) + (0,) * 32)
@@ -794,14 +794,14 @@ def test_witten_series_k3(catalog):
     assert g.prefactor == 1 and g.quad_coeff == Fraction(1, 2)
     assert GaussianSeries._fields == ("prefactor", "core")  # 1/2 is a constant, not a field
     # direction with square 2: the first hyperbolic block diagonal
-    d = Direction.of([1, 1] + [0] * 20)
+    d = [1, 1] + [0] * 20
     assert evaluate_along(g, d, 2) == [Fraction(1), Fraction(0), Fraction(1)]
 
 
 def test_witten_series_empty_support():
     m = FourManifold("empty", 4, 0, 2, H, ())
     g = witten_series(m, CohClass.zero(2))
-    d = Direction.of([1, 1])
+    d = (1, 1)
     assert evaluate_along(g, d, 4) == [Fraction(0)] * 5
 
 
@@ -811,18 +811,34 @@ def test_witten_series_e3_direction(catalog):
     g = witten_series(e3, f3)
     assert g.prefactor == Fraction(1, 2)
     # <f, d> = 1 and d.d = 0
-    d = Direction.of([Fraction(1, 2), Fraction(-1, 2)] + [0] * 32)
+    d = [Fraction(1, 2), Fraction(-1, 2)] + [0] * 32
     assert evaluate_along(g, d, 3) == [
         Fraction(0), Fraction(1), Fraction(0), Fraction(1, 6)
     ]
 
 
-def witten_taylor_oracle(g, direction: Direction, order: int) -> list[Fraction]:
+def test_a_direction_reads_the_same_in_any_sequence_form(catalog):
+    # ints or equal Fractions, in a list or a tuple: evaluate_along and
+    # Jet.evaluate read each form as the same (D, u)
+    e3 = catalog["E3"]
+    f3 = CohClass((1, 1) + (0,) * 32)
+    g, jet = witten_series(e3, f3), jet_expand(sw_series(e3, f3), 5)
+    tail = [0] * 31 + [1]
+    integral = [[2, -1, *tail], [Fraction(4, 2), Fraction(-1), *tail]]
+    rational = [[Fraction(1, 2), Fraction(-1, 3), *tail],
+                [Fraction(2, 4), Fraction(-2, 6), *map(Fraction, tail)]]
+    for forms in (integral, rational):
+        forms += [tuple(d) for d in forms]
+        values = {(tuple(evaluate_along(g, d, 7)), jet.evaluate(d)) for d in forms}
+        assert len(values) == 1
+
+
+def witten_taylor_oracle(g, direction, order: int) -> list[Fraction]:
     """The t^n coefficients of prefactor * exp(v.v t^2/2) * sum_k a_k exp(<k, v> t),
     written out: prefactor * sum_k a_k sum_(j <= n/2) (v.v/2)^j <k, v>^(n-2j)
     / (j! (n-2j)!), each pairing read off the dense Gram."""
     gram = dense_block_gram(g.core.ambient.blocks)
-    v = direction.coords
+    v = direction
 
     def pair(a, b):
         return sum(x * gij * y for x, row in zip(a, gram) for gij, y in zip(row, b))
@@ -837,23 +853,25 @@ def witten_taylor_oracle(g, direction: Direction, order: int) -> list[Fraction]:
 
 @st.composite
 def witten_cases(draw):
-    """A Gaussian series over H, +-E8 and diagonal blocks with rational
-    coefficients (the empty sum among them), and a rational direction (the
-    zero direction among them)."""
+    """A Gaussian series over H, +-E8 and diagonal blocks with small nonzero
+    integer coefficients (the empty sum among them), and a rational direction
+    (the zero direction among them)."""
     form = draw(st.lists(BLOCKS, min_size=1, max_size=2).map(IntegralLattice.from_blocks))
     n = form.rank
-    coeff = st.fractions(-3, 3, max_denominator=4)
+    coeff = st.integers(-3, 3).filter(bool)
     terms = draw(st.lists(st.tuples(coeff, st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
                           max_size=4))
     core = ExpSum.build(form, [(a, CohClass(tuple(k))) for a, k in terms])
     prefactor = Fraction(2) ** draw(st.integers(-3, 3))
     x = st.one_of(st.just(Fraction(0)), st.fractions(-2, 2, max_denominator=3))
     coords = draw(st.one_of(st.just([0] * n), st.lists(x, min_size=n, max_size=n)))
-    return GaussianSeries(prefactor, core), Direction.of(coords)
+    return GaussianSeries(prefactor, core), tuple(coords)
 
 
 @settings(max_examples=150, deadline=None)
 @given(witten_cases(), st.integers(0, 20))
+@example((GaussianSeries(Fraction(1, 4), ExpSum.build(H, [(2, F_H), (-1, CohClass((1, 1)))])),
+          (Fraction(1, 2), Fraction(-1, 3))), 6)  # D = 6, the lcm of 2 and 3
 def test_evaluate_along_matches_the_written_out_definition(case, order):
     g, direction = case
     assert evaluate_along(g, direction, order) == witten_taylor_oracle(g, direction, order)
